@@ -274,7 +274,8 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         if gap_monitor:
             try:
                 rec = ratio_gap_monitor(v, spec.b, b_ref, grid, bsq_slope,
-                                        p_floor=params.p_lo if mem.lower_ok else None)
+                                        p_floor=params.p_lo if mem.lower_ok else None,
+                                        p_norm=mem.norm_value)
                 report.gap_records.append(rec.as_dict())
             except (DegenerateDenominator, ValueError) as err:
                 # an escaping iterate can be too sick to measure

@@ -8,8 +8,7 @@ derivative's contribution.
 
 Quotients are estimated over nearest and next-nearest neighbor pairs; for
 smooth fields the supremum is attained in the small-separation limit, so
-this is the relevant restriction.  An exhaustive all-pairs mode exists for
-small validation fields.
+this is the relevant restriction.
 """
 from __future__ import annotations
 
@@ -29,6 +28,9 @@ _OFFSETS = {
 }
 _HAS_TIME = {"tSy": True, "Sy": False, "tS": True, "S": False}
 _N_SPACE = {"tSy": 2, "Sy": 2, "tS": 1, "S": 1}
+# byte budget of one operand slab in `_base_norm`: a slab, its halo and
+# the difference buffer then stay in a core's L2 cache
+_SLAB_BYTES = 1 << 18
 
 
 @dataclass
@@ -94,65 +96,54 @@ def _pair_views(u, offset):
     return a, b
 
 
-def _offset_distance(offset, dt, hs, has_time):
-    d2 = 0.0
-    if has_time:
-        d2 += abs(offset[0]) * dt
-        space = offset[1:]
-    else:
-        space = offset
-    for o, h in zip(space, hs):
+def _offset_distance(offset, dt, hs):
+    """Parabolic length of a (time, space...) index offset."""
+    d2 = abs(offset[0]) * dt if offset[0] else 0.0
+    for o, h in zip(offset[1:], hs):
         d2 += (o * h) ** 2
     return np.sqrt(d2)
 
 
-def _neighbor_quotient(u, kind, dt, hs, h_exp):
-    best = 0.0
+def _base_norm(u, kind, dt, hs, h_exp):
+    """Sup norm and largest neighbor-pair quotient |u(P) - u(Q)| / d(P, Q)^h.
+
+    The field is walked in slabs of consecutive time slices, each read with
+    a halo of the offset's time step, so one slab serves every offset while
+    it is in cache.  Both parts are maxima, so the result does not depend
+    on the slab length.
+    """
     has_time = _HAS_TIME[kind]
-    for off in _OFFSETS[kind]:
-        a, b = _pair_views(u, off)
-        if a is None or a.size == 0:
-            continue
-        dist = _offset_distance(off, dt, hs, has_time)
-        gap = float(np.max(np.abs(a - b)))
-        best = max(best, gap / dist ** h_exp)
-    return best
-
-
-def _all_pairs_quotient(u, kind, dt, hs, h_exp):
-    coords = []
-    has_time = _HAS_TIME[kind]
-    axes_h = ([] if not has_time else [None]) + list(hs)
-    grids = np.meshgrid(*[np.arange(n) for n in u.shape], indexing="ij")
-    flat = u.ravel()
-    n = flat.size
-    if n > 4000:
-        raise ValueError("all-pairs quotient restricted to <= 4000 nodes")
-    cols = [g.ravel().astype(float) for g in grids]
+    offsets = _OFFSETS[kind]
+    if not has_time:
+        u = u[None]
+        offsets = [(0,) + off for off in offsets]
+    if u.size == 0:
+        return 0.0, 0.0
+    nt = u.shape[0]
+    offsets = [off for off in offsets
+               if all(abs(o) < n for o, n in zip(off, u.shape))]
+    step = max(1, _SLAB_BYTES // u[0].nbytes)
+    buf = np.empty(min(step, nt) * u[0].size)
+    sup = 0.0
+    gaps = [0.0] * len(offsets)
+    for t0 in range(0, nt, step):
+        t1 = min(t0 + step, nt)
+        d = buf[:(t1 - t0) * u[0].size].reshape((t1 - t0,) + u.shape[1:])
+        np.abs(u[t0:t1], out=d)
+        sup = np.maximum(sup, d.max())
+        for j, off in enumerate(offsets):
+            a, b = _pair_views(u[t0:min(t1 + off[0], nt)], off)
+            if a is None:
+                continue
+            d = buf[:a.size].reshape(a.shape)
+            np.subtract(a, b, out=d)
+            np.abs(d, out=d)
+            gaps[j] = np.maximum(gaps[j], d.max())
     best = 0.0
-    for i in range(n - 1):
-        d2 = np.zeros(n - i - 1)
-        for ax, (c, h) in enumerate(zip(cols, axes_h)):
-            delta = c[i + 1:] - c[i]
-            if h is None:
-                d2 += np.abs(delta) * dt
-            else:
-                d2 += (delta * h) ** 2
-        dist = np.sqrt(d2)
-        gaps = np.abs(flat[i + 1:] - flat[i])
-        mask = dist > 0
-        if mask.any():
-            best = max(best, float(np.max(gaps[mask] / dist[mask] ** h_exp)))
-    return best
-
-
-def _base_norm(u, kind, dt, hs, h_exp, all_pairs):
-    sup = float(np.max(np.abs(u))) if u.size else 0.0
-    if all_pairs:
-        quot = _all_pairs_quotient(u, kind, dt, hs, h_exp)
-    else:
-        quot = _neighbor_quotient(u, kind, dt, hs, h_exp)
-    return sup, quot
+    for off, gap in zip(offsets, gaps):
+        dist = _offset_distance(off, dt, hs)
+        best = max(best, float(gap) / dist ** h_exp)
+    return float(sup), best
 
 
 def _derivative_fields(u, kind, dt, hs, k):
@@ -173,8 +164,8 @@ def _derivative_fields(u, kind, dt, hs, k):
         yield "dt", fd.d1(u, dt, axis=0)
 
 
-def holder_norm(u: np.ndarray, k: int, h: float, grid, kind: str | None = None,
-                all_pairs: bool = False) -> HolderNormEstimate:
+def holder_norm(u: np.ndarray, k: int, h: float, grid,
+                kind: str | None = None) -> HolderNormEstimate:
     """Estimate the order-(k+h) Hoelder norm of a grid field.
 
     Args:
@@ -183,7 +174,6 @@ def holder_norm(u: np.ndarray, k: int, h: float, grid, kind: str | None = None,
         h: Hoelder exponent in (0, 1).
         grid: GridSpec supplying spacings.
         kind: field layout; inferred from the shape when omitted.
-        all_pairs: use the exhaustive pair set (small fields only).
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
@@ -191,11 +181,11 @@ def holder_norm(u: np.ndarray, k: int, h: float, grid, kind: str | None = None,
     if kind is None:
         kind = infer_kind(u, grid)
     dt, hs = _spacings(grid, kind)
-    sup, quot = _base_norm(u, kind, dt, hs, h, all_pairs)
+    sup, quot = _base_norm(u, kind, dt, hs, h)
     value = sup + quot
     parts = {}
     for name, f_arr in _derivative_fields(u, kind, dt, hs, k):
-        s, q = _base_norm(f_arr, kind, dt, hs, h, all_pairs)
+        s, q = _base_norm(f_arr, kind, dt, hs, h)
         parts[name] = float(s + q)
         value += s + q
     return HolderNormEstimate(float(value), float(sup), float(quot), parts, k, h)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.special import ndtr
 
 from . import tridiag
 from .errors import (ArbitrageWarning, CalendarArbitrage, DegenerateSurface,
@@ -128,8 +129,7 @@ def _bs_call(spot, strike, t, rate, vol):
     sq = vol * math.sqrt(t)
     d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * t) / sq
     d2 = d1 - sq
-    from scipy.stats import norm
-    return spot * norm.cdf(d1) - strike * math.exp(-rate * t) * norm.cdf(d2)
+    return spot * ndtr(d1) - strike * math.exp(-rate * t) * ndtr(d2)
 
 
 def implied_vol_from_price(price, spot, strike, t, rate) -> float:

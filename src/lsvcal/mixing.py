@@ -124,7 +124,8 @@ class GapRecord:
 
 def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
                       bsq_slope: float, p_floor: float | None = None,
-                      eps_den: float | None = None) -> GapRecord:
+                      eps_den: float | None = None,
+                      p_norm: float | None = None) -> GapRecord:
     """Measure how far the mixing ratio sits from its constant-b anchor.
 
     Args:
@@ -133,6 +134,8 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
         bsq_slope: measured sup |d(b^2)/dy| on the grid.
         p_floor: initial density floor; when given, p must stay above half
             of it (raises DensityBoundViolation otherwise).
+        p_norm: the Hoelder-2 norm of p at ``grid.holder_exp``, when the
+            caller has it already (the membership check computes it).
     """
     p = np.asarray(p, dtype=float)
     if p_floor is not None and p.min() < 0.5 * p_floor:
@@ -147,12 +150,13 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
     lhs = n1.value + n2.value
     if not np.isfinite(lhs):
         raise ValueError("gap norm is not finite")
-    pn = holder_norm(p, 2, grid.holder_exp, grid,
-                     kind="tSy" if p.ndim == 3 else "Sy").value
+    if p_norm is None:
+        p_norm = holder_norm(p, 2, grid.holder_exp, grid,
+                             kind="tSy" if p.ndim == 3 else "Sy").value
     scaled = None
     if bsq_slope > 0:
-        scaled = lhs / (bsq_slope * (1.0 + pn) ** 6)
-    return GapRecord(lhs, (n1.value, n2.value), pn, bsq_slope, scaled)
+        scaled = lhs / (bsq_slope * (1.0 + p_norm) ** 6)
+    return GapRecord(lhs, (n1.value, n2.value), p_norm, bsq_slope, scaled)
 
 
 def write_ts_csv(path, values: np.ndarray, grid: GridSpec, name: str,

@@ -143,6 +143,8 @@ class RunConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{line_no}: expected key = value")
                 key, val = (s.strip() for s in line.split("=", 1))
+                if key not in _DEFAULTS and key not in _REQUIRED:
+                    raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
                 values[key] = val
         missing = [k for k in _REQUIRED if k not in values]
         if missing:
@@ -439,10 +441,6 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
         else config.get("run.snapshot_every", int)
     if snap_every <= 0:
         snap_every = max(1, grid.n_t // 10)
-    threads = os.environ.get("CALIBRATE_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        log(f"ignoring invalid CALIBRATE_THREADS={threads!r}")
-        threads = None
 
     # ---- stage 2: solve ----
     status = 0
@@ -539,6 +537,5 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
         "wall_seconds": time.time() - t_start,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "version": __version__,
-        "threads": threads,
     })
     return status

@@ -167,6 +167,14 @@ class TestIterate:
         assert all(m["lower_ok"] and m["upper_ok"] and m["norm_ok"]
                    for m in rep.membership)
 
+    def test_gap_monitor_reuses_membership_norm(self):
+        grid = make_grid(n_s=32, n_y=20, n_t=20)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        _, rep = iterate(spec, grid, make_psi(grid))
+        assert len(rep.gap_records) == rep.iterations >= 3
+        for norm, rec in zip(rep.norms, rep.gap_records):
+            assert norm == rec["p_norm"]
+
     def test_fixed_point_consistency(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)
         spec = make_spec(grid, b=b_perturbed(0.05))

@@ -1,10 +1,14 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lsvcal import holder_norm
+from lsvcal import holder, holder_norm
 from lsvcal.holder import HolderNormEstimate
 
 from conftest import make_grid
@@ -20,6 +24,49 @@ def brute_force_quotient(values, coords, h):
         if d > 0:
             best = max(best, abs(values[i] - values[j]) / d ** h)
     return best
+
+
+def all_pairs_quotient(u, kind, grid, h_exp):
+    """Hoelder quotient over every node pair of a small field (oracle)."""
+    dt, hs = holder._spacings(grid, kind)
+    axes_h = ([None] if holder._HAS_TIME[kind] else []) + list(hs)
+    grids = np.meshgrid(*[np.arange(n) for n in u.shape], indexing="ij")
+    flat = u.ravel()
+    n = flat.size
+    assert n <= 4000, "all-pairs quotient restricted to <= 4000 nodes"
+    cols = [g.ravel().astype(float) for g in grids]
+    best = 0.0
+    for i in range(n - 1):
+        d2 = np.zeros(n - i - 1)
+        for c, h in zip(cols, axes_h):
+            delta = c[i + 1:] - c[i]
+            if h is None:
+                d2 += np.abs(delta) * dt
+            else:
+                d2 += (delta * h) ** 2
+        dist = np.sqrt(d2)
+        gaps = np.abs(flat[i + 1:] - flat[i])
+        mask = dist > 0
+        if mask.any():
+            best = max(best, float(np.max(gaps[mask] / dist[mask] ** h_exp)))
+    return best
+
+
+def unblocked_base_norm(u, kind, dt, hs, h_exp):
+    """Sup norm and neighbor quotient with one full-array pass per offset."""
+    has_time = holder._HAS_TIME[kind]
+    sup = float(np.max(np.abs(u))) if u.size else 0.0
+    best = 0.0
+    for off in holder._OFFSETS[kind]:
+        a, b = holder._pair_views(u, off)
+        if a is None or a.size == 0:
+            continue
+        d2 = abs(off[0]) * dt if has_time else 0.0
+        for o, h in zip(off[1:] if has_time else off, hs):
+            d2 += (o * h) ** 2
+        gap = float(np.max(np.abs(a - b)))
+        best = max(best, gap / np.sqrt(d2) ** h_exp)
+    return sup, best
 
 
 def smooth_random_field(rng, grid, kind="Sy"):
@@ -55,26 +102,26 @@ class TestBaseNorm:
     def test_linear_1d_all_pairs_matches_brute_force(self):
         grid = make_grid(n_s=30, n_y=12, n_t=8, s_span=(0.0, 1.0))
         u = grid.s_nodes ** 2
-        est = holder_norm(u, 0, 0.5, grid, kind="S", all_pairs=True)
+        quot = all_pairs_quotient(u, "S", grid, 0.5)
         coords = [(0.0, s) for s in grid.s_nodes]
         oracle = brute_force_quotient(list(u), coords, 0.5)
-        assert est.quotient == pytest.approx(oracle, rel=1e-12)
+        assert quot == pytest.approx(oracle, rel=1e-12)
 
     def test_space_time_all_pairs_matches_brute_force(self):
         grid = make_grid(n_s=8, n_y=8, n_t=5, horizon=0.3)
         rng = np.random.default_rng(3)
         u = rng.standard_normal((grid.n_t + 1, grid.n_s + 2))
-        est = holder_norm(u, 0, 0.4, grid, kind="tS", all_pairs=True)
+        quot = all_pairs_quotient(u, "tS", grid, 0.4)
         coords = [(t, s) for t in grid.t_nodes for s in grid.s_nodes]
         oracle = brute_force_quotient(list(u.ravel()), coords, 0.4)
-        assert est.quotient == pytest.approx(oracle, rel=1e-12)
+        assert quot == pytest.approx(oracle, rel=1e-12)
 
     def test_neighbor_below_all_pairs(self):
         grid = make_grid(n_s=14, n_y=10, n_t=6)
         rng = np.random.default_rng(11)
         u = smooth_random_field(rng, grid)
         near = holder_norm(u, 0, 0.5, grid, kind="Sy").quotient
-        full = holder_norm(u, 0, 0.5, grid, kind="Sy", all_pairs=True).quotient
+        full = all_pairs_quotient(u, "Sy", grid, 0.5)
         assert near <= full + 1e-12
 
 
@@ -124,3 +171,39 @@ class TestAlgebraAndMonotonicity:
         n2 = holder_norm(u2, 2, 0.5, grid, kind="Sy").value
         n3 = holder_norm(u3, 2, 0.5, grid, kind="tSy").value
         assert n3 == pytest.approx(n2, rel=1e-12)
+
+
+@st.composite
+def fields(draw):
+    """A field of any kind; time lengths 1-3 leave time offsets unpaired."""
+    kind = draw(st.sampled_from(["tSy", "tS", "Sy", "S"]))
+    n_space = holder._N_SPACE[kind]
+    shape = tuple(draw(st.integers(0, 5)) for _ in range(n_space))
+    if holder._HAS_TIME[kind]:
+        shape = (draw(st.integers(1, 11)),) + shape
+    u = draw(arrays(np.float64, shape,
+                    elements=st.floats(-1e6, 1e6)))
+    return kind, u
+
+
+class TestSlabBlocking:
+    @settings(max_examples=300, deadline=None)
+    @given(fields(), st.integers(1, 5), st.sampled_from([0.3, 0.5, 0.9]))
+    def test_blocked_equals_unblocked(self, field, slab, h_exp):
+        kind, u = field
+        dt, hs = 0.01, (3.0, 0.02)[:holder._N_SPACE[kind]]
+        ref = unblocked_base_norm(u, kind, dt, hs, h_exp)
+        # slab lengths 1..5 slices, so most time lengths are no multiple
+        slice_bytes = u[0].nbytes if holder._HAS_TIME[kind] else u.nbytes
+        with mock.patch.object(holder, "_SLAB_BYTES", slab * slice_bytes):
+            got = holder._base_norm(u, kind, dt, hs, h_exp)
+        assert got == ref
+
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 17])
+    def test_default_slab_matches_unblocked(self, n_t):
+        # a time slice of 40 kB gives slabs of 6, so n_t = 17 ends mid-slab
+        rng = np.random.default_rng(n_t)
+        u = rng.standard_normal((n_t, 100, 50))
+        dt, hs = 0.01, (3.0, 0.02)
+        ref = unblocked_base_norm(u, "tSy", dt, hs, 0.5)
+        assert holder._base_norm(u, "tSy", dt, hs, 0.5) == ref

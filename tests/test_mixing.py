@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lsvcal import (DegenerateDenominator, DensityBoundViolation, leverage,
-                    marginal, mixing_ratio, ratio_gap_monitor)
+from lsvcal import (DegenerateDenominator, DensityBoundViolation, holder_norm,
+                    leverage, marginal, mixing_ratio, ratio_gap_monitor)
 
 from conftest import make_grid, make_psi
 
@@ -175,6 +175,20 @@ class TestGapMonitor:
             lhs[s] = rec.lhs
         ratio = (lhs[1e-2] / 1e-2) / (lhs[1e-3] / 1e-3)
         assert abs(ratio - 1.0) < 0.2
+
+    def test_precomputed_p_norm_gives_same_record(self):
+        grid = make_grid(n_s=16, n_y=24, n_t=8)
+        psi = make_psi(grid, bw_s=25.0, bw_y=0.25)
+        y_mod = np.tanh(grid.y_nodes[None, :])
+        t_mod = 1.0 + 0.1 * grid.t_nodes[:, None, None]
+        p = psi[None] * (1.0 + 0.3 * y_mod) * t_mod
+        b = lambda y: np.sqrt(1.0 + 0.05 * np.sin(np.asarray(y, dtype=float)))
+        args = (p, b, 1.0, grid, 0.05)
+        fresh = ratio_gap_monitor(*args, p_floor=float(psi.min()))
+        p_norm = holder_norm(p, 2, grid.holder_exp, grid, kind="tSy").value
+        reused = ratio_gap_monitor(*args, p_floor=float(psi.min()), p_norm=p_norm)
+        assert reused == fresh
+        assert fresh.scaled is not None and fresh.lhs > 0.0
 
     def test_floor_violation_raises(self):
         grid = make_grid(n_s=16, n_y=24, n_t=8)

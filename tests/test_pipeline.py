@@ -6,6 +6,7 @@ import pytest
 
 from lsvcal import (dupire_forward_solve, iterate, marginal, solve_lagged,
                     verify_calibration)
+from lsvcal.cli import main
 from lsvcal.pipeline import (RunConfig, builtin_y_function, read_density_bin,
                              run_pipeline)
 
@@ -62,6 +63,16 @@ class TestConfig:
         path.write_text("this is not a key value line\n")
         with pytest.raises(ValueError, match="expected key = value"):
             RunConfig.from_file(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = write_config(tmp_path, extra="fp.max_iters = 3")
+        with pytest.raises(ValueError, match="unknown config key 'fp.max_iters'"):
+            RunConfig.from_file(path)
+
+    def test_unknown_key_exits_one_writing_nothing(self, tmp_path):
+        path = write_config(tmp_path, extra="fp.max_iters = 3")
+        assert main(["--config", str(path)]) == 1
+        assert not os.path.exists(tmp_path / "out")
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg_path = write_config(tmp_path, extra="# a comment\n\nfp.max_iter = 7")

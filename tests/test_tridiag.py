@@ -1,6 +1,29 @@
 import numpy as np
 
-from lsvcal.tridiag import residual_batch, solve_batch, thomas_single
+from lsvcal.tridiag import residual_batch, solve_batch
+
+
+def thomas_single(lower, diag, upper, rhs) -> np.ndarray:
+    """Reference Thomas elimination for one system (test oracle)."""
+    n = len(diag)
+    c = np.zeros(n)
+    d = np.zeros(n)
+    x = np.zeros(n)
+    piv = diag[0]
+    if abs(piv) < 1e-14:
+        raise ZeroDivisionError("pivot below guard")
+    c[0] = upper[0] / piv
+    d[0] = rhs[0] / piv
+    for j in range(1, n):
+        piv = diag[j] - lower[j] * c[j - 1]
+        if abs(piv) < 1e-14:
+            raise ZeroDivisionError("pivot below guard")
+        c[j] = upper[j] / piv
+        d[j] = (rhs[j] - lower[j] * d[j - 1]) / piv
+    x[-1] = d[-1]
+    for j in range(n - 2, -1, -1):
+        x[j] = d[j] - c[j] * x[j + 1]
+    return x
 
 
 def random_systems(rng, m, n):
