@@ -19,7 +19,7 @@ from .grids import GridSpec
 from .holder import HolderNormEstimate, holder_norm
 from .linpde import (CoefficientFields, LinearSolveReport, assemble_frozen,
                      assemble_slice, ellipticity_constant, solve_linear,
-                     step_linear, supnorm_time_bound)
+                     supnorm_time_bound)
 from .market import (ImpliedSurface, LocalVolSurface, OptionQuote,
                      build_implied_surface, dupire_forward_solve,
                      dupire_local_vol, fv_mass, load_quotes)

@@ -23,7 +23,8 @@ from .holder import holder_norm
 from .linpde import (CoefficientFields, assemble_frozen, assemble_slice,
                      solve_linear, step_slices)
 from .mixing import mixing_ratio, ratio_gap_monitor
-from .model import DensityField, ModelSpec, eval_coeff, measured_bsq_slope
+from .model import (DensityField, ModelSpec, measured_bsq_slope,
+                    operator_coefficients)
 
 
 @dataclass
@@ -158,26 +159,15 @@ class FixedPointReport:
         }
 
 
-def _coefficient_products(spec: ModelSpec, grid: GridSpec, n_k: int,
-                          time_constant: bool) -> tuple:
-    """Iteration-constant product fields rho11 a1^2 and 2 rho12 a1 a2."""
-    rho = spec.corr.entries
+def _unit_products(spec: ModelSpec, grid: GridSpec, n_k: int,
+                   time_constant: bool) -> tuple:
+    """The operator's ``a_s`` and ``a_x`` at ratio = root = 1, i.e.
+    rho11 a1^2 and 2 rho12 a1 a2, over n_k time slices."""
     shape = (n_k, grid.n_s + 2, grid.n_y + 2)
-
-    def slice_at(k):
-        t = grid.t_nodes[k]
-        a1 = eval_coeff(spec.alpha1, k, t, grid)
-        a2 = eval_coeff(spec.alpha2, k, t, grid)
-        return rho[0, 0] * a1 * a1, 2.0 * rho[0, 1] * a1 * a2
-
-    if time_constant:
-        p1, p2 = slice_at(0)
-        return np.broadcast_to(p1, shape), np.broadcast_to(p2, shape)
-    p1 = np.empty(shape)
-    p2 = np.empty(shape)
-    for k in range(n_k):
-        p1[k], p2[k] = slice_at(k)
-    return p1, p2
+    coeffs = (operator_coefficients(spec, grid, k, 1.0, 1.0)
+              for k in range(1 if time_constant else n_k))
+    p1, p2 = zip(*((co["a_s"], co["a_x"]) for co in coeffs))
+    return np.broadcast_to(np.array(p1), shape), np.broadcast_to(np.array(p2), shape)
 
 
 def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
@@ -191,7 +181,7 @@ def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
     u = np.asarray(u, dtype=float)
     n_k = u.shape[0]
     if products is None:
-        products = _coefficient_products(spec, grid, n_k, False)
+        products = _unit_products(spec, grid, n_k, False)
     p1, p2 = products[0][:n_k], products[1][:n_k]
 
     mix = mixing_ratio(u, spec.b, grid)
@@ -255,7 +245,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     bsq_slope = measured_bsq_slope(spec, grid)
 
     frozen = assemble_frozen(spec, grid, b_ref=b_ref)
-    products = _coefficient_products(spec, grid, grid.n_t + 1, frozen.time_constant)
+    products = _unit_products(spec, grid, k_star + 1, frozen.time_constant)
 
     report = FixedPointReport(t_star=t_star, tol=params.tol)
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()

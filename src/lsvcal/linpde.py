@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fd, tridiag
 from .errors import CrossTermCFL, NonElliptic, NonEllipticAssembly, StabilityFailure
 from .grids import GridSpec
-from .model import ModelSpec, eval_coeff
+from .mixing import b_values
+from .model import ModelSpec, eval_coeff, operator_coefficients
 
 
 @dataclass
@@ -28,8 +29,7 @@ class CoefficientFields:
     """Space-time coefficient arrays of the non-divergence operator.
 
     ``a_sy`` stores the symmetric off-diagonal entry (the operator term is
-    ``2 a_sy d2u/dSdy``).  ``f`` is the source; it may be swapped per solve
-    via :meth:`with_source` without copying the other arrays.
+    ``2 a_sy d2u/dSdy``).
     """
 
     a_ss: np.ndarray
@@ -38,12 +38,8 @@ class CoefficientFields:
     b_s: np.ndarray
     b_y: np.ndarray
     c: np.ndarray
-    f: np.ndarray | None = None
     ellipticity_floor: float | None = None
     time_constant: bool = False
-
-    def with_source(self, f: np.ndarray | None) -> "CoefficientFields":
-        return replace(self, f=f)
 
     def slice(self, k: int) -> dict:
         return {"a_ss": self.a_ss[k], "a_sy": self.a_sy[k], "a_yy": self.a_yy[k],
@@ -75,27 +71,16 @@ def assemble_slice(spec: ModelSpec, grid: GridSpec, k: int,
     arrays (time-lagged mode).  Derivatives of the coefficient products are
     taken with second-order differences on the full node set.
     """
-    t = grid.t_nodes[k] if k < grid.n_t + 1 else grid.horizon
     ds, dy = grid.ds, grid.dy
-    a1 = eval_coeff(spec.alpha1, k, t, grid)
-    a2 = eval_coeff(spec.alpha2, k, t, grid)
-    rho = spec.corr.entries
-    ratio_col = np.asarray(ratio, dtype=float).reshape(-1, 1) if np.ndim(ratio) else float(ratio)
-    root_col = np.asarray(root, dtype=float).reshape(-1, 1) if np.ndim(root) else float(root)
-
-    big_a = rho[0, 0] * a1 * a1 * ratio_col
-    cross_full = 2.0 * rho[0, 1] * a1 * a2 * root_col
-    big_b = rho[1, 1] * a2 * a2
-
-    beta1 = eval_coeff(spec.beta1, k, t, grid) + spec.rate * grid.s_nodes[:, None]
-    beta2 = eval_coeff(spec.beta2, k, t, grid)
-    gamma = eval_coeff(spec.gamma, k, t, grid) + spec.rate
+    co = operator_coefficients(spec, grid, k, ratio, root)
+    big_a, cross_full, big_b = co["a_s"], co["a_x"], co["a_y"]
+    beta1, beta2 = co["b1"], co["b2"]
 
     b_s = -2.0 * fd.d1(big_a, ds, axis=0) - fd.d1(cross_full, dy, axis=1) + beta1
     b_y = -2.0 * fd.d1(big_b, dy, axis=1) - fd.d1(cross_full, ds, axis=0) + beta2
     c = (-fd.d2(big_a, ds, axis=0) - fd.d2_cross(cross_full, ds, dy)
          - fd.d2(big_b, dy, axis=1)
-         + fd.d1(beta1, ds, axis=0) + fd.d1(beta2, dy, axis=1) + gamma)
+         + fd.d1(beta1, ds, axis=0) + fd.d1(beta2, dy, axis=1) + co["g"])
 
     return {"a_ss": big_a, "a_sy": 0.5 * cross_full, "a_yy": big_b,
             "b_s": b_s, "b_y": b_y, "c": c}
@@ -108,32 +93,21 @@ def _probe_time_constant(spec: ModelSpec, grid: GridSpec) -> bool:
     return all(np.array_equal(first[key], s[key]) for s in slices[1:] for key in first)
 
 
-def assemble_frozen(spec: ModelSpec, grid: GridSpec, mixing=None,
-                    b_ref: float | None = None) -> CoefficientFields:
+def assemble_frozen(spec: ModelSpec, grid: GridSpec, b_ref: float) -> CoefficientFields:
     """Assemble the frozen linear operator over the whole horizon.
 
-    With ``b_ref`` given, the mixing ratio is frozen at the exact constants
-    1/b_ref^2 and 1/b_ref.  With ``mixing`` given (a MixingField trajectory),
-    each time slice freezes at that slice's ratio.  Time-independent
-    coefficients are detected and stored as broadcast views.
+    The mixing ratio is frozen at the exact constants 1/b_ref^2 and
+    1/b_ref.  Time-independent coefficients are detected and stored as
+    broadcast views.
 
     Raises:
         NonEllipticAssembly: the assembled diffusion matrix is not
         uniformly positive definite.
     """
-    if (mixing is None) == (b_ref is None):
-        raise ValueError("give exactly one of mixing or b_ref")
     n_k = grid.n_t + 1
     shape = grid.shape
-
-    if mixing is None:
-        ratio_of = lambda k: 1.0 / (b_ref * b_ref)
-        root_of = lambda k: 1.0 / b_ref
-        time_const = _probe_time_constant(spec, grid)
-    else:
-        ratio_of = lambda k: mixing.ratio[k]
-        root_of = lambda k: mixing.sqrt_ratio[k]
-        time_const = False
+    ratio, root = 1.0 / (b_ref * b_ref), 1.0 / b_ref
+    time_const = _probe_time_constant(spec, grid)
 
     a1_lo = math.inf
     a2_lo = math.inf
@@ -144,19 +118,19 @@ def assemble_frozen(spec: ModelSpec, grid: GridSpec, mixing=None,
         a2_lo = min(a2_lo, float(eval_coeff(spec.alpha2, k, t, grid).min()))
 
     if time_const:
-        sl = assemble_slice(spec, grid, 0, ratio_of(0), root_of(0))
+        sl = assemble_slice(spec, grid, 0, ratio, root)
         arrays = {key: np.broadcast_to(val, shape) for key, val in sl.items()}
         alpha_mins(0, grid.t_nodes[0])
     else:
         arrays = {key: np.empty(shape) for key in
                   ("a_ss", "a_sy", "a_yy", "b_s", "b_y", "c")}
         for k in range(n_k):
-            sl = assemble_slice(spec, grid, k, ratio_of(k), root_of(k))
+            sl = assemble_slice(spec, grid, k, ratio, root)
             for key, val in sl.items():
                 arrays[key][k] = val
             alpha_mins(k, grid.t_nodes[k])
 
-    bv = spec.b_values(grid) if spec.b is not None else np.ones(grid.n_y + 2)
+    bv = b_values(spec.b, grid) if spec.b is not None else np.ones(grid.n_y + 2)
     b_hi = float(np.max(bv))
     floor = spec.corr.min_eig * min(a1_lo / b_hi, a2_lo) ** 2
 
@@ -195,27 +169,24 @@ def ellipticity_constant(fields: CoefficientFields) -> float:
 # operator applications (difference form: constants map to exact zeros)
 # ---------------------------------------------------------------------------
 
-def _apply_s(sl: dict, u: np.ndarray, ds: float) -> np.ndarray:
-    """One-dimensional S-part: a_ss d2_S u - b_s d1_S u - c/2 u, interior."""
-    out = np.zeros_like(u)
-    a = sl["a_ss"][1:-1, :]
-    b = sl["b_s"][1:-1, :]
-    lo = a / (ds * ds) + b / (2.0 * ds)
-    up = a / (ds * ds) - b / (2.0 * ds)
-    out[1:-1, :] = (lo * (u[:-2, :] - u[1:-1, :]) + up * (u[2:, :] - u[1:-1, :])
-                    - 0.5 * sl["c"][1:-1, :] * u[1:-1, :])
-    return out
+# diffusion and drift keys of the slice dict per axis (0 = S, 1 = y)
+_AXIS_KEYS = (("a_ss", "b_s"), ("a_yy", "b_y"))
 
 
-def _apply_y(sl: dict, u: np.ndarray, dy: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    a = sl["a_yy"][:, 1:-1]
-    b = sl["b_y"][:, 1:-1]
-    lo = a / (dy * dy) + b / (2.0 * dy)
-    up = a / (dy * dy) - b / (2.0 * dy)
-    out[:, 1:-1] = (lo * (u[:, :-2] - u[:, 1:-1]) + up * (u[:, 2:] - u[:, 1:-1])
-                    - 0.5 * sl["c"][:, 1:-1] * u[:, 1:-1])
-    return out
+def _weights(a, b, h: float) -> tuple:
+    """Lower and upper neighbour weights of a d2u - b d1u on spacing h."""
+    return a / (h * h) + b / (2.0 * h), a / (h * h) - b / (2.0 * h)
+
+
+def _apply(sl: dict, u: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """One-dimensional part along ``axis``: a d2u - b d1u - c/2 u, interior."""
+    a_key, b_key = _AXIS_KEYS[axis]
+    a, b, c, v = (np.swapaxes(x, 0, axis) for x in (sl[a_key], sl[b_key], sl["c"], u))
+    out = np.zeros_like(v)
+    lo, up = _weights(a[1:-1], b[1:-1], h)
+    out[1:-1] = (lo * (v[:-2] - v[1:-1]) + up * (v[2:] - v[1:-1])
+                 - 0.5 * c[1:-1] * v[1:-1])
+    return np.swapaxes(out, 0, axis)
 
 
 def _apply_mix(sl: dict, u: np.ndarray, ds: float, dy: float) -> np.ndarray:
@@ -228,53 +199,31 @@ def _zero_ring(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sweep_s(sl1: dict, rhs: np.ndarray, theta_dt: float, ds: float,
-             collect_residual: bool) -> tuple:
-    """Solve (I - theta*dt*A_S) delta = rhs along S for every y-row."""
-    a = sl1["a_ss"]
-    b = sl1["b_s"]
-    lo = a / (ds * ds) + b / (2.0 * ds)
-    up = a / (ds * ds) - b / (2.0 * ds)
-    lower = -theta_dt * lo
-    upper = -theta_dt * up
+def _sweep(sl1: dict, rhs: np.ndarray, theta_dt: float, axis: int, h: float,
+           collect_residual: bool) -> tuple:
+    """Solve (I - theta*dt*A_axis) delta = rhs along ``axis`` for every grid line.
+
+    The systems are laid out contiguously along the last axis, as
+    ``tridiag.solve_batch`` takes them; the solution comes back in the
+    (S, y) layout.
+    """
+    a_key, b_key = _AXIS_KEYS[axis]
+    lo, up = _weights(sl1[a_key], sl1[b_key], h)
     diag = 1.0 + theta_dt * (lo + up) + theta_dt * 0.5 * sl1["c"]
-    # boundary unknowns within each system, then the two boundary systems
-    lower[0, :] = lower[-1, :] = 0.0
-    upper[0, :] = upper[-1, :] = 0.0
-    diag[0, :] = diag[-1, :] = 1.0
-    lower[:, 0] = lower[:, -1] = 0.0
-    upper[:, 0] = upper[:, -1] = 0.0
+    lower, diag, upper = (np.ascontiguousarray(np.swapaxes(x, axis, 1))
+                          for x in (-theta_dt * lo, diag, -theta_dt * up))
+    rhs = np.swapaxes(rhs, axis, 1).copy()
+    # identity rows for the boundary unknowns of each system and for the
+    # two boundary systems
+    _zero_ring(lower)
+    _zero_ring(upper)
     diag[:, 0] = diag[:, -1] = 1.0
-    rhs = rhs.copy()
-    rhs[0, :] = rhs[-1, :] = 0.0
-
-    lt, dt_, ut, rt = (np.ascontiguousarray(x.T) for x in (lower, diag, upper, rhs))
-    x = tridiag.solve_batch(lt, dt_, ut, rt)
-    res = tridiag.residual_batch(lt, dt_, ut, rt, x) if collect_residual else 0.0
-    return np.ascontiguousarray(x.T), res
-
-
-def _sweep_y(sl1: dict, rhs: np.ndarray, theta_dt: float, dy: float,
-             collect_residual: bool) -> tuple:
-    a = sl1["a_yy"]
-    b = sl1["b_y"]
-    lo = a / (dy * dy) + b / (2.0 * dy)
-    up = a / (dy * dy) - b / (2.0 * dy)
-    lower = -theta_dt * lo
-    upper = -theta_dt * up
-    diag = 1.0 + theta_dt * (lo + up) + theta_dt * 0.5 * sl1["c"]
-    lower[:, 0] = lower[:, -1] = 0.0
-    upper[:, 0] = upper[:, -1] = 0.0
-    diag[:, 0] = diag[:, -1] = 1.0
-    lower[0, :] = lower[-1, :] = 0.0
-    upper[0, :] = upper[-1, :] = 0.0
     diag[0, :] = diag[-1, :] = 1.0
-    rhs = rhs.copy()
     rhs[:, 0] = rhs[:, -1] = 0.0
 
     x = tridiag.solve_batch(lower, diag, upper, rhs)
     res = tridiag.residual_batch(lower, diag, upper, rhs, x) if collect_residual else 0.0
-    return x, res
+    return np.ascontiguousarray(np.swapaxes(x, axis, 1)), res
 
 
 def step_slices(sl0: dict, sl1: dict, u: np.ndarray, grid: GridSpec,
@@ -289,29 +238,27 @@ def step_slices(sl0: dict, sl1: dict, u: np.ndarray, grid: GridSpec,
     stabilizes, making the cross term effectively implicit.
     """
     ds, dy, dt = grid.ds, grid.dy, grid.dt
+    hs = (ds, dy)
     theta_dt = theta * dt
 
-    as0 = _apply_s(sl0, u, ds)
-    ay0 = _apply_y(sl0, u, dy)
+    a0 = [_apply(sl0, u, axis, h) for axis, h in enumerate(hs)]
     am0 = _apply_mix(sl0, u, ds, dy)
-    rhs_full = as0 + ay0 + am0
+    rhs_full = a0[0] + a0[1] + am0
     if f0 is not None:
         rhs_full = rhs_full + f0
     delta0 = _zero_ring(dt * rhs_full)
 
-    if time_constant:
-        chi_s = None
-        chi_y = None
-    else:
-        chi_s = _zero_ring(theta_dt * (_apply_s(sl1, u, ds) - as0))
-        chi_y = _zero_ring(theta_dt * (_apply_y(sl1, u, dy) - ay0))
+    chi = None if time_constant else [
+        _zero_ring(theta_dt * (_apply(sl1, u, axis, h) - a0[axis]))
+        for axis, h in enumerate(hs)]
 
-    def sweeps(d0):
-        r = d0 if chi_s is None else d0 + chi_s
-        d1_, res1 = _sweep_s(sl1, r, theta_dt, ds, collect_residual)
-        r = d1_ if chi_y is None else d1_ + chi_y
-        d2_, res2 = _sweep_y(sl1, r, theta_dt, dy, collect_residual)
-        return d2_, max(res1, res2)
+    def sweeps(d):
+        res = []
+        for axis, h in enumerate(hs):
+            r = d if chi is None else d + chi[axis]
+            d, r_axis = _sweep(sl1, r, theta_dt, axis, h, collect_residual)
+            res.append(r_axis)
+        return d, max(res)
 
     delta2, res = sweeps(delta0)
 
@@ -338,20 +285,6 @@ def step_slices(sl0: dict, sl1: dict, u: np.ndarray, grid: GridSpec,
     if np.isnan(u_next).any():
         raise StabilityFailure("time step produced NaNs")
     return u_next, res
-
-
-def step_linear(fields: CoefficientFields, u: np.ndarray, k: int, grid: GridSpec,
-                theta: float = 0.5, f: np.ndarray | None = None,
-                collect_residual: bool = False, cross_iterations: int = 1) -> tuple:
-    """Advance one step k -> k+1 of the assembled operator."""
-    src = f if f is not None else fields.f
-    f0 = src[k] if src is not None else None
-    f1 = src[k + 1] if src is not None else None
-    return step_slices(fields.slice(k), fields.slice(k + 1), u, grid,
-                       theta=theta, f0=f0, f1=f1,
-                       time_constant=fields.time_constant,
-                       collect_residual=collect_residual,
-                       cross_iterations=cross_iterations)
 
 
 def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
@@ -381,7 +314,11 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     u = np.array(psi, dtype=float)
     max_res = 0.0
     for k in range(n):
-        u, res = step_linear(fields, u, k, grid, theta=theta, f=f,
+        u, res = step_slices(fields.slice(k), fields.slice(k + 1), u, grid,
+                             theta=theta,
+                             f0=None if f is None else f[k],
+                             f1=None if f is None else f[k + 1],
+                             time_constant=fields.time_constant,
                              collect_residual=collect_residual,
                              cross_iterations=cross_iterations)
         max_res = max(max_res, res)
@@ -412,8 +349,7 @@ def supnorm_time_bound(fields: CoefficientFields, f, grid: GridSpec,
         f_arr = np.asarray(f, dtype=float)
     f_sup = float(np.max(np.abs(f_arr[:n + 1])))
     if f_sup == 0.0:
-        traj, _ = solve_linear(fields, np.zeros(shape[1:]), grid, f=f_arr,
-                               n_steps=n, theta=theta, collect_residual=False)
+        # zero data: the solution is identically zero
         return {"t": grid.t_nodes[1:n + 1], "ratio": np.zeros(n), "k0": 0.0,
                 "sup_curve": np.zeros(n)}
 

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
 
 from . import tridiag
@@ -155,7 +155,6 @@ class ImpliedSurface:
     maturities: np.ndarray
     slices: list                       # per-maturity CubicSpline in x
     x_ranges: list                     # per-maturity (x_lo, x_hi)
-    t_interp: str = "spline"
 
     def w(self, t, x) -> np.ndarray:
         """Total variance at maturity t (scalar) and log-moneyness x (array)."""
@@ -165,11 +164,7 @@ class ImpliedSurface:
         for i, (spl, (xl, xh)) in enumerate(zip(self.slices, self.x_ranges)):
             vals[i + 1] = spl(np.clip(x, xl, xh))
         knots = np.concatenate([[0.0], self.maturities])
-        if self.t_interp == "pchip":
-            interp = PchipInterpolator(knots, vals, axis=0, extrapolate=True)
-        else:
-            interp = CubicSpline(knots, vals, axis=0)
-        return interp(t)
+        return CubicSpline(knots, vals, axis=0)(t)
 
     def vol(self, t, strike) -> np.ndarray:
         """Implied volatility at (t, K)."""
@@ -185,8 +180,8 @@ class ImpliedSurface:
         return surf
 
 
-def build_implied_surface(quotes, spot: float, t_max: float | None = None,
-                          t_interp: str = "spline") -> ImpliedSurface:
+def build_implied_surface(quotes, spot: float,
+                          t_max: float | None = None) -> ImpliedSurface:
     """Interpolate quotes into a calendar-consistent total-variance surface.
 
     Requires at least 4 maturities with at least 4 strikes each; price
@@ -223,7 +218,7 @@ def build_implied_surface(quotes, spot: float, t_max: float | None = None,
         x_ranges.append((x[0], x[-1]))
 
     surf = ImpliedSurface(spot=spot, maturities=mats, slices=slices,
-                          x_ranges=x_ranges, t_interp=t_interp)
+                          x_ranges=x_ranges)
 
     x_check = np.unique(np.concatenate(
         [np.linspace(xl, xh, 13) for xl, xh in x_ranges]))

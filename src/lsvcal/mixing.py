@@ -30,10 +30,13 @@ def marginal(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     return p @ w
 
 
-def _b_values(b, grid: GridSpec) -> np.ndarray:
-    if callable(b):
-        return np.broadcast_to(b(grid.y_nodes), grid.n_y + 2).astype(float)
-    return np.broadcast_to(np.asarray(b, dtype=float), grid.n_y + 2)
+def b_values(b, grid: GridSpec) -> np.ndarray:
+    """b on the y-nodes; ``b`` is a callable of y or a constant.
+
+    The result may be a read-only broadcast view.
+    """
+    vals = b(grid.y_nodes) if callable(b) else b
+    return np.broadcast_to(np.asarray(vals, dtype=float), grid.n_y + 2)
 
 
 @dataclass
@@ -60,7 +63,7 @@ def mixing_ratio(p: np.ndarray, b, grid: GridSpec, eps_den: float | None = None)
         DegenerateDenominator: weighted marginal below ``eps_den`` somewhere.
     """
     p = np.asarray(p, dtype=float)
-    bv = _b_values(b, grid)
+    bv = b_values(b, grid)
     w = trapezoid_weights(grid.n_y + 2, grid.dy)
     num = p @ w
     den = p @ (w * bv * bv)

@@ -20,7 +20,7 @@ import numpy as np
 from . import fd
 from .errors import BandwidthTooSmall, HypothesisViolation, OutOfRange
 from .grids import GridSpec
-from .mixing import mixing_ratio
+from .mixing import b_values, mixing_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +85,7 @@ class SpotAmplitude:
 
     def __init__(self, sigma_d: np.ndarray, b, grid: GridSpec):
         self.sigma_d = np.asarray(sigma_d, dtype=float)
-        self.b_vals = np.broadcast_to(
-            b(grid.y_nodes) if callable(b) else float(b), grid.n_y + 2).astype(float)
+        self.b_vals = b_values(b, grid)
         self._s = grid.s_nodes
 
     def eval_slice(self, k: int, grid: GridSpec) -> np.ndarray:
@@ -130,12 +129,6 @@ class ModelSpec:
     gamma: object = None
     alpha_floor: float = 1e-4
 
-    def b_values(self, grid: GridSpec) -> np.ndarray:
-        if callable(self.b):
-            return np.broadcast_to(np.asarray(self.b(grid.y_nodes), dtype=float),
-                                   grid.n_y + 2)
-        return np.full(grid.n_y + 2, float(self.b))
-
     def b_ref(self, grid: GridSpec, mode: str = "center", psi: np.ndarray | None = None) -> float:
         """Anchor value of b used to freeze the mixing ratio.
 
@@ -149,7 +142,7 @@ class ModelSpec:
         if mode == "mean":
             if psi is None:
                 raise ValueError("mean mode needs the initial density")
-            bv = self.b_values(grid)
+            bv = b_values(self.b, grid)
             w2 = np.outer(fd.trapezoid_weights(grid.n_s + 2, grid.ds),
                           fd.trapezoid_weights(grid.n_y + 2, grid.dy))
             num = float(np.sum(w2 * psi * (bv * bv)[None, :]))
@@ -187,8 +180,7 @@ class ValidationReport:
 def measured_bsq_slope(spec_or_b, grid: GridSpec) -> float:
     """sup |d(b^2)/dy| by second-order differences on the y-nodes."""
     b = spec_or_b.b if isinstance(spec_or_b, ModelSpec) else spec_or_b
-    bv = b(grid.y_nodes) if callable(b) else np.full(grid.n_y + 2, float(b))
-    b2 = np.asarray(bv, dtype=float) ** 2
+    b2 = b_values(b, grid) ** 2
     if np.all(b2 == b2[0]):
         return 0.0
     return float(np.max(np.abs(fd.d1(b2, grid.dy, axis=0))))
@@ -209,7 +201,7 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
     ellipticity floor, a bad correlation matrix, initial point outside the
     domain) raise HypothesisViolation; everything else is reported.
     """
-    bv = spec.b_values(grid)
+    bv = b_values(spec.b, grid)
     if np.any(bv <= 0):
         raise HypothesisViolation("b-positivity", "b must be strictly positive")
     a1_min = _alpha_min(spec.alpha1, grid)
@@ -324,21 +316,38 @@ def divergence_apply(u: np.ndarray, a_s: np.ndarray, a_x: np.ndarray,
     return out
 
 
+def operator_coefficients(spec: ModelSpec, grid: GridSpec, k: int,
+                          ratio, root) -> dict:
+    """Divergence-form coefficients of the forward operator at time index k.
+
+    The mixing ratio enters frozen as ``ratio`` with square root ``root``,
+    scalars or per-S-node arrays.  The keys match the arguments of
+    :func:`divergence_apply`: ``a_s = rho11 a1^2 ratio``,
+    ``a_x = 2 rho12 a1 a2 root``, ``a_y = rho22 a2^2``, the drifts ``b1``
+    (with the rate's S-drift) and ``b2``, and ``g`` (with the rate).
+    """
+    t = grid.t_nodes[k] if k < grid.n_t + 1 else grid.horizon
+    a1 = eval_coeff(spec.alpha1, k, t, grid)
+    a2 = eval_coeff(spec.alpha2, k, t, grid)
+    rho = spec.corr.entries
+    ratio_col = np.asarray(ratio, dtype=float).reshape(-1, 1) if np.ndim(ratio) else float(ratio)
+    root_col = np.asarray(root, dtype=float).reshape(-1, 1) if np.ndim(root) else float(root)
+    return {
+        "a_s": rho[0, 0] * a1 * a1 * ratio_col,
+        "a_x": 2.0 * rho[0, 1] * a1 * a2 * root_col,
+        "a_y": rho[1, 1] * a2 * a2,
+        "b1": eval_coeff(spec.beta1, k, t, grid) + spec.rate * grid.s_nodes[:, None],
+        "b2": eval_coeff(spec.beta2, k, t, grid),
+        "g": eval_coeff(spec.gamma, k, t, grid) + spec.rate,
+    }
+
+
 def nonlinear_apply(p_slice: np.ndarray, spec: ModelSpec, grid: GridSpec,
                     k: int = 0) -> np.ndarray:
     """Full nonlinear spatial operator at time index k (mixing ratio live)."""
-    t = grid.t_nodes[k]
     mix = mixing_ratio(p_slice, spec.b, grid)
-    a1 = eval_coeff(spec.alpha1, k, t, grid)
-    a2 = eval_coeff(spec.alpha2, k, t, grid)
-    rho = spec.corr
-    a_s = rho.entries[0, 0] * a1 * a1 * mix.ratio[:, None]
-    a_x = 2.0 * rho.off_diag * a1 * a2 * mix.sqrt_ratio[:, None]
-    a_y = rho.entries[1, 1] * a2 * a2
-    b1 = eval_coeff(spec.beta1, k, t, grid) + spec.rate * grid.s_nodes[:, None]
-    b2 = eval_coeff(spec.beta2, k, t, grid)
-    g = eval_coeff(spec.gamma, k, t, grid) + spec.rate
-    return divergence_apply(p_slice, a_s, a_x, a_y, b1, b2, g, grid)
+    coeffs = operator_coefficients(spec, grid, k, mix.ratio, mix.sqrt_ratio)
+    return divergence_apply(p_slice, grid=grid, **coeffs)
 
 
 def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> float:

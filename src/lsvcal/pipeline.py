@@ -29,7 +29,8 @@ from .grids import GridSpec
 from .market import (LocalVolSurface, _bs_call, build_implied_surface,
                      check_price_bounds, dupire_forward_solve, dupire_local_vol,
                      implied_vol_from_price, load_quotes)
-from .mixing import leverage, marginal, mixing_ratio, write_ts_csv
+from .mixing import (b_values, leverage, marginal, mixing_ratio,
+                     write_ts_csv)
 from .model import (DensityField, ModelSpec, SpotAmplitude,
                     compatibility_residual, convert_correlation, grid_mass,
                     smoothed_dirac, validate_model)
@@ -254,7 +255,7 @@ def verify_calibration(density: DensityField, sigma_d, spec: ModelSpec,
     mix = mixing_ratio(p, spec.b, grid)
     lev = leverage(sig[:n_k + 1], mix)
     w = trapezoid_weights(grid.n_y + 2, grid.dy)
-    bv = spec.b_values(grid)
+    bv = b_values(spec.b, grid)
     cond = (p @ (w * bv * bv)) / np.maximum(p @ w, 1e-300)
     identity = float(np.max(np.abs(lev * lev * cond - sig[:n_k + 1] ** 2)
                             / np.maximum(sig[:n_k + 1] ** 2, 1e-300)))
@@ -375,8 +376,9 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
 
     0: converged and every enabled verification within tolerance.
     1: input/configuration error (no artifacts written).
-    2: no convergence at any horizon, or verification out of tolerance
-       (artifacts still written).
+    2: no convergence at any horizon, verification out of tolerance, or
+       another calibration failure once the inputs are accepted (artifacts
+       still written; report.json then names the failure under ``error``).
     """
     log = log or (lambda msg: print(msg, file=sys.stderr))
     t_start = time.time()
@@ -429,67 +431,78 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
         if corner_residual > 1.0:
             log(f"note: corner-compatibility residual {corner_residual:.3e} "
                 f"(accuracy is locally degraded near t = 0)")
+
+        # the remaining settings, parsed before anything is written
+        mode = mode or config.get("fp.mode")
+        if mode not in ("fixed-point", "time-lagged"):
+            raise ValueError(f"unknown mode {mode!r}")
+        bound_factors = {"cap_factor": config.get("fp.cap_factor", float),
+                         "tol_factor": config.get("fp.tol_factor", float)}
+        fp_kwargs = {"max_iter": config.get("fp.max_iter", int),
+                     "b_ref_mode": config.get("model.b_ref"),
+                     "cross_iterations": config.get("fp.cross_iterations", int)}
+        spec.b_ref(grid, mode=fp_kwargs["b_ref_mode"], psi=psi)  # rejects a bad mode
+        auto_shrink = config.get("fp.auto_shrink", bool)
+        max_halvings = config.get("fp.max_halvings", int)
+        do_verify = verify if verify is not None else config.get("run.verify", bool)
+        verify_tols = {"l1_tol": config.get("verify.l1_tol", float),
+                       "mass_tol": config.get("verify.mass_tol", float),
+                       "identity_tol": config.get("verify.identity_tol", float)}
+        snap_every = snapshot_every if snapshot_every is not None \
+            else config.get("run.snapshot_every", int)
+        snap_format = config.get("run.snapshot_format")
     except (CalibrationError, OSError, ValueError) as err:
         log(f"input error: {err}")
         return 1
 
     out_dir = output_dir or config.path("paths.output_dir")
     os.makedirs(out_dir, exist_ok=True)
-    mode = mode or config.get("fp.mode")
-    do_verify = verify if verify is not None else config.get("run.verify", bool)
-    snap_every = snapshot_every if snapshot_every is not None \
-        else config.get("run.snapshot_every", int)
     if snap_every <= 0:
         snap_every = max(1, grid.n_t // 10)
 
     # ---- stage 2: solve ----
+    # from here on every calibration failure ends in status 2 with a
+    # report.json that names it
     status = 0
+    error = None
     fp_json = None
     fp_report = None
     density = None
-    if mode == "time-lagged":
-        density, lag_report = solve_lagged(spec, grid, psi)
-        fp_json = dict(lag_report)
-    elif mode == "fixed-point":
-        params = IterateBounds.from_initial(
-            psi, grid, cap_factor=config.get("fp.cap_factor", float),
-            tol_factor=config.get("fp.tol_factor", float))
-        b_ref_mode = config.get("model.b_ref")
-        try:
-            density, fp_report = iterate(
-                spec, grid, psi, params=params,
-                max_iter=config.get("fp.max_iter", int), b_ref_mode=b_ref_mode,
-                cross_iterations=config.get("fp.cross_iterations", int))
-        except (MembershipLost, NotConverged) as err:
-            log(f"fixed point failed at full horizon: {err}")
-            if config.get("fp.auto_shrink", bool):
-                try:
-                    params = shrink_horizon(
-                        spec, grid, psi, params,
-                        max_halvings=config.get("fp.max_halvings", int),
-                        max_iter=config.get("fp.max_iter", int),
-                        b_ref_mode=b_ref_mode)
-                    density, fp_report = iterate(
-                        spec, grid, psi, params=params,
-                        max_iter=config.get("fp.max_iter", int),
-                        b_ref_mode=b_ref_mode)
-                    log(f"recovered at t_star = {fp_report.t_star:.6g}")
-                except (HorizonExhausted, MembershipLost, NotConverged) as err2:
-                    log(f"horizon search failed: {err2}")
+    try:
+        if mode == "time-lagged":
+            density, lag_report = solve_lagged(spec, grid, psi)
+            fp_json = dict(lag_report)
+        else:
+            params = IterateBounds.from_initial(psi, grid, **bound_factors)
+            try:
+                density, fp_report = iterate(spec, grid, psi, params=params,
+                                             **fp_kwargs)
+            except (MembershipLost, NotConverged) as err:
+                log(f"fixed point failed at full horizon: {err}")
+                if auto_shrink:
+                    try:
+                        params = shrink_horizon(spec, grid, psi, params,
+                                                max_halvings=max_halvings,
+                                                **fp_kwargs)
+                        density, fp_report = iterate(spec, grid, psi,
+                                                     params=params, **fp_kwargs)
+                        log(f"recovered at t_star = {fp_report.t_star:.6g}")
+                    except (HorizonExhausted, MembershipLost, NotConverged) as err2:
+                        log(f"horizon search failed: {err2}")
+                        status = 2
+                        fp_report = getattr(err2, "report", None) or \
+                            getattr(getattr(err2, "last_error", None), "report", None)
+                        density = getattr(err2, "density", None) or \
+                            getattr(getattr(err2, "last_error", None), "density", None)
+                else:
                     status = 2
-                    fp_report = getattr(err2, "report", None) or \
-                        getattr(getattr(err2, "last_error", None), "report", None)
-                    density = getattr(err2, "density", None) or \
-                        getattr(getattr(err2, "last_error", None), "density", None)
-            else:
-                status = 2
-                fp_report = err.report
-                density = err.density
-        if fp_report is not None and fp_json is None:
-            fp_json = fp_report.as_json_dict()
-    else:
-        log(f"unknown mode {mode!r}")
-        return 1
+                    fp_report = err.report
+                    density = err.density
+    except (CalibrationError, ValueError) as err:
+        log(f"solve failed: {err}")
+        status, error = 2, f"{type(err).__name__}: {err}"
+    if fp_report is not None and fp_json is None:
+        fp_json = fp_report.as_json_dict()
 
     # ---- stage 3: artifacts ----
     if fp_json is not None:
@@ -498,39 +511,42 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
     report_obj = {"validation": validation.as_dict(), "mode": mode,
                   "corner_residual": corner_residual, "status_hint": status}
     if density is not None:
-        n_k = density.values.shape[0] - 1
-        ks = list(range(0, n_k + 1, snap_every))
-        if ks[-1] != n_k:
-            ks.append(n_k)
+        try:
+            n_k = density.values.shape[0] - 1
+            ks = list(range(0, n_k + 1, snap_every))
+            if ks[-1] != n_k:
+                ks.append(n_k)
 
-        mix = mixing_ratio(density.values, spec.b, grid)
-        lev = leverage(sigma_d.values[:n_k + 1], mix)
-        write_ts_csv(os.path.join(out_dir, "leverage.csv"), lev, grid, "a")
-        sigma_d.to_csv(os.path.join(out_dir, "local_vol.csv"), grid)
+            mix = mixing_ratio(density.values, spec.b, grid)
+            lev = leverage(sigma_d.values[:n_k + 1], mix)
+            write_ts_csv(os.path.join(out_dir, "leverage.csv"), lev, grid, "a")
+            sigma_d.to_csv(os.path.join(out_dir, "local_vol.csv"), grid)
 
-        q_p = marginal(density.values, grid)
-        q_d = dupire_forward_solve(sigma_d.values, rate, grid, q_p[0], n_steps=n_k)
-        _write_marginals(os.path.join(out_dir, "marginals.csv"), q_p, q_d, grid, ks)
+            q_p = marginal(density.values, grid)
+            q_d = dupire_forward_solve(sigma_d.values, rate, grid, q_p[0], n_steps=n_k)
+            _write_marginals(os.path.join(out_dir, "marginals.csv"), q_p, q_d, grid, ks)
 
-        fmt = config.get("run.snapshot_format")
-        for k in ks:
-            name = os.path.join(out_dir, f"density_{k}.{'bin' if fmt == 'bin' else 'csv'}")
-            if fmt == "bin":
-                _write_density_bin(name, density.values[k], grid)
-            else:
-                _write_density_csv(name, density.values[k], grid)
+            for k in ks:
+                name = os.path.join(
+                    out_dir, f"density_{k}.{'bin' if snap_format == 'bin' else 'csv'}")
+                if snap_format == "bin":
+                    _write_density_bin(name, density.values[k], grid)
+                else:
+                    _write_density_csv(name, density.values[k], grid)
 
-        if do_verify and status == 0:
-            ver = verify_calibration(
-                density, sigma_d, spec, grid, snapshot_ks=ks[1:] or [n_k],
-                quotes=quotes,
-                l1_tol=config.get("verify.l1_tol", float),
-                mass_tol=config.get("verify.mass_tol", float),
-                identity_tol=config.get("verify.identity_tol", float))
-            report_obj["verification"] = ver.as_json_dict()
-            if not ver.all_within_tolerance:
-                log(f"verification out of tolerance: {ver.gates}")
-                status = 2
+            if do_verify and status == 0:
+                ver = verify_calibration(
+                    density, sigma_d, spec, grid, snapshot_ks=ks[1:] or [n_k],
+                    quotes=quotes, **verify_tols)
+                report_obj["verification"] = ver.as_json_dict()
+                if not ver.all_within_tolerance:
+                    log(f"verification out of tolerance: {ver.gates}")
+                    status = 2
+        except (CalibrationError, ValueError) as err:
+            log(f"artifact stage failed: {err}")
+            status, error = 2, f"{type(err).__name__}: {err}"
+    if error is not None:
+        report_obj["error"] = error
 
     _write_json(os.path.join(out_dir, "report.json"), report_obj)
     _write_json(os.path.join(out_dir, "run_meta.json"), {

@@ -4,13 +4,15 @@ import warnings
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsvcal import (CrossTermCFL, ModelSpec, NonElliptic, assemble_frozen,
-                    convert_correlation, ellipticity_constant, holder_norm,
-                    solve_linear, supnorm_time_bound)
+                    assemble_slice, convert_correlation, ellipticity_constant,
+                    holder_norm, solve_linear, supnorm_time_bound)
 from lsvcal.grids import GridSpec
-from lsvcal.linpde import CoefficientFields, cross_cfl_number
-from lsvcal.mixing import MixingField
+from lsvcal.linpde import CoefficientFields, _apply, _sweep, cross_cfl_number
 
 from conftest import flat_sigma, make_grid, make_psi, make_spec
 
@@ -57,20 +59,19 @@ class TestAssembly:
         assert errs[0] / errs[1] > 3.0
 
     def test_linearity_in_frozen_ratio(self):
-        # swapping the frozen constant for a ratio field shifts a_ss by
-        # exactly rho11 alpha1^2 (ratio - 1)
+        # swapping the frozen constant for a per-S-node ratio (the
+        # time-lagged freeze) shifts a_ss by exactly rho11 alpha1^2 (ratio - 1)
         grid = make_grid(n_s=20, n_y=16, n_t=8)
         spec = make_spec(grid)
-        base = assemble_frozen(spec, grid, b_ref=1.0)
         rng = np.random.default_rng(2)
         ratio = 1.0 + 0.3 * rng.uniform(size=(grid.n_t + 1, grid.n_s + 2))
-        mix = MixingField(ratio, np.sqrt(ratio), 1.0)
-        shifted = assemble_frozen(spec, grid, mixing=mix)
         from lsvcal.model import eval_coeff
         for k in (0, grid.n_t // 2):
+            base = assemble_slice(spec, grid, k, 1.0, 1.0)
+            shifted = assemble_slice(spec, grid, k, ratio[k], np.sqrt(ratio[k]))
             a1 = eval_coeff(spec.alpha1, k, grid.t_nodes[k], grid)
             expected = 0.5 * a1 * a1 * (ratio[k][:, None] - 1.0)
-            np.testing.assert_allclose(shifted.a_ss[k] - base.a_ss[k],
+            np.testing.assert_allclose(shifted["a_ss"] - base["a_ss"],
                                        expected, atol=1e-14)
 
 
@@ -119,6 +120,57 @@ class TestEllipticity:
                                    c=mk(0.0), time_constant=True)
         with pytest.raises(NonElliptic):
             ellipticity_constant(fields)
+
+
+@st.composite
+def slices(draw):
+    """A random coefficient slice, a field on it and the two spacings.
+
+    The drifts stay within the mesh Peclet limit and c is nonnegative, so
+    every sweep matrix is diagonally dominant.
+    """
+    shape = (draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+    pos = st.floats(0.01, 10.0)
+    h_s, h_y = draw(pos), draw(pos)
+    peclet = arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+    sl = {"a_ss": draw(arrays(np.float64, shape, elements=pos)),
+          "a_yy": draw(arrays(np.float64, shape, elements=pos)),
+          "a_sy": draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0))),
+          "c": draw(arrays(np.float64, shape, elements=st.floats(0.0, 10.0)))}
+    sl["b_s"] = draw(peclet) * 2.0 * sl["a_ss"] / h_s
+    sl["b_y"] = draw(peclet) * 2.0 * sl["a_yy"] / h_y
+    u = draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    return sl, u, h_s, h_y
+
+
+def transposed(sl):
+    """The slice of the transposed grid: S and y trade places."""
+    return {"a_ss": sl["a_yy"].T, "a_yy": sl["a_ss"].T, "a_sy": sl["a_sy"].T,
+            "b_s": sl["b_y"].T, "b_y": sl["b_s"].T, "c": sl["c"].T}
+
+
+class TestAxisSymmetry:
+    # the S and y parts are one operator on transposed data, bit for bit
+
+    @settings(max_examples=200, deadline=None)
+    @given(slices())
+    def test_apply(self, case):
+        sl, u, h_s, h_y = case
+        assert np.array_equal(_apply(sl, u, 0, h_s),
+                              _apply(transposed(sl), u.T, 1, h_s).T)
+        assert np.array_equal(_apply(sl, u, 1, h_y),
+                              _apply(transposed(sl), u.T, 0, h_y).T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(slices(), st.floats(1e-4, 0.5))
+    def test_sweep(self, case, theta_dt):
+        sl, rhs, h_s, h_y = case
+        x0, r0 = _sweep(sl, rhs, theta_dt, 0, h_s, True)
+        x1, r1 = _sweep(transposed(sl), rhs.T, theta_dt, 1, h_s, True)
+        assert np.array_equal(x0, x1.T) and r0 == r1
+        x0, r0 = _sweep(sl, rhs, theta_dt, 1, h_y, True)
+        x1, r1 = _sweep(transposed(sl), rhs.T, theta_dt, 0, h_y, True)
+        assert np.array_equal(x0, x1.T) and r0 == r1
 
 
 def mms_fields(grid):

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from lsvcal import (dupire_forward_solve, iterate, marginal, solve_lagged,
-                    verify_calibration)
+from lsvcal import (DegenerateDenominator, NonEllipticAssembly,
+                    StabilityFailure, dupire_forward_solve, iterate, marginal,
+                    solve_lagged, verify_calibration)
 from lsvcal.cli import main
 from lsvcal.pipeline import (RunConfig, builtin_y_function, read_density_bin,
                              run_pipeline)
@@ -157,6 +158,60 @@ class TestExitCodes:
         fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
         assert fp["converged"] is True
         assert fp["t_star"] < 1.0
+
+    def test_recovery_keeps_cross_iterations(self, tmp_path, monkeypatch):
+        # every iterate of the horizon search and the rerun gets the option
+        import lsvcal.fixed_point
+        import lsvcal.pipeline
+        seen = []
+
+        def spy(*args, real=lsvcal.fixed_point.iterate, **kwargs):
+            seen.append(kwargs.get("cross_iterations"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lsvcal.fixed_point, "iterate", spy)
+        monkeypatch.setattr(lsvcal.pipeline, "iterate", spy)
+        cfg = RunConfig.from_file(write_config(
+            tmp_path, b="sqrt1p_sin:5.0", ns=48, ny=32, nt=32,
+            extra="fp.cross_iterations = 2"))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
+        assert fp["t_star"] < 1.0
+        assert len(seen) > 2 and seen == [2] * len(seen)
+
+    @pytest.mark.parametrize("extra", ["fp.mode = bogus", "fp.max_iter = abc",
+                                       "model.b_ref = centre",
+                                       "verify.l1_tol = tight"])
+    def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra):
+        cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
+        assert run_pipeline(cfg, log=lambda m: None) == 1
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("target,err,mode,written", [
+        ("lsvcal.fixed_point.solve_linear", StabilityFailure("NaNs"),
+         "fixed-point", set()),
+        ("lsvcal.fixed_point.assemble_frozen", NonEllipticAssembly("K2 = -1"),
+         "fixed-point", set()),
+        ("lsvcal.fixed_point.mixing_ratio", DegenerateDenominator(3, 0.0),
+         "fixed-point", set()),
+        ("lsvcal.fixed_point.mixing_ratio", ValueError("mixing ratio left"),
+         "fixed-point", set()),
+        ("lsvcal.pipeline.mixing_ratio", ValueError("mixing ratio left"),
+         "fixed-point", {"fixed_point.json"}),
+        ("lsvcal.pipeline.solve_lagged", DegenerateDenominator(3, 0.0),
+         "time-lagged", set()),
+    ], ids=["StabilityFailure", "NonEllipticAssembly", "DegenerateDenominator",
+            "ValueError-solve", "ValueError-artifacts", "solve_lagged"])
+    def test_failure_exits_two_with_report(self, tmp_path, monkeypatch,
+                                           target, err, mode, written):
+        def fail(*args, **kwargs):
+            raise err
+        monkeypatch.setattr(target, fail)
+        cfg = RunConfig.from_file(write_config(tmp_path))
+        assert run_pipeline(cfg, mode=mode, log=lambda m: None) == 2
+        out = tmp_path / "out"
+        assert set(os.listdir(out)) == {"report.json", "run_meta.json"} | written
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"] == f"{type(err).__name__}: {err}"
 
     def test_time_lagged_mode(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.05"))
