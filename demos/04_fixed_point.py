@@ -59,7 +59,7 @@ print("\nperturbation sweep at the full horizon:")
 outcomes = {}
 for s in (0.5, 2.0, 5.0):
     try:
-        _, r = iterate(spec_for(family(s)), grid, psi, gap_monitor=False)
+        _, r = iterate(spec_for(family(s)), grid, psi)
         outcomes[s] = f"converged in {r.iterations}"
     except MembershipLost as err:
         outcomes[s] = f"left the admissible set at iterate {err.iteration}"
@@ -72,10 +72,8 @@ failing = [s for s, o in outcomes.items() if "admissible" in o or "no conv" in o
 if failing:
     s_fail = min(failing)
     params = IterateBounds.from_initial(psi, grid)
-    good = shrink_horizon(spec_for(family(s_fail)), grid, psi, params,
-                          gap_monitor=False)
-    _, r = iterate(spec_for(family(s_fail)), grid, psi, params=good,
-                   gap_monitor=False)
+    good = shrink_horizon(spec_for(family(s_fail)), grid, psi, params)
+    _, r = iterate(spec_for(family(s_fail)), grid, psi, params=good)
     print(f"\ns = {s_fail} recovered by halving: t* = {good.t_star:.4g}, "
           f"{r.iterations} iterations, converged = {r.converged}")
 

@@ -99,11 +99,17 @@ class NotConverged(CalibrationError):
 
 
 class HorizonExhausted(CalibrationError):
-    """Horizon halving failed to produce a convergent run."""
+    """Horizon halving failed to produce a convergent run.
+
+    ``report`` and ``density`` are those of the last attempt, as carried by
+    its ``last_error``.
+    """
 
     def __init__(self, halvings, last_error=None):
         self.halvings = halvings
         self.last_error = last_error
+        self.report = getattr(last_error, "report", None)
+        self.density = getattr(last_error, "density", None)
         super().__init__(f"still failing after {halvings} horizon halvings")
 
 

@@ -90,17 +90,16 @@ class MembershipResult:
         }
 
 
-def check_membership(p: np.ndarray, params: IterateBounds, grid: GridSpec,
-                     h: float | None = None) -> MembershipResult:
+def check_membership(p: np.ndarray, params: IterateBounds,
+                     grid: GridSpec) -> MembershipResult:
     """Check the pointwise bounds and the norm cap for a trajectory."""
     p = np.asarray(p, dtype=float)
-    h = grid.holder_exp if h is None else h
     lo = 0.5 * params.p_lo
     hi = params.p_hi + 0.5 * params.p_lo
     pmin = float(p.min())
     pmax = float(p.max())
     kind = "tSy" if p.ndim == 3 else "Sy"
-    nrm = float(holder_norm(p, 2, h, grid, kind=kind).value)
+    nrm = float(holder_norm(p, 2, grid.holder_exp, grid, kind=kind).value)
     return MembershipResult(
         lower_ok=bool(pmin >= lo), upper_ok=bool(pmax <= hi),
         norm_ok=bool(nrm <= params.holder_cap),
@@ -194,16 +193,17 @@ def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
 
 
 def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
-              params: IterateBounds, psi: np.ndarray | None = None,
-              b_ref: float | None = None,
+              psi: np.ndarray | None = None, b_ref: float | None = None,
               frozen: CoefficientFields | None = None,
-              products: tuple | None = None,
-              theta: float = 0.5) -> np.ndarray:
+              products: tuple | None = None, cross_iterations: int = 1) -> tuple:
     """One application of the calibration map: freeze, source, linear solve.
 
     ``u`` is a trajectory over the current horizon; the result carries the
     same boundary template.  Heavy pieces (frozen operator, coefficient
     products) may be passed in to amortize across iterations.
+
+    Returns:
+        (trajectory, LinearSolveReport) of the linear solve.
     """
     u = np.asarray(u, dtype=float)
     if psi is None:
@@ -212,10 +212,9 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
         b_ref = spec.b_ref(grid)
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=b_ref)
-    n_steps = u.shape[0] - 1
     f = build_rhs(u, spec, b_ref, grid, products=products)
-    v, _ = solve_linear(frozen, psi, grid, f=f, n_steps=n_steps, theta=theta)
-    return v
+    return solve_linear(frozen, psi, grid, f=f, n_steps=u.shape[0] - 1,
+                        cross_iterations=cross_iterations)
 
 
 def _as_density(values, psi) -> DensityField:
@@ -225,8 +224,7 @@ def _as_density(values, psi) -> DensityField:
 
 def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             params: IterateBounds | None = None, max_iter: int = 50,
-            b_ref_mode: str = "center", theta: float = 0.5,
-            gap_monitor: bool = True, cross_iterations: int = 1) -> tuple:
+            b_ref_mode: str = "center", cross_iterations: int = 1) -> tuple:
     """Run the fixed-point construction from the constant-in-time start.
 
     Returns (DensityField, FixedPointReport) on convergence.
@@ -247,29 +245,29 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     frozen = assemble_frozen(spec, grid, b_ref=b_ref)
     products = _unit_products(spec, grid, k_star + 1, frozen.time_constant)
 
+    def calibration_map(u):
+        return apply_map(u, spec, grid, psi=psi, b_ref=b_ref, frozen=frozen,
+                         products=products, cross_iterations=cross_iterations)
+
     report = FixedPointReport(t_star=t_star, tol=params.tol)
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
-        f = build_rhs(p, spec, b_ref, grid, products=products)
-        v, solve_rep = solve_linear(frozen, psi, grid, f=f, n_steps=k_star,
-                                    theta=theta,
-                                    cross_iterations=cross_iterations)
+        v, solve_rep = calibration_map(p)
         report.solver_residual = max(report.solver_residual, solve_rep.max_residual)
         resid = float(np.max(np.abs(v - p)))
         mem = check_membership(v, params, grid)
         report.residuals.append(resid)
         report.norms.append(mem.norm_value)
         report.membership.append(mem.as_dict())
-        if gap_monitor:
-            try:
-                rec = ratio_gap_monitor(v, spec.b, b_ref, grid, bsq_slope,
-                                        p_floor=params.p_lo if mem.lower_ok else None,
-                                        p_norm=mem.norm_value)
-                report.gap_records.append(rec.as_dict())
-            except (DegenerateDenominator, ValueError) as err:
-                # an escaping iterate can be too sick to measure
-                report.gap_records.append({"error": str(err)})
+        try:
+            rec = ratio_gap_monitor(v, spec.b, b_ref, grid, bsq_slope,
+                                    p_floor=params.p_lo if mem.lower_ok else None,
+                                    p_norm=mem.norm_value)
+            report.gap_records.append(rec.as_dict())
+        except (DegenerateDenominator, ValueError) as err:
+            # an escaping iterate can be too sick to measure
+            report.gap_records.append({"error": str(err)})
         report.iterations = n
         if not mem.ok:
             report.fit_contraction()
@@ -285,8 +283,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
 
     # defining property of the solution: one more map application moves it
     # by no more than the stopping tolerance's scale
-    v = apply_map(p, spec, grid, params, psi=psi, b_ref=b_ref,
-                  frozen=frozen, products=products, theta=theta)
+    v, _ = calibration_map(p)
     report.fixed_point_residual = float(np.max(np.abs(v - p)))
     return _as_density(p, psi), report
 
@@ -319,7 +316,6 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
 
 
 def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
-                 n_steps: int | None = None, theta: float = 0.5,
                  mixing_override: float | None = None) -> tuple:
     """Single forward sweep with the mixing ratio lagged one time step.
 
@@ -331,7 +327,7 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     Returns (DensityField, report dict).
     """
     psi = np.asarray(psi, dtype=float)
-    n = grid.n_t if n_steps is None else int(n_steps)
+    n = grid.n_t
     traj = np.empty((n + 1,) + psi.shape)
     traj[0] = psi
     u = psi.copy()
@@ -346,7 +342,7 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             root = math.sqrt(ratio)
         sl0 = assemble_slice(spec, grid, k, ratio, root)
         sl1 = assemble_slice(spec, grid, k + 1, ratio, root)
-        u, _ = step_slices(sl0, sl1, u, grid, theta=theta)
+        u, _ = step_slices(sl0, sl1, u, grid)
         traj[k + 1] = u
     report = {"mode": "time-lagged", "n_steps": n, "t_star": n * grid.dt,
               "denominator_min": den_min if den_min < math.inf else None,

@@ -61,19 +61,6 @@ def _spacings(grid, kind):
     raise ValueError(f"unknown field kind {kind!r}")
 
 
-def infer_kind(u: np.ndarray, grid) -> str:
-    shape = u.shape
-    if shape == (grid.n_s + 2, grid.n_y + 2):
-        return "Sy"
-    if len(shape) == 3 and shape[1:] == (grid.n_s + 2, grid.n_y + 2):
-        return "tSy"
-    if len(shape) == 2 and shape[1] == grid.n_s + 2:
-        return "tS"
-    if shape == (grid.n_s + 2,):
-        return "S"
-    raise ValueError(f"cannot infer field kind from shape {shape}")
-
-
 def _pair_views(u, offset):
     a = u
     b = u
@@ -165,7 +152,7 @@ def _derivative_fields(u, kind, dt, hs, k):
 
 
 def holder_norm(u: np.ndarray, k: int, h: float, grid,
-                kind: str | None = None) -> HolderNormEstimate:
+                kind: str) -> HolderNormEstimate:
     """Estimate the order-(k+h) Hoelder norm of a grid field.
 
     Args:
@@ -173,13 +160,11 @@ def holder_norm(u: np.ndarray, k: int, h: float, grid,
         k: number of spatial derivative orders to include (0, 1 or 2).
         h: Hoelder exponent in (0, 1).
         grid: GridSpec supplying spacings.
-        kind: field layout; inferred from the shape when omitted.
+        kind: field layout, one of "tSy", "Sy", "tS", "S".
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     u = np.asarray(u, dtype=float)
-    if kind is None:
-        kind = infer_kind(u, grid)
     dt, hs = _spacings(grid, kind)
     sup, quot = _base_norm(u, kind, dt, hs, h)
     value = sup + quot

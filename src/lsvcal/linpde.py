@@ -169,6 +169,10 @@ def ellipticity_constant(fields: CoefficientFields) -> float:
 # operator applications (difference form: constants map to exact zeros)
 # ---------------------------------------------------------------------------
 
+# implicitness of the Craig-Sneyd sweeps; theta >= 1/2 is what makes the
+# scheme unconditionally stable with a mixed term in 2D (in 't Hout &
+# Welfert, Appl. Numer. Math. 59, 2009)
+THETA = 0.5
 # diffusion and drift keys of the slice dict per axis (0 = S, 1 = y)
 _AXIS_KEYS = (("a_ss", "b_s"), ("a_yy", "b_y"))
 
@@ -227,7 +231,7 @@ def _sweep(sl1: dict, rhs: np.ndarray, theta_dt: float, axis: int, h: float,
 
 
 def step_slices(sl0: dict, sl1: dict, u: np.ndarray, grid: GridSpec,
-                theta: float = 0.5, f0=None, f1=None, time_constant: bool = False,
+                f0=None, f1=None, time_constant: bool = False,
                 collect_residual: bool = False, cross_iterations: int = 1) -> tuple:
     """One Craig-Sneyd step from coefficient slices at t_k and t_{k+1}.
 
@@ -239,7 +243,7 @@ def step_slices(sl0: dict, sl1: dict, u: np.ndarray, grid: GridSpec,
     """
     ds, dy, dt = grid.ds, grid.dy, grid.dt
     hs = (ds, dy)
-    theta_dt = theta * dt
+    theta_dt = THETA * dt
 
     a0 = [_apply(sl0, u, axis, h) for axis, h in enumerate(hs)]
     am0 = _apply_mix(sl0, u, ds, dy)
@@ -296,8 +300,7 @@ def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
 
 def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
                  f: np.ndarray | None = None, n_steps: int | None = None,
-                 theta: float = 0.5, collect_residual: bool = True,
-                 cross_iterations: int = 1) -> tuple:
+                 collect_residual: bool = True, cross_iterations: int = 1) -> tuple:
     """Solve the frozen equation over [0, n_steps * dt] from and with psi.
 
     ``psi`` provides both the initial slice and (through its boundary trace,
@@ -315,7 +318,6 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     max_res = 0.0
     for k in range(n):
         u, res = step_slices(fields.slice(k), fields.slice(k + 1), u, grid,
-                             theta=theta,
                              f0=None if f is None else f[k],
                              f1=None if f is None else f[k + 1],
                              time_constant=fields.time_constant,
@@ -333,29 +335,23 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     return traj, report
 
 
-def supnorm_time_bound(fields: CoefficientFields, f, grid: GridSpec,
-                       n_steps: int | None = None, theta: float = 0.5) -> dict:
+def supnorm_time_bound(fields: CoefficientFields, f, grid: GridSpec) -> dict:
     """Empirical sup-norm growth constant for zero boundary and initial data.
 
     Solves with psi = 0 and the given source, then returns the curve
     ``max_x |u(x, t)| / (t * |f|_0)`` over the time ladder together with its
     supremum.  The curve must stay finite; blow-up raises StabilityFailure.
     """
-    n = grid.n_t if n_steps is None else int(n_steps)
-    shape = grid.shape
-    if np.ndim(f) == 0:
-        f_arr = np.broadcast_to(float(f), shape)
-    else:
-        f_arr = np.asarray(f, dtype=float)
-    f_sup = float(np.max(np.abs(f_arr[:n + 1])))
+    f_arr = np.broadcast_to(np.asarray(f, dtype=float), grid.shape)
+    f_sup = float(np.max(np.abs(f_arr)))
+    ts = grid.t_nodes[1:]
     if f_sup == 0.0:
         # zero data: the solution is identically zero
-        return {"t": grid.t_nodes[1:n + 1], "ratio": np.zeros(n), "k0": 0.0,
-                "sup_curve": np.zeros(n)}
+        return {"t": ts, "ratio": np.zeros(grid.n_t), "k0": 0.0,
+                "sup_curve": np.zeros(grid.n_t)}
 
-    traj, _ = solve_linear(fields, np.zeros(shape[1:]), grid, f=f_arr,
-                           n_steps=n, theta=theta, collect_residual=False)
-    ts = grid.t_nodes[1:n + 1]
+    traj, _ = solve_linear(fields, np.zeros(grid.shape[1:]), grid, f=f_arr,
+                           collect_residual=False)
     sups = np.max(np.abs(traj[1:]), axis=(1, 2))
     ratio = sups / (ts * f_sup)
     if not np.all(np.isfinite(ratio)):

@@ -256,15 +256,17 @@ class LocalVolSurface:
 
 
 def dupire_local_vol(surface: ImpliedSurface, rate: float, grid: GridSpec,
-                     floor: float = 1e-2, cap: float = 3.0,
-                     eps_t: float = 1e-3, eps_x: float = 1e-3,
-                     degenerate_fraction: float = 0.05) -> LocalVolSurface:
+                     floor: float = 1e-2, cap: float = 3.0) -> LocalVolSurface:
     """Extract local volatility from the surface on the solver grid.
+
+    The surface derivatives are centered differences with step 1e-3 in both
+    maturity and log-moneyness.
 
     Raises:
         DegenerateSurface: Dupire denominator below 1e-6 (pre-clamp) on more
-        than ``degenerate_fraction`` of the nodes.
+        than 5% of the nodes.
     """
+    eps_t = eps_x = 1e-3
     s_nodes = grid.s_nodes
     x = np.log(s_nodes / surface.spot)
     out = np.empty((grid.n_t + 1, grid.n_s + 2))
@@ -292,7 +294,7 @@ def dupire_local_vol(surface: ImpliedSurface, rate: float, grid: GridSpec,
         out[k] = np.sqrt(np.clip(var, floor * floor, cap * cap))
 
     total = out.size
-    if n_bad > degenerate_fraction * total:
+    if n_bad > 0.05 * total:
         raise DegenerateSurface(
             f"Dupire denominator < 1e-6 on {n_bad}/{total} nodes")
     return LocalVolSurface(values=out, floor=floor, cap=cap)

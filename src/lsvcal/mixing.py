@@ -52,7 +52,7 @@ class MixingField:
             raise ValueError("mixing ratio must be strictly positive")
 
 
-def mixing_ratio(p: np.ndarray, b, grid: GridSpec, eps_den: float | None = None) -> MixingField:
+def mixing_ratio(p: np.ndarray, b, grid: GridSpec) -> MixingField:
     """Mixing ratio of a density slice (n_s+2, n_y+2) or trajectory (..., n_s+2, n_y+2).
 
     When b is constant on the y-nodes the ratio is returned as the exact
@@ -60,7 +60,8 @@ def mixing_ratio(p: np.ndarray, b, grid: GridSpec, eps_den: float | None = None)
     degenerates without floating-point residue.
 
     Raises:
-        DegenerateDenominator: weighted marginal below ``eps_den`` somewhere.
+        DegenerateDenominator: weighted marginal below
+            ``1e-12 * min(b)^2 * max(1, max marginal)`` somewhere.
     """
     p = np.asarray(p, dtype=float)
     bv = b_values(b, grid)
@@ -69,9 +70,8 @@ def mixing_ratio(p: np.ndarray, b, grid: GridSpec, eps_den: float | None = None)
     den = p @ (w * bv * bv)
     den_min = float(den.min()) if den.size else math.inf
 
-    if eps_den is None:
-        b_lo = float(np.min(bv))
-        eps_den = 1e-12 * b_lo * b_lo * max(num.max(), 1.0) if num.size else 1e-12
+    b_lo = float(np.min(bv))
+    eps_den = 1e-12 * b_lo * b_lo * max(num.max(), 1.0) if num.size else 1e-12
     if den_min < eps_den:
         flat = np.argmin(den)
         s_index = int(np.unravel_index(flat, den.shape)[-1])
@@ -84,7 +84,6 @@ def mixing_ratio(p: np.ndarray, b, grid: GridSpec, eps_den: float | None = None)
         return MixingField(ratio, root, den_min)
 
     ratio = num / den
-    b_lo = float(np.min(bv))
     b_hi = float(np.max(bv))
     lo, hi = 1.0 / (b_hi * b_hi), 1.0 / (b_lo * b_lo)
     if ratio.min() < lo * (1 - _BOUND_SLACK) or ratio.max() > hi * (1 + _BOUND_SLACK):
@@ -127,7 +126,6 @@ class GapRecord:
 
 def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
                       bsq_slope: float, p_floor: float | None = None,
-                      eps_den: float | None = None,
                       p_norm: float | None = None) -> GapRecord:
     """Measure how far the mixing ratio sits from its constant-b anchor.
 
@@ -144,7 +142,7 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
     if p_floor is not None and p.min() < 0.5 * p_floor:
         raise DensityBoundViolation(
             f"density fell to {p.min():.3e} < {0.5 * p_floor:.3e}")
-    mix = mixing_ratio(p, b, grid, eps_den=eps_den)
+    mix = mixing_ratio(p, b, grid)
     gap_ratio = mix.ratio - 1.0 / (b_ref * b_ref)
     gap_root = mix.sqrt_ratio - 1.0 / b_ref
     kind = "tS" if p.ndim == 3 else "S"
@@ -162,17 +160,12 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
     return GapRecord(lhs, (n1.value, n2.value), p_norm, bsq_slope, scaled)
 
 
-def write_ts_csv(path, values: np.ndarray, grid: GridSpec, name: str,
-                 t_indices=None) -> None:
-    """Persist a (t, S) field as CSV rows ``t,S,<name>``."""
+def write_ts_csv(path, values: np.ndarray, grid: GridSpec, name: str) -> None:
+    """Persist a (t, S) field as CSV rows ``t,S,<name>``, every time slice."""
     values = np.asarray(values)
-    if t_indices is None:
-        t_indices = range(values.shape[0])
-    t_nodes = grid.t_nodes
-    s_nodes = grid.s_nodes
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"t,S,{name}\n")
-        for k in t_indices:
-            t = t_nodes[k]
-            for i, s in enumerate(s_nodes):
+        for k in range(values.shape[0]):
+            t = grid.t_nodes[k]
+            for i, s in enumerate(grid.s_nodes):
                 fh.write(f"{t:.17g},{s:.17g},{values[k, i]:.17g}\n")

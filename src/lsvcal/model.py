@@ -186,8 +186,9 @@ def measured_bsq_slope(spec_or_b, grid: GridSpec) -> float:
     return float(np.max(np.abs(fd.d1(b2, grid.dy, axis=0))))
 
 
-def _alpha_min(alpha, grid: GridSpec, time_samples: int = 9) -> float:
-    ks = np.unique(np.linspace(0, grid.n_t, time_samples).astype(int))
+def _alpha_min(alpha, grid: GridSpec) -> float:
+    """Smallest value of a diffusion amplitude over nine sampled times."""
+    ks = np.unique(np.linspace(0, grid.n_t, 9).astype(int))
     lo = math.inf
     for k in ks:
         lo = min(lo, float(eval_coeff(alpha, int(k), grid.t_nodes[int(k)], grid).min()))
@@ -342,14 +343,6 @@ def operator_coefficients(spec: ModelSpec, grid: GridSpec, k: int,
     }
 
 
-def nonlinear_apply(p_slice: np.ndarray, spec: ModelSpec, grid: GridSpec,
-                    k: int = 0) -> np.ndarray:
-    """Full nonlinear spatial operator at time index k (mixing ratio live)."""
-    mix = mixing_ratio(p_slice, spec.b, grid)
-    coeffs = operator_coefficients(spec, grid, k, mix.ratio, mix.sqrt_ratio)
-    return divergence_apply(p_slice, grid=grid, **coeffs)
-
-
 def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> float:
     """Residual of the full operator on the boundary-adjacent ring at t = 0.
 
@@ -359,7 +352,9 @@ def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> 
     """
     if np.any(psi <= 0):
         raise ValueError("initial density must be strictly positive")
-    op = nonlinear_apply(psi, spec, grid, k=0)
+    mix = mixing_ratio(psi, spec.b, grid)
+    coeffs = operator_coefficients(spec, grid, 0, mix.ratio, mix.sqrt_ratio)
+    op = divergence_apply(psi, grid=grid, **coeffs)
     ring = np.zeros(psi.shape, dtype=bool)
     ring[1, 1:-1] = ring[-2, 1:-1] = True
     ring[1:-1, 1] = ring[1:-1, -2] = True

@@ -479,25 +479,17 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
                                              **fp_kwargs)
             except (MembershipLost, NotConverged) as err:
                 log(f"fixed point failed at full horizon: {err}")
-                if auto_shrink:
-                    try:
-                        params = shrink_horizon(spec, grid, psi, params,
-                                                max_halvings=max_halvings,
-                                                **fp_kwargs)
-                        density, fp_report = iterate(spec, grid, psi,
-                                                     params=params, **fp_kwargs)
-                        log(f"recovered at t_star = {fp_report.t_star:.6g}")
-                    except (HorizonExhausted, MembershipLost, NotConverged) as err2:
-                        log(f"horizon search failed: {err2}")
-                        status = 2
-                        fp_report = getattr(err2, "report", None) or \
-                            getattr(getattr(err2, "last_error", None), "report", None)
-                        density = getattr(err2, "density", None) or \
-                            getattr(getattr(err2, "last_error", None), "density", None)
-                else:
-                    status = 2
-                    fp_report = err.report
-                    density = err.density
+                if not auto_shrink:
+                    raise
+                params = shrink_horizon(spec, grid, psi, params,
+                                        max_halvings=max_halvings, **fp_kwargs)
+                density, fp_report = iterate(spec, grid, psi, params=params,
+                                             **fp_kwargs)
+                log(f"recovered at t_star = {fp_report.t_star:.6g}")
+    except (MembershipLost, NotConverged, HorizonExhausted) as err:
+        # artifacts of the last attempt are still written
+        log(f"fixed point not converged: {err}")
+        status, fp_report, density = 2, err.report, err.density
     except (CalibrationError, ValueError) as err:
         log(f"solve failed: {err}")
         status, error = 2, f"{type(err).__name__}: {err}"
@@ -509,7 +501,7 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
         _write_json(os.path.join(out_dir, "fixed_point.json"), fp_json)
 
     report_obj = {"validation": validation.as_dict(), "mode": mode,
-                  "corner_residual": corner_residual, "status_hint": status}
+                  "corner_residual": corner_residual}
     if density is not None:
         try:
             n_k = density.values.shape[0] - 1
@@ -547,6 +539,7 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
             status, error = 2, f"{type(err).__name__}: {err}"
     if error is not None:
         report_obj["error"] = error
+    report_obj["status_hint"] = status
 
     _write_json(os.path.join(out_dir, "report.json"), report_obj)
     _write_json(os.path.join(out_dir, "run_meta.json"), {

@@ -1,15 +1,16 @@
 """Batched tridiagonal solves.
 
 A sweep of an alternating-direction step solves one small tridiagonal
-system per grid row.  All rows are concatenated into a single block
-tridiagonal banded matrix (couplings between blocks are zero) and handed
-to LAPACK once, which is far faster than looping in Python and equally
+system per grid row.  All rows are concatenated into a single tridiagonal
+matrix (couplings between blocks are zero) and handed to LAPACK ``gtsv``
+once, which is far faster than looping in Python and equally
 deterministic.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 
 def solve_batch(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -25,20 +26,20 @@ def solve_batch(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     Returns:
         (m, n) solutions, row i solving
         ``lower[i, j] x[j-1] + diag[i, j] x[j] + upper[i, j] x[j+1] = rhs[i, j]``.
+
+    Raises:
+        LinAlgError: a system is singular.
     """
     m, n = diag.shape
-    lo = np.array(lower, dtype=float, copy=True)
-    up = np.array(upper, dtype=float, copy=True)
-    lo[:, 0] = 0.0
-    up[:, -1] = 0.0
-
-    ab = np.zeros((3, m * n))
-    flat_up = up.ravel()
-    flat_lo = lo.ravel()
-    ab[0, 1:] = flat_up[:-1]
-    ab[1] = diag.ravel()
-    ab[2, :-1] = flat_lo[1:]
-    x = solve_banded((1, 1), ab, rhs.ravel(), overwrite_ab=True, check_finite=False)
+    dl = np.ravel(lower).astype(float)
+    du = np.ravel(upper).astype(float)
+    dl[::n] = 0.0
+    du[n - 1::n] = 0.0
+    *_, x, info = dgtsv(dl[1:], np.ravel(diag).astype(float, copy=False), du[:-1],
+                        np.ravel(rhs).astype(float, copy=False),
+                        overwrite_dl=True, overwrite_du=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
     return x.reshape(m, n)
 
 
@@ -49,4 +50,3 @@ def residual_batch(lower, diag, upper, rhs, x) -> float:
     r[:, :-1] += upper[:, :-1] * x[:, 1:]
     scale = np.max(np.abs(rhs)) + np.max(np.abs(diag * x)) + 1e-300
     return float(np.max(np.abs(r)) / scale)
-

@@ -255,7 +255,7 @@ def test_criterion_04_short_time_threshold():
     for s in (0.5, 2.0, 5.0, 12.0):
         spec = make_spec(grid, b=family(s))
         try:
-            _, rep = iterate(spec, grid, psi, gap_monitor=False, max_iter=30)
+            _, rep = iterate(spec, grid, psi, max_iter=30)
             outcomes[s] = "converged"
         except MembershipLost:
             outcomes[s] = "membership-lost"
@@ -271,9 +271,9 @@ def test_criterion_04_short_time_threshold():
     # horizon halving rescues the most marginal failing member
     spec = make_spec(grid, b=family(s2))
     params = IterateBounds.from_initial(psi, grid)
-    good = shrink_horizon(spec, grid, psi, params, gap_monitor=False)
+    good = shrink_horizon(spec, grid, psi, params)
     assert good.t_star < grid.horizon
-    _, rep = iterate(spec, grid, psi, params=good, gap_monitor=False)
+    _, rep = iterate(spec, grid, psi, params=good)
     assert rep.converged
     criterion(4, f"outcomes {outcomes}; s1 = {s1}, s2 = {s2}; "
                  f"recovered s = {s2} at t* = {good.t_star:.4g}")

@@ -86,29 +86,26 @@ class TestApplyMap:
         grid = make_grid(n_s=24, n_y=16, n_t=10)
         spec = make_spec(grid, b=b_const)
         psi = make_psi(grid)
-        params = IterateBounds.from_initial(psi, grid)
-        v1 = apply_map(traj_of(psi, grid), spec, grid, params)
-        v2 = apply_map(v1, spec, grid, params, psi=psi)
+        v1, _ = apply_map(traj_of(psi, grid), spec, grid)
+        v2, _ = apply_map(v1, spec, grid, psi=psi)
         assert np.array_equal(v1, v2)
 
     def test_deterministic(self):
         grid = make_grid(n_s=24, n_y=16, n_t=10)
         spec = make_spec(grid, b=b_perturbed(0.1))
         psi = make_psi(grid)
-        params = IterateBounds.from_initial(psi, grid)
         u = traj_of(psi, grid)
-        assert np.array_equal(apply_map(u, spec, grid, params),
-                              apply_map(u, spec, grid, params))
+        assert np.array_equal(apply_map(u, spec, grid)[0],
+                              apply_map(u, spec, grid)[0])
 
     def test_halving_horizon_halves_drift(self):
         # |v - p0| grows linearly in the horizon at leading order
         grid = make_grid(n_s=32, n_y=20, n_t=32, horizon=0.5)
         spec = make_spec(grid, b=b_perturbed(0.05))
         psi = make_psi(grid)
-        params = IterateBounds.from_initial(psi, grid)
-        v_full = apply_map(traj_of(psi, grid), spec, grid, params)
-        v_half = apply_map(traj_of(psi, grid, n_steps=grid.n_t // 2),
-                           spec, grid, params)
+        v_full, _ = apply_map(traj_of(psi, grid), spec, grid)
+        v_half, _ = apply_map(traj_of(psi, grid, n_steps=grid.n_t // 2),
+                              spec, grid)
         d_full = np.max(np.abs(v_full - psi))
         d_half = np.max(np.abs(v_half - psi))
         assert 0.35 <= d_half / d_full <= 0.65
@@ -182,6 +179,20 @@ class TestIterate:
         _, rep = iterate(spec, grid, psi)
         assert rep.fixed_point_residual <= 10.0 * (rep.tol + rep.solver_residual)
 
+    def test_fixed_point_residual_uses_the_iterated_map(self):
+        # the residual check applies the map the loop iterated, implicit
+        # cross term included
+        grid = make_grid(n_s=32, n_y=20, n_t=20)
+        spec = make_spec(grid, b=b_perturbed(0.05), rho=-0.5)
+        psi = make_psi(grid)
+        dens, rep = iterate(spec, grid, psi, cross_iterations=2)
+        p = dens.values
+        b_ref = spec.b_ref(grid)
+        fields = assemble_frozen(spec, grid, b_ref=b_ref)
+        v, _ = solve_linear(fields, psi, grid, f=build_rhs(p, spec, b_ref, grid),
+                            n_steps=p.shape[0] - 1, cross_iterations=2)
+        assert rep.fixed_point_residual == float(np.max(np.abs(v - p)))
+
     def test_boundary_preserved_exactly(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)
         spec = make_spec(grid, b=b_perturbed(0.05))
@@ -195,7 +206,7 @@ class TestIterate:
         spec = make_spec(grid, b=b_perturbed(5.0))
         psi = make_psi(grid)
         with pytest.raises(MembershipLost) as err:
-            iterate(spec, grid, psi, gap_monitor=False)
+            iterate(spec, grid, psi)
         assert err.value.report is not None
         assert err.value.density is not None
 
@@ -214,7 +225,7 @@ class TestShrinkHorizon:
         spec = make_spec(grid, b=b_perturbed(0.05))
         psi = make_psi(grid)
         params = IterateBounds.from_initial(psi, grid)
-        out = shrink_horizon(spec, grid, psi, params, gap_monitor=False)
+        out = shrink_horizon(spec, grid, psi, params)
         assert out.t_star == params.t_star
 
     def test_recovers_failing_case(self):
@@ -222,9 +233,9 @@ class TestShrinkHorizon:
         spec = make_spec(grid, b=b_perturbed(5.0))
         psi = make_psi(grid)
         params = IterateBounds.from_initial(psi, grid)
-        out = shrink_horizon(spec, grid, psi, params, gap_monitor=False)
+        out = shrink_horizon(spec, grid, psi, params)
         assert out.t_star < params.t_star
-        dens, rep = iterate(spec, grid, psi, params=out, gap_monitor=False)
+        dens, rep = iterate(spec, grid, psi, params=out)
         assert rep.converged
         assert rep.t_star == out.t_star
 
@@ -233,9 +244,10 @@ class TestShrinkHorizon:
         spec = make_spec(grid, b=b_perturbed(5.0))
         psi = make_psi(grid)
         params = IterateBounds.from_initial(psi, grid)
-        with pytest.raises(HorizonExhausted):
-            shrink_horizon(spec, grid, psi, params, max_halvings=1,
-                           gap_monitor=False)
+        with pytest.raises(HorizonExhausted) as err:
+            shrink_horizon(spec, grid, psi, params, max_halvings=1)
+        assert err.value.report is err.value.last_error.report is not None
+        assert err.value.density is err.value.last_error.density is not None
 
     def test_monotone_horizon_property(self):
         # a run that succeeds at t* succeeds at t*/2 with the same caps
@@ -243,10 +255,10 @@ class TestShrinkHorizon:
         spec = make_spec(grid, b=b_perturbed(1.0))
         psi = make_psi(grid)
         params = IterateBounds.from_initial(psi, grid)
-        _, rep_full = iterate(spec, grid, psi, params=params, gap_monitor=False)
+        _, rep_full = iterate(spec, grid, psi, params=params)
         assert rep_full.converged
         half = replace(params, t_star=params.t_star / 2)
-        _, rep_half = iterate(spec, grid, psi, params=half, gap_monitor=False)
+        _, rep_half = iterate(spec, grid, psi, params=half)
         assert rep_half.converged
 
 

@@ -91,7 +91,7 @@ class TestMixingRatio:
         grid = make_grid(n_s=12, n_y=24, n_t=8)
         p = np.full((grid.n_s + 2, grid.n_y + 2), 1e-30)
         with pytest.raises(DegenerateDenominator) as err:
-            mixing_ratio(p, lambda y: np.ones_like(y), grid, eps_den=1e-12)
+            mixing_ratio(p, lambda y: np.ones_like(y), grid)
         assert err.value.s_index >= 0
 
     def test_numerator_ratio_recovers_denominator(self):

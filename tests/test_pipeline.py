@@ -212,6 +212,30 @@ class TestExitCodes:
         assert set(os.listdir(out)) == {"report.json", "run_meta.json"} | written
         rep = json.loads((out / "report.json").read_text())
         assert rep["error"] == f"{type(err).__name__}: {err}"
+        assert rep["status_hint"] == 2
+
+    def test_gate_failure_exits_two_with_status_hint(self, tmp_path):
+        cfg = RunConfig.from_file(write_config(tmp_path,
+                                               extra="verify.l1_tol = 1e-12"))
+        assert run_pipeline(cfg, log=lambda m: None) == 2
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["verification"]["gates"]["marginal_l1"] is False
+        assert rep["status_hint"] == 2
+        assert "error" not in rep
+
+    def test_exhausted_horizon_writes_last_attempt(self, tmp_path):
+        cfg = RunConfig.from_file(write_config(
+            tmp_path, b="sqrt1p_sin:5.0", ns=48, ny=32, nt=32,
+            extra="fp.max_halvings = 0"))
+        assert run_pipeline(cfg, log=lambda m: None) == 2
+        out = tmp_path / "out"
+        fp = json.loads((out / "fixed_point.json").read_text())
+        assert fp["converged"] is False and fp["t_star"] == 1.0
+        assert not all(fp["membership"][-1][k]
+                       for k in ("lower_ok", "upper_ok", "norm_ok"))
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["status_hint"] == 2
+        assert "verification" not in rep
 
     def test_time_lagged_mode(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.05"))

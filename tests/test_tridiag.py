@@ -1,4 +1,7 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsvcal.tridiag import residual_batch, solve_batch
 
@@ -85,3 +88,36 @@ def test_deterministic():
     rng = np.random.default_rng(3)
     args = random_systems(rng, 5, 25)
     assert np.array_equal(solve_batch(*args), solve_batch(*args))
+
+
+@st.composite
+def dominant_batches(draw):
+    """Diagonally dominant (m, n) batches with junk in the ignored corners."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(3, 40))
+
+    def coeffs(lo, hi):
+        return draw(arrays(np.float64, (m, n), elements=st.floats(lo, hi)))
+    lower, upper = coeffs(-1.0, 1.0), coeffs(-1.0, 1.0)
+    diag, rhs = coeffs(2.5, 4.0), coeffs(-10.0, 10.0)
+    lower[:, 0] = draw(arrays(np.float64, m, elements=st.floats(-1e3, 1e3)))
+    upper[:, -1] = draw(arrays(np.float64, m, elements=st.floats(-1e3, 1e3)))
+    return lower, diag, upper, rhs
+
+
+class TestBatchProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(dominant_batches())
+    def test_matches_thomas_oracle(self, batch):
+        x = solve_batch(*batch)
+        for i, row in enumerate(zip(*batch)):
+            np.testing.assert_allclose(x[i], thomas_single(*row),
+                                       rtol=1e-11, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dominant_batches())
+    def test_joint_solve_equals_row_solves(self, batch):
+        x = solve_batch(*batch)
+        for i in range(x.shape[0]):
+            alone = solve_batch(*(a[i:i + 1] for a in batch))
+            assert np.array_equal(x[i], alone[0])
