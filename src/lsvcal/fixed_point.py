@@ -21,7 +21,7 @@ from .errors import (DegenerateDenominator, HorizonExhausted, MembershipLost,
 from .grids import GridSpec
 from .holder import holder_norm
 from .linpde import (CoefficientFields, assemble_frozen, assemble_slice,
-                     solve_linear, step_slices)
+                     solve_linear, stencil, step_slices)
 from .mixing import mixing_ratio, ratio_gap_monitor
 from .model import (DensityField, ModelSpec, measured_bsq_slope,
                     operator_coefficients)
@@ -332,6 +332,7 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     traj[0] = psi
     u = psi.copy()
     den_min = math.inf
+    hs = (grid.ds, grid.dy)
     for k in range(n):
         if mixing_override is None:
             mix = mixing_ratio(u, spec.b, grid)
@@ -340,9 +341,9 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         else:
             ratio = float(mixing_override)
             root = math.sqrt(ratio)
-        sl0 = assemble_slice(spec, grid, k, ratio, root)
-        sl1 = assemble_slice(spec, grid, k + 1, ratio, root)
-        u, _ = step_slices(sl0, sl1, u, grid)
+        st0, st1 = (stencil(assemble_slice(spec, grid, j, ratio, root), hs)
+                    for j in (k, k + 1))
+        u, _ = step_slices(st0, st1, u, grid)
         traj[k + 1] = u
     report = {"mode": "time-lagged", "n_steps": n, "t_star": n * grid.dt,
               "denominator_min": den_min if den_min < math.inf else None,

@@ -182,13 +182,22 @@ def _weights(a, b, h: float) -> tuple:
     return a / (h * h) + b / (2.0 * h), a / (h * h) - b / (2.0 * h)
 
 
-def _apply(sl: dict, u: np.ndarray, axis: int, h: float) -> np.ndarray:
+def stencil(sl: dict, hs: tuple) -> dict:
+    """A coefficient slice with the neighbour weights of both axes.
+
+    ``hs`` is the spacing pair (dS, dy); the weights go under ``"w"``, one
+    (lower, upper) pair per axis, so the operator applications and the
+    sweep matrix of a slice share them.
+    """
+    return dict(sl, w=tuple(_weights(sl[a_key], sl[b_key], h)
+                            for (a_key, b_key), h in zip(_AXIS_KEYS, hs)))
+
+
+def _apply(st: dict, u: np.ndarray, axis: int) -> np.ndarray:
     """One-dimensional part along ``axis``: a d2u - b d1u - c/2 u, interior."""
-    a_key, b_key = _AXIS_KEYS[axis]
-    a, b, c, v = (np.swapaxes(x, 0, axis) for x in (sl[a_key], sl[b_key], sl["c"], u))
+    lo, up, c, v = (np.swapaxes(x, 0, axis) for x in (*st["w"][axis], st["c"], u))
     out = np.zeros_like(v)
-    lo, up = _weights(a[1:-1], b[1:-1], h)
-    out[1:-1] = (lo * (v[:-2] - v[1:-1]) + up * (v[2:] - v[1:-1])
+    out[1:-1] = (lo[1:-1] * (v[:-2] - v[1:-1]) + up[1:-1] * (v[2:] - v[1:-1])
                  - 0.5 * c[1:-1] * v[1:-1])
     return np.swapaxes(out, 0, axis)
 
@@ -203,64 +212,81 @@ def _zero_ring(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sweep(sl1: dict, rhs: np.ndarray, theta_dt: float, axis: int, h: float,
-           collect_residual: bool) -> tuple:
-    """Solve (I - theta*dt*A_axis) delta = rhs along ``axis`` for every grid line.
+def _sweep_system(st1: dict, theta_dt: float, axis: int,
+                  collect_residual: bool) -> tuple:
+    """Assemble and factor (I - theta*dt*A_axis) for every grid line.
 
     The systems are laid out contiguously along the last axis, as
-    ``tridiag.solve_batch`` takes them; the solution comes back in the
-    (S, y) layout.
+    ``tridiag.factor_batch`` takes them.  Returns the (lower, diag, upper)
+    coefficients, kept only to compute the residual, and their
+    factorization.
     """
-    a_key, b_key = _AXIS_KEYS[axis]
-    lo, up = _weights(sl1[a_key], sl1[b_key], h)
-    diag = 1.0 + theta_dt * (lo + up) + theta_dt * 0.5 * sl1["c"]
+    lo, up = st1["w"][axis]
+    diag = 1.0 + theta_dt * (lo + up) + theta_dt * 0.5 * st1["c"]
     lower, diag, upper = (np.ascontiguousarray(np.swapaxes(x, axis, 1))
                           for x in (-theta_dt * lo, diag, -theta_dt * up))
-    rhs = np.swapaxes(rhs, axis, 1).copy()
     # identity rows for the boundary unknowns of each system and for the
     # two boundary systems
     _zero_ring(lower)
     _zero_ring(upper)
     diag[:, 0] = diag[:, -1] = 1.0
     diag[0, :] = diag[-1, :] = 1.0
-    rhs[:, 0] = rhs[:, -1] = 0.0
+    factors = tridiag.factor_batch(lower, diag, upper)
+    return ((lower, diag, upper) if collect_residual else None), factors
 
-    x = tridiag.solve_batch(lower, diag, upper, rhs)
-    res = tridiag.residual_batch(lower, diag, upper, rhs, x) if collect_residual else 0.0
+
+def _sweep(system: tuple, rhs: np.ndarray, axis: int) -> tuple:
+    """Solve a factored sweep system along ``axis``; the solution comes back
+    in the (S, y) layout, with the residual when the system kept its
+    coefficients (else 0)."""
+    coeffs, factors = system
+    rhs = np.swapaxes(rhs, axis, 1).copy()
+    rhs[:, 0] = rhs[:, -1] = 0.0
+    x = tridiag.solve_batch(factors, rhs)
+    res = 0.0 if coeffs is None else tridiag.residual_batch(*coeffs, rhs, x)
     return np.ascontiguousarray(np.swapaxes(x, axis, 1)), res
 
 
-def step_slices(sl0: dict, sl1: dict, u: np.ndarray, grid: GridSpec,
+def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
                 f0=None, f1=None, time_constant: bool = False,
                 collect_residual: bool = False, cross_iterations: int = 1) -> tuple:
-    """One Craig-Sneyd step from coefficient slices at t_k and t_{k+1}.
+    """One Craig-Sneyd step from the stencils of the slices at t_k and t_{k+1}.
 
     Returns (u_next, max_sweep_residual).  Dirichlet values are enforced by
     keeping the boundary increment at zero, so the lateral trace of ``u``
-    carries through every stage unchanged.  ``cross_iterations`` > 1 repeats
-    the mixed-derivative corrector against the latest increment until it
-    stabilizes, making the cross term effectively implicit.
+    carries through every stage unchanged.  Each axis's sweep matrix is
+    factored once and serves the predictor and every corrector pass.
+    ``cross_iterations`` > 1 repeats the mixed-derivative corrector against
+    the latest increment until it stabilizes, making the cross term
+    effectively implicit.
     """
     ds, dy, dt = grid.ds, grid.dy, grid.dt
-    hs = (ds, dy)
     theta_dt = THETA * dt
 
-    a0 = [_apply(sl0, u, axis, h) for axis, h in enumerate(hs)]
-    am0 = _apply_mix(sl0, u, ds, dy)
-    rhs_full = a0[0] + a0[1] + am0
+    # the explicit stage works in place: a step holds factored systems of
+    # both axes, so its temporaries set the solver's peak memory
+    a0 = [_apply(st0, u, axis) for axis in (0, 1)]
+    am0 = _apply_mix(st0, u, ds, dy)
+    delta0 = a0[0] + a0[1] + am0
     if f0 is not None:
-        rhs_full = rhs_full + f0
-    delta0 = _zero_ring(dt * rhs_full)
+        delta0 += f0
+    delta0 = _zero_ring(np.multiply(dt, delta0, out=delta0))
 
-    chi = None if time_constant else [
-        _zero_ring(theta_dt * (_apply(sl1, u, axis, h) - a0[axis]))
-        for axis, h in enumerate(hs)]
+    chi = None
+    if not time_constant:
+        # each a0 part turns into chi = theta dt (A1 u - A0 u) of its axis
+        for axis, part in enumerate(a0):
+            np.subtract(_apply(st1, u, axis), part, out=part)
+            _zero_ring(np.multiply(theta_dt, part, out=part))
+        chi = a0
+    systems = [_sweep_system(st1, theta_dt, axis, collect_residual)
+               for axis in (0, 1)]
 
     def sweeps(d):
         res = []
-        for axis, h in enumerate(hs):
+        for axis, system in enumerate(systems):
             r = d if chi is None else d + chi[axis]
-            d, r_axis = _sweep(sl1, r, theta_dt, axis, h, collect_residual)
+            d, r_axis = _sweep(system, r, axis)
             res.append(r_axis)
         return d, max(res)
 
@@ -274,7 +300,7 @@ def step_slices(sl0: dict, sl1: dict, u: np.ndarray, grid: GridSpec,
 
     prev = delta2
     for _ in range(max(1, cross_iterations)):
-        corr = 0.5 * dt * (_apply_mix(sl1, u + prev, ds, dy) - am0)
+        corr = 0.5 * dt * (_apply_mix(st1, u + prev, ds, dy) - am0)
         if df is not None:
             corr = corr + df
         delta0h = _zero_ring(delta0 + _zero_ring(corr))
@@ -316,8 +342,12 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     traj[0] = psi
     u = np.array(psi, dtype=float)
     max_res = 0.0
+    hs = (grid.ds, grid.dy)
+    st1 = stencil(fields.slice(0), hs)
     for k in range(n):
-        u, res = step_slices(fields.slice(k), fields.slice(k + 1), u, grid,
+        # slice k+1's stencil serves step k and, as slice k, step k+1
+        st0, st1 = st1, stencil(fields.slice(k + 1), hs)
+        u, res = step_slices(st0, st1, u, grid,
                              f0=None if f is None else f[k],
                              f1=None if f is None else f[k + 1],
                              time_constant=fields.time_constant,

@@ -157,7 +157,11 @@ class ImpliedSurface:
     x_ranges: list                     # per-maturity (x_lo, x_hi)
 
     def w(self, t, x) -> np.ndarray:
-        """Total variance at maturity t (scalar) and log-moneyness x (array)."""
+        """Total variance at maturities t (scalar or 1-D) and log-moneyness x.
+
+        Returns ``x.shape`` for a scalar t, ``(len(t),) + x.shape`` for an
+        array; one maturity spline serves every t.
+        """
         x = np.asarray(x, dtype=float)
         vals = np.empty((len(self.maturities) + 1,) + x.shape)
         vals[0] = 0.0
@@ -174,9 +178,16 @@ class ImpliedSurface:
 
     @classmethod
     def from_function(cls, spot: float, w_fn) -> "ImpliedSurface":
-        """Wrap an explicit w(T, x) function (test and experiment hook)."""
+        """Wrap an explicit w(T, x) function of a scalar T (test and
+        experiment hook); an array of T evaluates it once per maturity."""
+        def w(t, x):
+            x = np.asarray(x, dtype=float)
+            if np.ndim(t) == 0:
+                return np.asarray(w_fn(t, x))
+            return np.array([np.broadcast_to(w_fn(ti, x), x.shape) for ti in t])
+
         surf = cls(spot=spot, maturities=np.array([1.0]), slices=[], x_ranges=[])
-        surf.w = lambda t, x: np.asarray(w_fn(t, np.asarray(x, dtype=float)))
+        surf.w = w
         return surf
 
 
@@ -223,14 +234,13 @@ def build_implied_surface(quotes, spot: float,
     x_check = np.unique(np.concatenate(
         [np.linspace(xl, xh, 13) for xl, xh in x_ranges]))
     t_check = np.linspace(mats[0] * 0.5, mats[-1], 41)
-    w_prev = surf.w(t_check[0], x_check)
-    for t in t_check[1:]:
-        w_next = surf.w(t, x_check)
-        if np.any(w_next < w_prev - 1e-10):
-            j = int(np.argmin(w_next - w_prev))
-            raise CalendarArbitrage(
-                f"w decreasing in T near x={x_check[j]:.4f}, t={t:.4f}")
-        w_prev = w_next
+    w_check = surf.w(t_check, x_check)
+    bad = np.flatnonzero(np.any(w_check[1:] < w_check[:-1] - 1e-10, axis=1))
+    if bad.size:
+        r = int(bad[0])
+        j = int(np.argmin(w_check[r + 1] - w_check[r]))
+        raise CalendarArbitrage(
+            f"w decreasing in T near x={x_check[j]:.4f}, t={t_check[r + 1]:.4f}")
     return surf
 
 
@@ -247,13 +257,6 @@ class LocalVolSurface:
         if np.any(v < self.floor - 1e-12) or np.any(v > self.cap + 1e-12):
             raise ValueError("local volatility outside its clamp band")
 
-    def to_csv(self, path, grid: GridSpec) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,S,sigma_D\n")
-            for k, t in enumerate(grid.t_nodes):
-                for i, s in enumerate(grid.s_nodes):
-                    fh.write(f"{t:.17g},{s:.17g},{self.values[k, i]:.17g}\n")
-
 
 def dupire_local_vol(surface: ImpliedSurface, rate: float, grid: GridSpec,
                      floor: float = 1e-2, cap: float = 3.0) -> LocalVolSurface:
@@ -267,31 +270,28 @@ def dupire_local_vol(surface: ImpliedSurface, rate: float, grid: GridSpec,
         than 5% of the nodes.
     """
     eps_t = eps_x = 1e-3
-    s_nodes = grid.s_nodes
-    x = np.log(s_nodes / surface.spot)
-    out = np.empty((grid.n_t + 1, grid.n_s + 2))
-    n_bad = 0
-    for k, t in enumerate(grid.t_nodes):
-        te = max(float(t), eps_t)
-        w0 = surface.w(te, x)
-        w_tp = surface.w(te + eps_t, x)
-        w_tm = surface.w(te - eps_t, x)
-        w_xp = surface.w(te, x + eps_x)
-        w_xm = surface.w(te, x - eps_x)
-        dwdt = (w_tp - w_tm) / (2.0 * eps_t)
-        dwdx = (w_xp - w_xm) / (2.0 * eps_x)
-        d2wdx2 = (w_xp - 2.0 * w0 + w_xm) / (eps_x * eps_x)
+    x = np.log(grid.s_nodes / surface.spot)
+    # one maturity spline per x array serves every time node: rows are
+    # te, te + eps_t and te - eps_t
+    te = np.maximum(grid.t_nodes, eps_t)
+    w0, w_tp, w_tm = np.split(surface.w(np.concatenate(
+        [te, te + eps_t, te - eps_t]), x), 3)
+    w_xp = surface.w(te, x + eps_x)
+    w_xm = surface.w(te, x - eps_x)
+    dwdt = (w_tp - w_tm) / (2.0 * eps_t)
+    dwdx = (w_xp - w_xm) / (2.0 * eps_x)
+    d2wdx2 = (w_xp - 2.0 * w0 + w_xm) / (eps_x * eps_x)
 
-        w_safe = np.maximum(w0, 1e-12)
-        x_fwd = x - rate * te
-        denom = (1.0 - (x_fwd / w_safe) * dwdx
-                 + 0.25 * (-0.25 - 1.0 / w_safe + (x_fwd / w_safe) ** 2) * dwdx ** 2
-                 + 0.5 * d2wdx2)
-        numer = dwdt + rate * dwdx
-        n_bad += int(np.sum(denom < 1e-6))
-        var = np.where(denom > 1e-6, numer / np.where(denom > 1e-6, denom, 1.0),
-                       cap * cap)
-        out[k] = np.sqrt(np.clip(var, floor * floor, cap * cap))
+    w_safe = np.maximum(w0, 1e-12)
+    x_fwd = x - rate * te[:, None]
+    denom = (1.0 - (x_fwd / w_safe) * dwdx
+             + 0.25 * (-0.25 - 1.0 / w_safe + (x_fwd / w_safe) ** 2) * dwdx ** 2
+             + 0.5 * d2wdx2)
+    numer = dwdt + rate * dwdx
+    n_bad = int(np.sum(denom < 1e-6))
+    var = np.where(denom > 1e-6, numer / np.where(denom > 1e-6, denom, 1.0),
+                   cap * cap)
+    out = np.sqrt(np.clip(var, floor * floor, cap * cap))
 
     total = out.size
     if n_bad > 0.05 * total:
@@ -355,7 +355,8 @@ def dupire_forward_solve(sigma_d, rate: float, grid: GridSpec, q0: np.ndarray,
         lower = (-dt * lo)[None, :]
         diag = (1.0 - dt * di)[None, :]
         upper = (-dt * hi)[None, :]
-        q = tridiag.solve_batch(lower, diag, upper, q[None, :])[0]
+        factors = tridiag.factor_batch(lower, diag, upper)
+        q = tridiag.solve_batch(factors, q[None, :])[0]
         if np.isnan(q).any():
             raise StabilityFailure(f"NaN in forward solve at step {k}")
         mass = float(q @ cell)

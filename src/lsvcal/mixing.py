@@ -159,13 +159,3 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
         scaled = lhs / (bsq_slope * (1.0 + p_norm) ** 6)
     return GapRecord(lhs, (n1.value, n2.value), p_norm, bsq_slope, scaled)
 
-
-def write_ts_csv(path, values: np.ndarray, grid: GridSpec, name: str) -> None:
-    """Persist a (t, S) field as CSV rows ``t,S,<name>``, every time slice."""
-    values = np.asarray(values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"t,S,{name}\n")
-        for k in range(values.shape[0]):
-            t = grid.t_nodes[k]
-            for i, s in enumerate(grid.s_nodes):
-                fh.write(f"{t:.17g},{s:.17g},{values[k, i]:.17g}\n")

@@ -29,8 +29,7 @@ from .grids import GridSpec
 from .market import (LocalVolSurface, _bs_call, build_implied_surface,
                      check_price_bounds, dupire_forward_solve, dupire_local_vol,
                      implied_vol_from_price, load_quotes)
-from .mixing import (b_values, leverage, marginal, mixing_ratio,
-                     write_ts_csv)
+from .mixing import b_values, leverage, marginal, mixing_ratio
 from .model import (DensityField, ModelSpec, SpotAmplitude,
                     compatibility_residual, convert_correlation, grid_mass,
                     smoothed_dirac, validate_model)
@@ -323,21 +322,25 @@ def _write_json(path, obj) -> None:
                                    default=_json_default) + "\n")
 
 
-def _write_marginals(path, q_p, q_d, grid, ks) -> None:
-    lines = ["t,S,q_p,q_D"]
-    for k in ks:
-        t = grid.t_nodes[k]
-        for i, s in enumerate(grid.s_nodes):
-            lines.append(f"{t:.17g},{s:.17g},{q_p[k, i]:.17g},{q_d[k, i]:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path, header: str, outer, inner, *columns) -> None:
+    """Write rows ``o,i,v1,...`` for every (outer, inner) coordinate pair,
+    atomically; each column is an array of shape (len(outer), len(inner)).
 
-
-def _write_density_csv(path, p_slice, grid) -> None:
-    lines = ["S,y,p"]
-    for i, s in enumerate(grid.s_nodes):
-        for j, y in enumerate(grid.y_nodes):
-            lines.append(f"{s:.17g},{y:.17g},{p_slice[i, j]:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    Every coordinate and value is formatted once, with ``{:.17g}``, and one
+    outer row goes to the file per write.  Both coordinate arrays must be
+    nonempty.
+    """
+    fmt = "{:.17g}".format
+    inner_cells = [fmt(v) + "," for v in np.asarray(inner).tolist()]
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for r, o in enumerate(np.asarray(outer).tolist()):
+            head = fmt(o) + ","
+            vals = map(",".join, zip(*(map(fmt, col[r].tolist()) for col in columns)))
+            fh.write(head + ("\n" + head).join(map("".join, zip(inner_cells, vals)))
+                     + "\n")
+    os.replace(tmp, path)
 
 
 def _write_density_bin(path, p_slice, grid) -> None:
@@ -509,14 +512,13 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
             if ks[-1] != n_k:
                 ks.append(n_k)
 
-            mix = mixing_ratio(density.values, spec.b, grid)
-            lev = leverage(sigma_d.values[:n_k + 1], mix)
-            write_ts_csv(os.path.join(out_dir, "leverage.csv"), lev, grid, "a")
-            sigma_d.to_csv(os.path.join(out_dir, "local_vol.csv"), grid)
+            _write_csv(os.path.join(out_dir, "local_vol.csv"), "t,S,sigma_D",
+                       grid.t_nodes, grid.s_nodes, sigma_d.values)
 
             q_p = marginal(density.values, grid)
             q_d = dupire_forward_solve(sigma_d.values, rate, grid, q_p[0], n_steps=n_k)
-            _write_marginals(os.path.join(out_dir, "marginals.csv"), q_p, q_d, grid, ks)
+            _write_csv(os.path.join(out_dir, "marginals.csv"), "t,S,q_p,q_D",
+                       grid.t_nodes[ks], grid.s_nodes, q_p[ks], q_d[ks])
 
             for k in ks:
                 name = os.path.join(
@@ -524,7 +526,14 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
                 if snap_format == "bin":
                     _write_density_bin(name, density.values[k], grid)
                 else:
-                    _write_density_csv(name, density.values[k], grid)
+                    _write_csv(name, "S,y,p", grid.s_nodes, grid.y_nodes,
+                               density.values[k])
+
+            # last, as the mixing ratio of an escaped iterate can fail
+            mix = mixing_ratio(density.values, spec.b, grid)
+            lev = leverage(sigma_d.values[:n_k + 1], mix)
+            _write_csv(os.path.join(out_dir, "leverage.csv"), "t,S,a",
+                       grid.t_nodes[:n_k + 1], grid.s_nodes, lev)
 
             if do_verify and status == 0:
                 ver = verify_calibration(

@@ -12,7 +12,8 @@ from lsvcal import (CrossTermCFL, ModelSpec, NonElliptic, assemble_frozen,
                     assemble_slice, convert_correlation, ellipticity_constant,
                     holder_norm, solve_linear, supnorm_time_bound)
 from lsvcal.grids import GridSpec
-from lsvcal.linpde import CoefficientFields, _apply, _sweep, cross_cfl_number
+from lsvcal.linpde import (CoefficientFields, _apply, _sweep, _sweep_system,
+                           cross_cfl_number, stencil)
 
 from conftest import flat_sigma, make_grid, make_psi, make_spec
 
@@ -156,20 +157,23 @@ class TestAxisSymmetry:
     @given(slices())
     def test_apply(self, case):
         sl, u, h_s, h_y = case
-        assert np.array_equal(_apply(sl, u, 0, h_s),
-                              _apply(transposed(sl), u.T, 1, h_s).T)
-        assert np.array_equal(_apply(sl, u, 1, h_y),
-                              _apply(transposed(sl), u.T, 0, h_y).T)
+        sten, sten_t = stencil(sl, (h_s, h_y)), stencil(transposed(sl), (h_y, h_s))
+        assert np.array_equal(_apply(sten, u, 0), _apply(sten_t, u.T, 1).T)
+        assert np.array_equal(_apply(sten, u, 1), _apply(sten_t, u.T, 0).T)
 
     @settings(max_examples=200, deadline=None)
     @given(slices(), st.floats(1e-4, 0.5))
     def test_sweep(self, case, theta_dt):
         sl, rhs, h_s, h_y = case
-        x0, r0 = _sweep(sl, rhs, theta_dt, 0, h_s, True)
-        x1, r1 = _sweep(transposed(sl), rhs.T, theta_dt, 1, h_s, True)
+        sten, sten_t = stencil(sl, (h_s, h_y)), stencil(transposed(sl), (h_y, h_s))
+
+        def sweep(s, r, axis):
+            return _sweep(_sweep_system(s, theta_dt, axis, True), r, axis)
+        x0, r0 = sweep(sten, rhs, 0)
+        x1, r1 = sweep(sten_t, rhs.T, 1)
         assert np.array_equal(x0, x1.T) and r0 == r1
-        x0, r0 = _sweep(sl, rhs, theta_dt, 1, h_y, True)
-        x1, r1 = _sweep(transposed(sl), rhs.T, theta_dt, 0, h_y, True)
+        x0, r0 = sweep(sten, rhs, 1)
+        x1, r1 = sweep(sten_t, rhs.T, 0)
         assert np.array_equal(x0, x1.T) and r0 == r1
 
 

@@ -127,6 +127,47 @@ class TestImpliedSurface:
             build_implied_surface(quotes, spot=100.0)
 
 
+def dupire_per_node(surface, rate, grid, floor=1e-2, cap=3.0):
+    """The former extraction, one time node at a time (test oracle).
+
+    Returns the clamped local vol and the count of degenerate nodes.
+    """
+    eps_t = eps_x = 1e-3
+    x = np.log(grid.s_nodes / surface.spot)
+    out = np.empty((grid.n_t + 1, grid.n_s + 2))
+    n_bad = 0
+    for k, t in enumerate(grid.t_nodes):
+        te = max(float(t), eps_t)
+        w0 = surface.w(te, x)
+        w_tp = surface.w(te + eps_t, x)
+        w_tm = surface.w(te - eps_t, x)
+        w_xp = surface.w(te, x + eps_x)
+        w_xm = surface.w(te, x - eps_x)
+        dwdt = (w_tp - w_tm) / (2.0 * eps_t)
+        dwdx = (w_xp - w_xm) / (2.0 * eps_x)
+        d2wdx2 = (w_xp - 2.0 * w0 + w_xm) / (eps_x * eps_x)
+        w_safe = np.maximum(w0, 1e-12)
+        x_fwd = x - rate * te
+        denom = (1.0 - (x_fwd / w_safe) * dwdx
+                 + 0.25 * (-0.25 - 1.0 / w_safe + (x_fwd / w_safe) ** 2) * dwdx ** 2
+                 + 0.5 * d2wdx2)
+        numer = dwdt + rate * dwdx
+        n_bad += int(np.sum(denom < 1e-6))
+        var = np.where(denom > 1e-6, numer / np.where(denom > 1e-6, denom, 1.0),
+                       cap * cap)
+        out[k] = np.sqrt(np.clip(var, floor * floor, cap * cap))
+    return out, n_bad
+
+
+# the two explicit surfaces of the guard and clamp tests below
+def degenerate_w(t, x):
+    return 0.04 * t * (1.0 + 40.0 * x)
+
+
+def tanh_w(t, x):
+    return 0.04 * t * (1.0 + 0.8 * np.tanh(4 * x))
+
+
 class TestDupireLocalVol:
     def test_flat_surface_flat_local_vol(self, tmp_path):
         quotes = load_quotes(write_flat_quotes(tmp_path / "q.csv", vol=0.2))
@@ -162,6 +203,26 @@ class TestDupireLocalVol:
         lv = dupire_local_vol(surf, 0.0, grid, floor=0.05, cap=0.5)
         assert lv.values.min() >= 0.05 - 1e-12
         assert lv.values.max() <= 0.5 + 1e-12
+
+    def test_vectorized_equals_per_node(self):
+        grid = make_grid(n_s=60, n_y=24, n_t=40)
+        quotes = [OptionQuote(t, k, implied_vol=math.sqrt(0.04 + 0.01 * t)
+                              - 0.05 * math.log(k / 100.0))
+                  for t in (0.25, 0.5, 1.0, 1.5, 2.0)
+                  for k in (60, 80, 100, 120, 160)]
+        quoted = build_implied_surface(quotes, spot=100.0)
+        for surf, rate, band in ((quoted, 0.03, {}),
+                                 (ImpliedSurface.from_function(100.0, tanh_w),
+                                  0.0, {"floor": 0.05, "cap": 0.5})):
+            ref, n_bad = dupire_per_node(surf, rate, grid, **band)
+            assert n_bad <= 0.05 * ref.size
+            assert np.array_equal(dupire_local_vol(surf, rate, grid, **band).values,
+                                  ref)
+        degenerate = ImpliedSurface.from_function(100.0, degenerate_w)
+        ref, n_bad = dupire_per_node(degenerate, 0.0, grid)
+        with pytest.raises(DegenerateSurface) as err:
+            dupire_local_vol(degenerate, 0.0, grid)
+        assert str(err.value) == f"Dupire denominator < 1e-6 on {n_bad}/{ref.size} nodes"
 
 
 class TestForwardSolve:

@@ -1,15 +1,19 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsvcal import (DegenerateDenominator, NonEllipticAssembly,
                     StabilityFailure, dupire_forward_solve, iterate, marginal,
                     solve_lagged, verify_calibration)
 from lsvcal.cli import main
-from lsvcal.pipeline import (RunConfig, builtin_y_function, read_density_bin,
-                             run_pipeline)
+from lsvcal.pipeline import (RunConfig, _write_csv, builtin_y_function,
+                             read_density_bin, run_pipeline)
 
 from conftest import (flat_sigma, make_grid, make_psi, make_spec,
                       write_flat_quotes)
@@ -196,7 +200,8 @@ class TestExitCodes:
         ("lsvcal.fixed_point.mixing_ratio", ValueError("mixing ratio left"),
          "fixed-point", set()),
         ("lsvcal.pipeline.mixing_ratio", ValueError("mixing ratio left"),
-         "fixed-point", {"fixed_point.json"}),
+         "fixed-point", {"fixed_point.json", "local_vol.csv", "marginals.csv"}
+         | {f"density_{k}.csv" for k in range(0, 25, 2)}),
         ("lsvcal.pipeline.solve_lagged", DegenerateDenominator(3, 0.0),
          "time-lagged", set()),
     ], ids=["StabilityFailure", "NonEllipticAssembly", "DegenerateDenominator",
@@ -236,6 +241,12 @@ class TestExitCodes:
         rep = json.loads((out / "report.json").read_text())
         assert rep["status_hint"] == 2
         assert "verification" not in rep
+        # everything but the leverage, whose mixing ratio the escaped
+        # iterate breaks
+        assert rep["error"].startswith("DegenerateDenominator: ")
+        assert set(os.listdir(out)) == (
+            {"fixed_point.json", "report.json", "run_meta.json", "local_vol.csv",
+             "marginals.csv"} | {f"density_{k}.csv" for k in (*range(0, 32, 3), 32)})
 
     def test_time_lagged_mode(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.05"))
@@ -257,6 +268,51 @@ class TestDeterminism:
             b1 = (tmp_path / "o1" / name).read_bytes()
             b2 = (tmp_path / "o2" / name).read_bytes()
             assert b1 == b2, name
+
+
+def per_row_csv(path, header, outer, inner, *columns):
+    """The former writers: one f-string per row, with one or two value
+    columns (test oracle)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for r, o in enumerate(outer):
+            for i, x in enumerate(inner):
+                if len(columns) == 1:
+                    fh.write(f"{o:.17g},{x:.17g},{columns[0][r, i]:.17g}\n")
+                else:
+                    fh.write(f"{o:.17g},{x:.17g},{columns[0][r, i]:.17g},"
+                             f"{columns[1][r, i]:.17g}\n")
+
+
+# any double, with the values where formatting is most fragile drawn often
+doubles = st.one_of(st.floats(width=64), st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+     0.1, 1.0 / 3.0]))
+
+
+@st.composite
+def csv_tables(draw):
+    n_out, n_in = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    outer = draw(arrays(np.float64, n_out, elements=doubles))
+    inner = draw(arrays(np.float64, n_in, elements=doubles))
+    columns = [draw(arrays(np.float64, (n_out, n_in), elements=doubles))
+               for _ in range(draw(st.integers(1, 2)))]
+    return outer, inner, columns
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables())
+    def test_bytes_equal_per_row_writer(self, table):
+        outer, inner, columns = table
+        header = "t,S," + ",".join(f"v{j}" for j in range(len(columns)))
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+            _write_csv(new, header, outer, inner, *columns)
+            per_row_csv(old, header, outer, inner, *columns)
+            with open(new, "rb") as a, open(old, "rb") as b:
+                assert a.read() == b.read()
+            assert sorted(os.listdir(tmp)) == ["new.csv", "old.csv"]   # no .tmp left
 
 
 class TestSnapshots:

@@ -2,8 +2,29 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
-from lsvcal.tridiag import residual_batch, solve_batch
+from lsvcal.tridiag import factor_batch, residual_batch
+from lsvcal.tridiag import solve_batch as solve_factored
+
+
+def solve_batch(lower, diag, upper, rhs) -> np.ndarray:
+    """Factor, then solve: how every caller in the package uses the pair."""
+    return solve_factored(factor_batch(lower, diag, upper), rhs)
+
+
+def gtsv_batch(lower, diag, upper, rhs) -> tuple:
+    """The former one-call LAPACK ``gtsv`` batch solve (test oracle);
+    returns the solution and LAPACK's ``info``."""
+    m, n = diag.shape
+    dl = np.ravel(lower).astype(float)
+    du = np.ravel(upper).astype(float)
+    dl[::n] = 0.0
+    du[n - 1::n] = 0.0
+    *_, x, info = dgtsv(dl[1:], np.ravel(diag).astype(float), du[:-1],
+                        np.ravel(rhs).astype(float))
+    return x.reshape(m, n), info
 
 
 def thomas_single(lower, diag, upper, rhs) -> np.ndarray:
@@ -121,3 +142,23 @@ class TestBatchProperties:
         for i in range(x.shape[0]):
             alone = solve_batch(*(a[i:i + 1] for a in batch))
             assert np.array_equal(x[i], alone[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(dominant_batches(), st.booleans())
+    def test_factor_solve_equals_gtsv(self, batch, pivoting):
+        # a sub-diagonal four times larger makes LAPACK swap rows
+        lower, diag, upper, rhs = batch
+        if pivoting:
+            lower = 4.0 * lower
+        inputs = [a.copy() for a in (lower, diag, upper, rhs)]
+        try:
+            factors = factor_batch(lower, diag, upper)
+        except LinAlgError:
+            assert gtsv_batch(lower, diag, upper, rhs)[1] > 0
+            return
+        for b in (rhs, -2.0 * rhs):
+            x_ref, info = gtsv_batch(lower, diag, upper, b)
+            assert info == 0
+            assert np.array_equal(solve_factored(factors, b), x_ref)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(inputs, (lower, diag, upper, rhs)))
