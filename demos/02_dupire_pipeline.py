@@ -57,7 +57,7 @@ print(f"mass drift over the run: {abs(fv_mass(traj[-1], grid) - 1.0):.2e}")
 # --- repricing ----------------------------------------------------------------
 from scipy.stats import norm
 strikes = np.array([80.0, 90.0, 100.0, 110.0, 120.0])
-prices = reprice_calls(traj[-1][None, :], strikes, 0.0, grid, t_indices=[0])[0]
+prices = reprice_calls(traj[-1], strikes, grid)[0]
 fwd = 100.0 * math.exp(0.5 * s0_width ** 2)
 print("\nrepriced calls at T=1 (model vs kernel closed form):")
 for k, px in zip(strikes, prices):

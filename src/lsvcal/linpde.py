@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,11 @@ class CoefficientFields:
     """Space-time coefficient arrays of the non-divergence operator.
 
     ``a_sy`` stores the symmetric off-diagonal entry (the operator term is
-    ``2 a_sy d2u/dSdy``).
+    ``2 a_sy d2u/dSdy``).  The ellipticity constant ``k2`` and ``a_sy_max``
+    = max|a_sy| are operator invariants, computed once at construction.
+
+    Raises:
+        NonElliptic: see ``ellipticity_constant``.
     """
 
     a_ss: np.ndarray
@@ -40,6 +44,14 @@ class CoefficientFields:
     c: np.ndarray
     ellipticity_floor: float | None = None
     time_constant: bool = False
+    k2: float = field(init=False)
+    a_sy_max: float = field(init=False)
+
+    def __post_init__(self):
+        self.k2 = ellipticity_constant(self)
+        # slice by slice, as a full-field temporary would raise peak memory
+        self.a_sy_max = max(float(np.max(np.abs(a)))
+                            for a in (self.a_sy[:1] if self.time_constant else self.a_sy))
 
     def slice(self, k: int) -> dict:
         return {"a_ss": self.a_ss[k], "a_sy": self.a_sy[k], "a_yy": self.a_yy[k],
@@ -134,12 +146,11 @@ def assemble_frozen(spec: ModelSpec, grid: GridSpec, b_ref: float) -> Coefficien
     b_hi = float(np.max(bv))
     floor = spec.corr.min_eig * min(a1_lo / b_hi, a2_lo) ** 2
 
-    fields = CoefficientFields(**arrays, ellipticity_floor=floor,
-                               time_constant=time_const)
-    k2 = ellipticity_constant(fields)
-    if k2 <= 0:
-        raise NonEllipticAssembly(f"assembled operator has K2 = {k2:.3e}")
-    return fields
+    try:
+        return CoefficientFields(**arrays, ellipticity_floor=floor,
+                                 time_constant=time_const)
+    except NonElliptic as err:
+        raise NonEllipticAssembly(f"assembled operator: {err}") from err
 
 
 def ellipticity_constant(fields: CoefficientFields) -> float:
@@ -319,9 +330,7 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
 
 def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
     """Explicit mixed-term stability estimate dt * max|2 a_sy| / (dS dy)."""
-    m = float(np.max(np.abs(fields.a_sy[0]))) if fields.time_constant \
-        else float(np.max(np.abs(fields.a_sy)))
-    return grid.dt * 2.0 * m / (grid.ds * grid.dy)
+    return grid.dt * 2.0 * fields.a_sy_max / (grid.ds * grid.dy)
 
 
 def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
@@ -359,8 +368,7 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     nu = cross_cfl_number(fields, grid)
     if nu > 1.0:
         warnings.warn(f"explicit cross-term estimate {nu:.2f} > 1", CrossTermCFL)
-    k2 = ellipticity_constant(fields)
-    report = LinearSolveReport(k2=k2, max_residual=max_res,
+    report = LinearSolveReport(k2=fields.k2, max_residual=max_res,
                                n_tridiag_solves=4 * n, cross_cfl=nu, n_steps=n)
     return traj, report
 

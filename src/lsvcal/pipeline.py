@@ -26,8 +26,8 @@ from .fixed_point import (IterateBounds, iterate, shrink_horizon,
                           solve_lagged)
 from .fd import trapezoid_weights
 from .grids import GridSpec
-from .market import (LocalVolSurface, _bs_call, build_implied_surface,
-                     check_price_bounds, dupire_forward_solve, dupire_local_vol,
+from .market import (_bs_call, build_implied_surface, check_price_bounds,
+                     dupire_forward_solve, dupire_local_vol,
                      implied_vol_from_price, load_quotes)
 from .mixing import b_values, leverage, marginal, mixing_ratio
 from .model import (DensityField, ModelSpec, SpotAmplitude,
@@ -173,27 +173,20 @@ class RunConfig:
 # pricing and verification
 # ---------------------------------------------------------------------------
 
-def reprice_calls(q: np.ndarray, strikes, rate: float, grid: GridSpec,
-                  t_indices=None) -> np.ndarray:
-    """Discounted call prices by quadrature against the spot marginal.
+def reprice_calls(q: np.ndarray, strikes, grid: GridSpec) -> np.ndarray:
+    """Call prices by quadrature of each spot-marginal row against the payoff.
 
-    ``q`` is a marginal trajectory (n_k, n_s+2) or a single slice; returns
-    an array of shape (len(t_indices), len(strikes)).
+    ``q`` is one marginal slice (n_s+2,) or a stack of them (n_rows, n_s+2);
+    returns an array of shape (n_rows, len(strikes)).  The marginals carry
+    the discount already, so the prices are discounted as they are.
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
     if np.any(q < -1e-10):
         raise ValueError("marginal density must be nonnegative")
     strikes = np.asarray(strikes, dtype=float)
-    if t_indices is None:
-        t_indices = range(q.shape[0])
-    s = grid.s_nodes
     w = trapezoid_weights(grid.n_s + 2, grid.ds)
-    payoff = np.maximum(s[None, :] - strikes[:, None], 0.0)   # (nK, nS)
-    out = np.empty((len(list(t_indices)), len(strikes)))
-    for row, k in enumerate(t_indices):
-        disc = math.exp(-rate * grid.t_nodes[k])
-        out[row] = disc * (payoff * (w * q[k])[None, :]).sum(axis=1)
-    return out
+    payoff = np.maximum(grid.s_nodes[None, :] - strikes[:, None], 0.0)   # (nK, nS)
+    return np.array([(payoff * (w * row)[None, :]).sum(axis=1) for row in q])
 
 
 @dataclass
@@ -224,40 +217,39 @@ class VerificationReport:
         }
 
 
-def verify_calibration(density: DensityField, sigma_d, spec: ModelSpec,
-                       grid: GridSpec, snapshot_ks=None, quotes=None,
-                       l1_tol: float = 1e-2, mass_tol: float = 5e-3,
+def verify_calibration(density: DensityField, sigma_d: np.ndarray,
+                       q_p: np.ndarray, q_d: np.ndarray, lev: np.ndarray,
+                       spec: ModelSpec, grid: GridSpec, snapshot_ks,
+                       quotes=None, l1_tol: float = 1e-2, mass_tol: float = 5e-3,
                        identity_tol: float = 1e-8) -> VerificationReport:
-    """Compare the joint solution's marginal with the 1D forward target.
+    """Check the arrays a run wrote against the joint density.
 
-    Records the L1 marginal distance per output maturity, the mass drift of
-    the joint density, the pointwise consistency of the leverage identity,
-    and (when quotes are given) repricing errors against them.
+    ``q_p`` is the density's spot marginal, ``q_d`` the one-dimensional
+    forward solve from ``q_p[0]`` and ``lev`` the leverage surface, each over
+    the density's time slices.  Records the L1 marginal distance at each
+    index of ``snapshot_ks``, the mass drift of the density from its
+    discounted initial mass ``e^{-rt}``, the pointwise leverage identity
+    ``lev^2 E[b^2 | S] = sigma_d^2`` with ``E[b^2 | S]`` taken from the
+    density, and (when quotes are given) repricing errors against them.
     """
     p = density.values
     n_k = p.shape[0] - 1
-    sig = sigma_d.values if isinstance(sigma_d, LocalVolSurface) else np.asarray(sigma_d)
-    if snapshot_ks is None:
-        step = max(1, n_k // 10)
-        snapshot_ks = list(range(step, n_k + 1, step))
+    sig = sigma_d[:n_k + 1]
 
-    q_p = marginal(p, grid)
-    q_d = dupire_forward_solve(sig, spec.rate, grid, q_p[0], n_steps=n_k)
     l1 = {}
     for k in snapshot_ks:
         l1[float(grid.t_nodes[k])] = float(
             np.sum(np.abs(q_p[k] - q_d[k])) * grid.ds)
 
     masses = np.array([grid_mass(p[k], grid) for k in range(n_k + 1)])
-    mass_drift = float(np.max(np.abs(masses - masses[0])))
+    decay = np.exp(-spec.rate * grid.t_nodes[:n_k + 1])
+    mass_drift = float(np.max(np.abs(masses - masses[0] * decay)))
 
-    mix = mixing_ratio(p, spec.b, grid)
-    lev = leverage(sig[:n_k + 1], mix)
     w = trapezoid_weights(grid.n_y + 2, grid.dy)
     bv = b_values(spec.b, grid)
     cond = (p @ (w * bv * bv)) / np.maximum(p @ w, 1e-300)
-    identity = float(np.max(np.abs(lev * lev * cond - sig[:n_k + 1] ** 2)
-                            / np.maximum(sig[:n_k + 1] ** 2, 1e-300)))
+    identity = float(np.max(np.abs(lev * lev * cond - sig ** 2)
+                            / np.maximum(sig ** 2, 1e-300)))
 
     # two repricing views: literally against the quoted Black-Scholes prices
     # (includes the bias of the regularized start) and against the
@@ -275,10 +267,8 @@ def verify_calibration(density: DensityField, sigma_d, spec: ModelSpec,
             k = int(round(q.maturity / grid.dt))
             if abs(k * grid.dt - q.maturity) > 1e-9 or k > n_k:
                 continue
-            model_px = float(reprice_calls(q_p[k][None, :], [q.strike],
-                                           spec.rate, grid, t_indices=[0])[0, 0])
-            target_px = float(reprice_calls(q_d[k][None, :], [q.strike],
-                                            spec.rate, grid, t_indices=[0])[0, 0])
+            model_px = float(reprice_calls(q_p[k], [q.strike], grid)[0, 0])
+            target_px = float(reprice_calls(q_d[k], [q.strike], grid)[0, 0])
             quote_px = _bs_call(spec.spot0, q.strike, q.maturity, spec.rate,
                                 q.implied_vol)
             if target_px > 1e-12:
@@ -537,8 +527,8 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
 
             if do_verify and status == 0:
                 ver = verify_calibration(
-                    density, sigma_d, spec, grid, snapshot_ks=ks[1:] or [n_k],
-                    quotes=quotes, **verify_tols)
+                    density, sigma_d.values, q_p, q_d, lev, spec, grid,
+                    ks[1:] or [n_k], quotes=quotes, **verify_tols)
                 report_obj["verification"] = ver.as_json_dict()
                 if not ver.all_within_tolerance:
                     log(f"verification out of tolerance: {ver.gates}")

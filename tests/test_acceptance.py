@@ -24,7 +24,7 @@ from lsvcal import (CrossTermCFL, GridSpec, IterateBounds, MembershipLost,
 from lsvcal.linpde import CoefficientFields, solve_linear
 from lsvcal.pipeline import RunConfig, run_pipeline
 
-from conftest import make_psi, make_spec, write_flat_quotes
+from conftest import make_psi, make_spec, verification_arrays, write_flat_quotes
 from test_linpde import mms_error, mms_fields
 
 warnings.simplefilter("ignore", CrossTermCFL)
@@ -139,7 +139,9 @@ def exp_b_calibration():
     out["fine_elapsed"] = time.perf_counter() - t0
     n_k = dens.values.shape[0] - 1
     ks = list(range(n_k // 5, n_k + 1, max(1, n_k // 5)))
-    ver = verify_calibration(dens, sigma_d, spec, grid, snapshot_ks=ks)
+    sig = sigma_d.values
+    ver = verify_calibration(dens, sig, *verification_arrays(dens, sig, spec, grid),
+                             spec, grid, ks)
     out.update(fine_grid=grid, fine_density=dens, fine_report=rep,
                fine_ver=ver, t_star=rep.t_star, params=params)
 
@@ -149,7 +151,10 @@ def exp_b_calibration():
     dens_c, rep_c = iterate(spec_c, grid_c, psi_c, params=params_c)
     n_kc = dens_c.values.shape[0] - 1
     ks_c = list(range(max(1, n_kc // 5), n_kc + 1, max(1, n_kc // 5)))
-    ver_c = verify_calibration(dens_c, sigma_c, spec_c, grid_c, snapshot_ks=ks_c)
+    sig_c = sigma_c.values
+    ver_c = verify_calibration(dens_c, sig_c,
+                               *verification_arrays(dens_c, sig_c, spec_c, grid_c),
+                               spec_c, grid_c, ks_c)
     out.update(coarse_ver=ver_c, coarse_report=rep_c, coarse_density=dens_c)
     return out
 
@@ -191,8 +196,7 @@ def test_criterion_01_local_vol_degeneracy(local_vol_degenerate_run):
         q_t = marg[np.isclose(marg[:, 0], t_mat), 2]
         strikes = np.arange(80.0, 121.0, 5.0)
         from lsvcal import reprice_calls
-        model_px = reprice_calls(q_t[None, :], strikes, 0.0, grid,
-                                 t_indices=[0])[0]
+        model_px = reprice_calls(q_t, strikes, grid)[0]
         oracle_px = smeared_bs_call(q0, grid, strikes, t_mat, 0.2)
         worst = max(worst, float(np.max(np.abs(model_px / oracle_px - 1.0))))
     assert worst < 1e-3

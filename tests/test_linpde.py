@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lsvcal import (CrossTermCFL, ModelSpec, NonElliptic, assemble_frozen,
-                    assemble_slice, convert_correlation, ellipticity_constant,
-                    holder_norm, solve_linear, supnorm_time_bound)
+from lsvcal import (CrossTermCFL, ModelSpec, NonElliptic, NonEllipticAssembly,
+                    assemble_frozen, assemble_slice, convert_correlation,
+                    ellipticity_constant, holder_norm, solve_linear,
+                    supnorm_time_bound)
 from lsvcal.grids import GridSpec
 from lsvcal.linpde import (CoefficientFields, _apply, _sweep, _sweep_system,
                            cross_cfl_number, stencil)
@@ -116,11 +117,35 @@ class TestEllipticity:
         grid = make_grid(n_s=16, n_y=12, n_t=4)
         shape = grid.shape
         mk = lambda v: np.broadcast_to(v, shape)
-        fields = CoefficientFields(a_ss=mk(0.02), a_sy=mk(np.sqrt(0.02 * 0.045)),
-                                   a_yy=mk(0.045), b_s=mk(0.0), b_y=mk(0.0),
-                                   c=mk(0.0), time_constant=True)
         with pytest.raises(NonElliptic):
-            ellipticity_constant(fields)
+            CoefficientFields(a_ss=mk(0.02), a_sy=mk(np.sqrt(0.02 * 0.045)),
+                              a_yy=mk(0.045), b_s=mk(0.0), b_y=mk(0.0),
+                              c=mk(0.0), time_constant=True)
+
+    def test_assembly_raises_non_elliptic_assembly(self):
+        # alpha1 = 0 leaves the S diffusion at zero: K2 = 0
+        grid = make_grid(n_s=16, n_y=12, n_t=4)
+        with pytest.raises(NonEllipticAssembly, match="K2 = 0") as info:
+            assemble_frozen(const_spec(alpha1=0.0), grid, b_ref=1.0)
+        assert type(info.value.__cause__) is NonElliptic
+
+    def test_invariants_computed_once_per_operator(self, monkeypatch):
+        import lsvcal.linpde
+        calls = []
+
+        def spy(fields, real=lsvcal.linpde.ellipticity_constant):
+            calls.append(fields)
+            return real(fields)
+        monkeypatch.setattr(lsvcal.linpde, "ellipticity_constant", spy)
+        grid = make_grid(n_s=24, n_y=16, n_t=6)
+        fields = assemble_frozen(make_spec(grid, rho=-0.5), grid, b_ref=1.0)
+        psi = make_psi(grid)
+        reports = [solve_linear(fields, psi, grid, n_steps=n)[1] for n in (2, 6, 6)]
+        assert len(calls) == 1 and calls[0] is fields
+        for rep in reports:
+            assert rep.k2 == fields.k2 == ellipticity_constant(fields)
+            assert rep.cross_cfl == cross_cfl_number(fields, grid)
+        assert fields.a_sy_max == float(np.max(np.abs(fields.a_sy)))
 
 
 @st.composite

@@ -299,7 +299,7 @@ class TestReprice:
         s = grid.s_nodes
         q = np.exp(-0.5 * ((s - 100.0) / 2.0) ** 2)
         q /= fv_mass(q, grid)
-        c = reprice_calls(q[None, :], [90.0], 0.0, grid, t_indices=[0])
+        c = reprice_calls(q, [90.0], grid)
         assert c[0, 0] == pytest.approx(10.0, abs=1e-2)
 
     def test_lognormal_matches_black_scholes(self):
@@ -315,7 +315,7 @@ class TestReprice:
         veff = math.sqrt(s0v ** 2 + 0.04)
         fwd = 100.0 * math.exp(0.5 * s0v ** 2)
         strikes = np.array([80.0, 90.0, 100.0, 110.0, 120.0])
-        prices = reprice_calls(traj[-1][None, :], strikes, 0.0, grid, t_indices=[0])[0]
+        prices = reprice_calls(traj[-1], strikes, grid)[0]
         for k, px in zip(strikes, prices):
             ref = bs_call(fwd, k, 1.0, veff / math.sqrt(1.0))
             assert px == pytest.approx(ref, rel=1e-3)
@@ -323,7 +323,7 @@ class TestReprice:
     def test_strike_beyond_domain_prices_zero(self):
         grid = grid_1d(n_s=100, n_t=8)
         q = lognormal(grid.s_nodes, math.log(100.0), 0.1)
-        c = reprice_calls(q[None, :], [grid.s_max + 1.0], 0.0, grid, t_indices=[0])
+        c = reprice_calls(q, [grid.s_max + 1.0], grid)
         assert c[0, 0] == 0.0
 
     def test_monotone_and_convex_in_strike(self):
@@ -334,6 +334,6 @@ class TestReprice:
             q = lognormal(grid.s_nodes, math.log(rng.uniform(80, 120)), vol)
             q /= fv_mass(q, grid)
             strikes = np.linspace(60.0, 150.0, 19)
-            c = reprice_calls(q[None, :], strikes, 0.0, grid, t_indices=[0])[0]
+            c = reprice_calls(q, strikes, grid)[0]
             assert np.all(np.diff(c) <= 1e-12)
             assert np.all(np.diff(c, 2) >= -1e-8 * 100.0)

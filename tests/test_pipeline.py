@@ -16,7 +16,7 @@ from lsvcal.pipeline import (RunConfig, _write_csv, builtin_y_function,
                              read_density_bin, run_pipeline)
 
 from conftest import (flat_sigma, make_grid, make_psi, make_spec,
-                      write_flat_quotes)
+                      verification_arrays, write_flat_quotes)
 
 CONFIG_TEMPLATE = """\
 paths.quotes = quotes.csv
@@ -333,13 +333,52 @@ class TestSnapshots:
 
 
 class TestVerification:
+    def test_nonzero_rate_passes_mass_gate(self, tmp_path):
+        # the discount term makes the mass decay like e^{-rt} by design
+        cfg = RunConfig.from_file(write_config(tmp_path, extra="model.rate = 0.03"))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        ver = json.loads((tmp_path / "out" / "report.json").read_text())["verification"]
+        assert ver["gates"]["mass_drift"] is True
+
+    def test_checks_run_once_on_the_written_arrays(self, tmp_path, monkeypatch):
+        import lsvcal.pipeline
+        seen = {"dupire_forward_solve": [], "mixing_ratio": []}
+        for name, calls in seen.items():
+            def spy(*args, real=getattr(lsvcal.pipeline, name), calls=calls, **kwargs):
+                calls.append(args[0].shape)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(lsvcal.pipeline, name, spy)
+        cfg = RunConfig.from_file(write_config(tmp_path))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        grid = cfg.grid()
+        assert seen["dupire_forward_solve"] == [(grid.n_t + 1, grid.n_s + 2)]
+        assert seen["mixing_ratio"] == [grid.shape]
+        assert "verification" in json.loads((tmp_path / "out" / "report.json").read_text())
+
+    def test_report_l1_equals_written_marginals(self, tmp_path):
+        cfg = RunConfig.from_file(write_config(tmp_path))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        out = tmp_path / "out"
+        l1 = json.loads((out / "report.json").read_text())["verification"]["marginal_l1"]
+        rows = np.loadtxt(out / "marginals.csv", delimiter=",", skiprows=1)
+        ds = cfg.grid().ds
+        recomputed = {}
+        for t in np.unique(rows[:, 0])[1:]:
+            sl = rows[rows[:, 0] == t]
+            recomputed[f"{t:.10g}"] = float(np.sum(np.abs(sl[:, 2] - sl[:, 3])) * ds)
+        assert len(recomputed) == len(l1) > 1
+        assert recomputed == l1
+
     def test_cross_scheme_marginals_close(self):
         grid = make_grid(n_s=64, n_y=32, n_t=48)
         spec = make_spec(grid)
         psi = make_psi(grid)
         dens, _ = iterate(spec, grid, psi)
         sigma = flat_sigma(grid)
-        rep = verify_calibration(dens, sigma, spec, grid)
+        n_k = dens.values.shape[0] - 1
+        ks = list(range(n_k // 10, n_k + 1, n_k // 10))
+        rep = verify_calibration(dens, sigma, *verification_arrays(dens, sigma, spec, grid),
+                                 spec, grid, ks)
         assert max(rep.marginal_l1.values()) < 5e-3
         assert rep.identity_max_rel < 1e-8
         assert rep.mass_drift < 1e-3
