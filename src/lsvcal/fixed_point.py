@@ -222,14 +222,23 @@ def _as_density(values, psi) -> DensityField:
                         p_lo=float(psi.min()), p_hi=float(psi.max()))
 
 
+def _horizon_steps(t_star: float, grid: GridSpec) -> int:
+    return max(1, min(grid.n_t, round(t_star / grid.dt)))
+
+
 def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             params: IterateBounds | None = None, max_iter: int = 50,
-            b_ref_mode: str = "center", cross_iterations: int = 1) -> tuple:
+            b_ref_mode: str = "center", cross_iterations: int = 1,
+            frozen: CoefficientFields | None = None) -> tuple:
     """Run the fixed-point construction from the constant-in-time start.
+
+    ``frozen``, the ``assemble_frozen`` result for this grid and b_ref,
+    serves every horizon attempt of a run; without it, it is assembled here.
 
     Returns (DensityField, FixedPointReport) on convergence.
 
     Raises:
+        ValueError: ``frozen`` was built for another b_ref or grid.
         MembershipLost: an iterate left the admissible set (the exception
             carries the report and the offending field).
         NotConverged: the iteration budget ran out.
@@ -238,18 +247,20 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     if params is None:
         params = IterateBounds.from_initial(psi, grid)
     b_ref = spec.b_ref(grid, mode=b_ref_mode, psi=psi)
-    k_star = max(1, min(grid.n_t, round(params.t_star / grid.dt)))
-    t_star = k_star * grid.dt
+    if frozen is None:
+        frozen = assemble_frozen(spec, grid, b_ref=b_ref)
+    elif (frozen.b_ref, frozen.grid) != (b_ref, grid):
+        raise ValueError(f"frozen operator does not match b_ref {b_ref} and this grid")
+    k_star = _horizon_steps(params.t_star, grid)
     bsq_slope = measured_bsq_slope(spec, grid)
 
-    frozen = assemble_frozen(spec, grid, b_ref=b_ref)
     products = _unit_products(spec, grid, k_star + 1, frozen.time_constant)
 
     def calibration_map(u):
         return apply_map(u, spec, grid, psi=psi, b_ref=b_ref, frozen=frozen,
                          products=products, cross_iterations=cross_iterations)
 
-    report = FixedPointReport(t_star=t_star, tol=params.tol)
+    report = FixedPointReport(t_star=k_star * grid.dt, tol=params.tol)
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
@@ -295,7 +306,8 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
 
     Runs the construction at the current horizon first; a run that succeeds
     immediately returns the parameters unchanged.  Returns parameters whose
-    ``t_star`` produced a convergent run.
+    ``t_star`` produced a convergent run.  ``kwargs`` go to every
+    ``iterate`` attempt; a ``frozen`` operator among them serves them all.
 
     Raises:
         HorizonExhausted: no horizon in the ladder worked.
@@ -308,7 +320,7 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             return bounds
         except (MembershipLost, NotConverged) as err:
             last_err = err
-        k_star = max(1, round(bounds.t_star / grid.dt))
+        k_star = _horizon_steps(bounds.t_star, grid)
         if k_star == 1:
             break
         bounds = replace(bounds, t_star=(k_star // 2) * grid.dt)

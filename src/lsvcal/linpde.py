@@ -31,6 +31,7 @@ class CoefficientFields:
     ``a_sy`` stores the symmetric off-diagonal entry (the operator term is
     ``2 a_sy d2u/dSdy``).  The ellipticity constant ``k2`` and ``a_sy_max``
     = max|a_sy| are operator invariants, computed once at construction.
+    ``assemble_frozen`` records the ``b_ref`` and ``grid`` it was given.
 
     Raises:
         NonElliptic: see ``ellipticity_constant``.
@@ -44,6 +45,8 @@ class CoefficientFields:
     c: np.ndarray
     ellipticity_floor: float | None = None
     time_constant: bool = False
+    b_ref: float | None = None
+    grid: GridSpec | None = None
     k2: float = field(init=False)
     a_sy_max: float = field(init=False)
 
@@ -148,7 +151,7 @@ def assemble_frozen(spec: ModelSpec, grid: GridSpec, b_ref: float) -> Coefficien
 
     try:
         return CoefficientFields(**arrays, ellipticity_floor=floor,
-                                 time_constant=time_const)
+                                 time_constant=time_const, b_ref=b_ref, grid=grid)
     except NonElliptic as err:
         raise NonEllipticAssembly(f"assembled operator: {err}") from err
 
@@ -310,16 +313,17 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
                          - (f0 if f0 is not None else z))
 
     prev = delta2
-    for _ in range(max(1, cross_iterations)):
+    for n_left in reversed(range(max(1, cross_iterations))):
         corr = 0.5 * dt * (_apply_mix(st1, u + prev, ds, dy) - am0)
         if df is not None:
             corr = corr + df
         delta0h = _zero_ring(delta0 + _zero_ring(corr))
         nxt, res_b = sweeps(delta0h)
         res = max(res, res_b)
-        gap = float(np.max(np.abs(nxt - prev)))
+        done = n_left == 0 or (float(np.max(np.abs(nxt - prev)))
+                               <= 1e-13 * (float(np.max(np.abs(nxt))) + 1e-300))
         prev = nxt
-        if gap <= 1e-13 * (float(np.max(np.abs(nxt))) + 1e-300):
+        if done:
             break
 
     u_next = u + prev

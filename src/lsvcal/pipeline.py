@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fixed_point
 from ._version import __version__
 from .errors import (CalibrationError, HorizonExhausted, MembershipLost,
                      NotConverged)
@@ -434,7 +435,7 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
         fp_kwargs = {"max_iter": config.get("fp.max_iter", int),
                      "b_ref_mode": config.get("model.b_ref"),
                      "cross_iterations": config.get("fp.cross_iterations", int)}
-        spec.b_ref(grid, mode=fp_kwargs["b_ref_mode"], psi=psi)  # rejects a bad mode
+        b_ref = spec.b_ref(grid, mode=fp_kwargs["b_ref_mode"], psi=psi)
         auto_shrink = config.get("fp.auto_shrink", bool)
         max_halvings = config.get("fp.max_halvings", int)
         do_verify = verify if verify is not None else config.get("run.verify", bool)
@@ -467,6 +468,8 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
             fp_json = dict(lag_report)
         else:
             params = IterateBounds.from_initial(psi, grid, **bound_factors)
+            # one operator serves every attempt, built through iterate's binding
+            fp_kwargs["frozen"] = fixed_point.assemble_frozen(spec, grid, b_ref=b_ref)
             try:
                 density, fp_report = iterate(spec, grid, psi, params=params,
                                              **fp_kwargs)
@@ -474,6 +477,7 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
                 log(f"fixed point failed at full horizon: {err}")
                 if not auto_shrink:
                     raise
+            if fp_report is None:  # outside the handler, which holds the attempt
                 params = shrink_horizon(spec, grid, psi, params,
                                         max_halvings=max_halvings, **fp_kwargs)
                 density, fp_report = iterate(spec, grid, psi, params=params,

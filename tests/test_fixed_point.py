@@ -218,6 +218,37 @@ class TestIterate:
             iterate(spec, grid, psi, max_iter=1)
         assert err.value.report.iterations == 1
 
+    @pytest.mark.parametrize("scale,dims", [(0.05, (32, 20, 20)), (5.0, (48, 32, 40))],
+                             ids=["converged", "MembershipLost"])
+    def test_handed_in_operator_matches_own_assembly(self, scale, dims):
+        grid = make_grid(*dims)
+        spec = make_spec(grid, b=b_perturbed(scale))
+        psi = make_psi(grid)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+
+        def outcome(**kwargs):
+            try:
+                dens, rep = iterate(spec, grid, psi, **kwargs)
+            except MembershipLost as err:
+                dens, rep = err.density, err.report
+            return dens.values, rep.as_json_dict()
+        own, handed = outcome(), outcome(frozen=frozen)
+        assert np.array_equal(own[0], handed[0])
+        assert own[1] == handed[1]
+        assert own[1]["converged"] is (scale < 1.0)
+
+    def test_mismatched_operator_rejected(self):
+        grid = make_grid(n_s=32, n_y=20, n_t=10)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        psi = make_psi(grid)
+        b_ref = spec.b_ref(grid)
+        other = make_grid(n_s=32, n_y=20, n_t=10, horizon=0.5)
+        for frozen in (assemble_frozen(spec, grid, b_ref=1.01 * b_ref),
+                       assemble_frozen(make_spec(other, b=b_perturbed(0.05)),
+                                       other, b_ref=b_ref)):
+            with pytest.raises(ValueError, match="frozen operator"):
+                iterate(spec, grid, psi, frozen=frozen)
+
 
 class TestShrinkHorizon:
     def test_immediate_success_unchanged(self):
@@ -248,6 +279,30 @@ class TestShrinkHorizon:
             shrink_horizon(spec, grid, psi, params, max_halvings=1)
         assert err.value.report is err.value.last_error.report is not None
         assert err.value.density is err.value.last_error.density is not None
+
+    def test_ladder_starts_from_the_clamped_horizon(self, monkeypatch):
+        # a horizon beyond the grid runs the same attempts as the grid's own
+        import lsvcal.fixed_point
+        grid = make_grid(n_s=48, n_y=32, n_t=40)
+        spec = make_spec(grid, b=b_perturbed(5.0))
+        psi = make_psi(grid)
+        params = IterateBounds.from_initial(psi, grid)
+        steps = []
+
+        def spy(*args, real=lsvcal.fixed_point.iterate, **kwargs):
+            try:
+                dens, rep = real(*args, **kwargs)
+            except (MembershipLost, NotConverged) as err:
+                steps[-1].append(round(err.report.t_star / grid.dt))
+                raise
+            steps[-1].append(round(rep.t_star / grid.dt))
+            return dens, rep
+        monkeypatch.setattr(lsvcal.fixed_point, "iterate", spy)
+        for t_star in (params.t_star, 2.5 * params.t_star):
+            steps.append([])
+            shrink_horizon(spec, grid, psi, replace(params, t_star=t_star))
+        assert steps[0] == steps[1]
+        assert steps[0][0] == grid.n_t and steps[0][-1] < grid.n_t
 
     def test_monotone_horizon_property(self):
         # a run that succeeds at t* succeeds at t*/2 with the same caps

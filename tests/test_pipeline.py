@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lsvcal import (DegenerateDenominator, NonEllipticAssembly,
+from lsvcal import (DegenerateDenominator, MembershipLost, NonEllipticAssembly,
                     StabilityFailure, dupire_forward_solve, iterate, marginal,
                     solve_lagged, verify_calibration)
 from lsvcal.cli import main
@@ -181,6 +181,53 @@ class TestExitCodes:
         fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
         assert fp["t_star"] < 1.0
         assert len(seen) > 2 and seen == [2] * len(seen)
+
+    def test_recovery_assembles_the_operator_once(self, tmp_path, monkeypatch):
+        import lsvcal.fixed_point
+        import lsvcal.pipeline
+        built, seen = [], []
+
+        def assemble_spy(*args, real=lsvcal.fixed_point.assemble_frozen, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        def iterate_spy(*args, real=lsvcal.fixed_point.iterate, **kwargs):
+            seen.append(kwargs.get("frozen"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lsvcal.fixed_point, "assemble_frozen", assemble_spy)
+        monkeypatch.setattr(lsvcal.fixed_point, "iterate", iterate_spy)
+        monkeypatch.setattr(lsvcal.pipeline, "iterate", iterate_spy)
+        cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:5.0",
+                                               ns=48, ny=32, nt=32))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        assert len(built) == 1
+        assert len(seen) > 2 and all(f is built[0] for f in seen)
+
+    def test_failed_attempt_released_before_shrink(self, tmp_path, monkeypatch):
+        # the full-horizon failure, and the products and trajectories its
+        # traceback holds, are gone when the ladder starts
+        import gc
+        import weakref
+        import lsvcal.pipeline
+        failures, alive = [], []
+
+        def iterate_spy(*args, real=lsvcal.pipeline.iterate, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except MembershipLost as err:
+                failures.append(weakref.ref(err))
+                raise
+
+        def shrink_spy(*args, real=lsvcal.pipeline.shrink_horizon, **kwargs):
+            gc.collect()
+            alive.append(failures[0]() is not None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lsvcal.pipeline, "iterate", iterate_spy)
+        monkeypatch.setattr(lsvcal.pipeline, "shrink_horizon", shrink_spy)
+        cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:5.0",
+                                               ns=48, ny=32, nt=32))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        assert alive == [False]
 
     @pytest.mark.parametrize("extra", ["fp.mode = bogus", "fp.max_iter = abc",
                                        "model.b_ref = centre",
