@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 
 from lsvcal import (CrossTermCFL, GridSpec, IterateBounds, MembershipLost,
-                    ModelSpec, NotConverged, SpotAmplitude, convert_correlation,
-                    iterate, shrink_horizon, smoothed_dirac)
+                    ModelSpec, NotConverged, SpotAmplitude, assemble_frozen,
+                    convert_correlation, iterate, shrink_horizon, smoothed_dirac)
 
 warnings.simplefilter("ignore", CrossTermCFL)
 
@@ -72,8 +72,11 @@ failing = [s for s, o in outcomes.items() if "admissible" in o or "no conv" in o
 if failing:
     s_fail = min(failing)
     params = IterateBounds.from_initial(psi, grid)
-    good = shrink_horizon(spec_for(family(s_fail)), grid, psi, params)
-    _, r = iterate(spec_for(family(s_fail)), grid, psi, params=good)
+    # one frozen operator serves every attempt of the ladder and the rerun
+    spec = spec_for(family(s_fail))
+    frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+    good = shrink_horizon(spec, grid, psi, params, frozen=frozen)
+    _, r = iterate(spec, grid, psi, params=good, frozen=frozen)
     print(f"\ns = {s_fail} recovered by halving: t* = {good.t_star:.4g}, "
           f"{r.iterations} iterations, converged = {r.converged}")
 

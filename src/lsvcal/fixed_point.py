@@ -158,15 +158,12 @@ class FixedPointReport:
         }
 
 
-def _unit_products(spec: ModelSpec, grid: GridSpec, n_k: int,
-                   time_constant: bool) -> tuple:
+def _unit_products(spec: ModelSpec, grid: GridSpec, n_k: int) -> tuple:
     """The operator's ``a_s`` and ``a_x`` at ratio = root = 1, i.e.
     rho11 a1^2 and 2 rho12 a1 a2, over n_k time slices."""
-    shape = (n_k, grid.n_s + 2, grid.n_y + 2)
-    coeffs = (operator_coefficients(spec, grid, k, 1.0, 1.0)
-              for k in range(1 if time_constant else n_k))
+    coeffs = (operator_coefficients(spec, grid, k, 1.0, 1.0) for k in range(n_k))
     p1, p2 = zip(*((co["a_s"], co["a_x"]) for co in coeffs))
-    return np.broadcast_to(np.array(p1), shape), np.broadcast_to(np.array(p2), shape)
+    return np.array(p1), np.array(p2)
 
 
 def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
@@ -180,7 +177,7 @@ def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
     u = np.asarray(u, dtype=float)
     n_k = u.shape[0]
     if products is None:
-        products = _unit_products(spec, grid, n_k, False)
+        products = _unit_products(spec, grid, n_k)
     p1, p2 = products[0][:n_k], products[1][:n_k]
 
     mix = mixing_ratio(u, spec.b, grid)
@@ -254,7 +251,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     k_star = _horizon_steps(params.t_star, grid)
     bsq_slope = measured_bsq_slope(spec, grid)
 
-    products = _unit_products(spec, grid, k_star + 1, frozen.time_constant)
+    products = _unit_products(spec, grid, k_star + 1)
 
     def calibration_map(u):
         return apply_map(u, spec, grid, psi=psi, b_ref=b_ref, frozen=frozen,
@@ -307,11 +304,15 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     Runs the construction at the current horizon first; a run that succeeds
     immediately returns the parameters unchanged.  Returns parameters whose
     ``t_star`` produced a convergent run.  ``kwargs`` go to every
-    ``iterate`` attempt; a ``frozen`` operator among them serves them all.
+    ``iterate`` attempt; one ``frozen`` operator serves them all, assembled
+    here when none is among them.
 
     Raises:
         HorizonExhausted: no horizon in the ladder worked.
     """
+    if kwargs.get("frozen") is None:
+        b_ref = spec.b_ref(grid, mode=kwargs.get("b_ref_mode", "center"), psi=psi)
+        kwargs["frozen"] = assemble_frozen(spec, grid, b_ref=b_ref)
     bounds = params
     last_err = None
     for _ in range(max_halvings + 1):

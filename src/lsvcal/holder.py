@@ -146,7 +146,7 @@ def _derivative_fields(u, kind, dt, hs, k):
         for ax in range(nsp):
             yield f"d{names[ax]}{names[ax]}", fd.d2(u, hs[ax], axis=ax0 + ax)
         if nsp == 2:
-            yield "dSy", fd.d1(fd.d1(u, hs[0], axis=ax0), hs[1], axis=ax0 + 1)
+            yield "dSy", fd.d2_cross(u, hs[0], hs[1])
     if k >= 1 and has_time:
         yield "dt", fd.d1(u, dt, axis=0)
 

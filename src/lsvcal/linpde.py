@@ -44,7 +44,6 @@ class CoefficientFields:
     b_y: np.ndarray
     c: np.ndarray
     ellipticity_floor: float | None = None
-    time_constant: bool = False
     b_ref: float | None = None
     grid: GridSpec | None = None
     k2: float = field(init=False)
@@ -53,8 +52,7 @@ class CoefficientFields:
     def __post_init__(self):
         self.k2 = ellipticity_constant(self)
         # slice by slice, as a full-field temporary would raise peak memory
-        self.a_sy_max = max(float(np.max(np.abs(a)))
-                            for a in (self.a_sy[:1] if self.time_constant else self.a_sy))
+        self.a_sy_max = max(float(np.max(np.abs(a))) for a in self.a_sy)
 
     def slice(self, k: int) -> dict:
         return {"a_ss": self.a_ss[k], "a_sy": self.a_sy[k], "a_yy": self.a_yy[k],
@@ -101,57 +99,32 @@ def assemble_slice(spec: ModelSpec, grid: GridSpec, k: int,
             "b_s": b_s, "b_y": b_y, "c": c}
 
 
-def _probe_time_constant(spec: ModelSpec, grid: GridSpec) -> bool:
-    ks = {0, grid.n_t // 2, grid.n_t}
-    slices = [assemble_slice(spec, grid, k, 1.0, 1.0) for k in sorted(ks)]
-    first = slices[0]
-    return all(np.array_equal(first[key], s[key]) for s in slices[1:] for key in first)
-
-
 def assemble_frozen(spec: ModelSpec, grid: GridSpec, b_ref: float) -> CoefficientFields:
-    """Assemble the frozen linear operator over the whole horizon.
+    """Assemble the frozen linear operator on every time slice of the horizon.
 
     The mixing ratio is frozen at the exact constants 1/b_ref^2 and
-    1/b_ref.  Time-independent coefficients are detected and stored as
-    broadcast views.
+    1/b_ref; the coefficients keep their time dependence.
 
     Raises:
         NonEllipticAssembly: the assembled diffusion matrix is not
         uniformly positive definite.
     """
-    n_k = grid.n_t + 1
-    shape = grid.shape
     ratio, root = 1.0 / (b_ref * b_ref), 1.0 / b_ref
-    time_const = _probe_time_constant(spec, grid)
-
-    a1_lo = math.inf
-    a2_lo = math.inf
-
-    def alpha_mins(k, t):
-        nonlocal a1_lo, a2_lo
+    arrays = {key: np.empty(grid.shape) for key in
+              ("a_ss", "a_sy", "a_yy", "b_s", "b_y", "c")}
+    a1_lo = a2_lo = math.inf
+    for k, t in enumerate(grid.t_nodes):
+        for key, val in assemble_slice(spec, grid, k, ratio, root).items():
+            arrays[key][k] = val
         a1_lo = min(a1_lo, float(eval_coeff(spec.alpha1, k, t, grid).min()))
         a2_lo = min(a2_lo, float(eval_coeff(spec.alpha2, k, t, grid).min()))
 
-    if time_const:
-        sl = assemble_slice(spec, grid, 0, ratio, root)
-        arrays = {key: np.broadcast_to(val, shape) for key, val in sl.items()}
-        alpha_mins(0, grid.t_nodes[0])
-    else:
-        arrays = {key: np.empty(shape) for key in
-                  ("a_ss", "a_sy", "a_yy", "b_s", "b_y", "c")}
-        for k in range(n_k):
-            sl = assemble_slice(spec, grid, k, ratio, root)
-            for key, val in sl.items():
-                arrays[key][k] = val
-            alpha_mins(k, grid.t_nodes[k])
-
-    bv = b_values(spec.b, grid) if spec.b is not None else np.ones(grid.n_y + 2)
-    b_hi = float(np.max(bv))
+    b_hi = float(np.max(b_values(spec.b, grid)))
     floor = spec.corr.min_eig * min(a1_lo / b_hi, a2_lo) ** 2
 
     try:
         return CoefficientFields(**arrays, ellipticity_floor=floor,
-                                 time_constant=time_const, b_ref=b_ref, grid=grid)
+                                 b_ref=b_ref, grid=grid)
     except NonElliptic as err:
         raise NonEllipticAssembly(f"assembled operator: {err}") from err
 
@@ -167,8 +140,6 @@ def ellipticity_constant(fields: CoefficientFields) -> float:
     for k in range(fields.a_ss.shape[0]):
         lam = _min_eig_2x2(fields.a_ss[k], fields.a_sy[k], fields.a_yy[k])
         k2 = min(k2, float(lam.min()))
-        if fields.time_constant:
-            break
     if k2 <= 0:
         raise NonElliptic(f"K2 = {k2:.3e} <= 0")
     if fields.ellipticity_floor is not None:
@@ -262,11 +233,12 @@ def _sweep(system: tuple, rhs: np.ndarray, axis: int) -> tuple:
 
 
 def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
-                f0=None, f1=None, time_constant: bool = False,
-                collect_residual: bool = False, cross_iterations: int = 1) -> tuple:
+                f0=None, f1=None, collect_residual: bool = False,
+                cross_iterations: int = 1) -> tuple:
     """One Craig-Sneyd step from the stencils of the slices at t_k and t_{k+1}.
 
-    Returns (u_next, max_sweep_residual).  Dirichlet values are enforced by
+    The sources ``f0`` and ``f1`` at the two slices come together or not at
+    all.  Returns (u_next, max_sweep_residual).  Dirichlet values are enforced by
     keeping the boundary increment at zero, so the lateral trace of ``u``
     carries through every stage unchanged.  Each axis's sweep matrix is
     factored once and serves the predictor and every corrector pass.
@@ -286,31 +258,24 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
         delta0 += f0
     delta0 = _zero_ring(np.multiply(dt, delta0, out=delta0))
 
-    chi = None
-    if not time_constant:
-        # each a0 part turns into chi = theta dt (A1 u - A0 u) of its axis
-        for axis, part in enumerate(a0):
-            np.subtract(_apply(st1, u, axis), part, out=part)
-            _zero_ring(np.multiply(theta_dt, part, out=part))
-        chi = a0
+    # each a0 part turns into chi = theta dt (A1 u - A0 u) of its axis
+    for axis, part in enumerate(a0):
+        np.subtract(_apply(st1, u, axis), part, out=part)
+        _zero_ring(np.multiply(theta_dt, part, out=part))
+    chi = a0
     systems = [_sweep_system(st1, theta_dt, axis, collect_residual)
                for axis in (0, 1)]
 
     def sweeps(d):
         res = []
         for axis, system in enumerate(systems):
-            r = d if chi is None else d + chi[axis]
-            d, r_axis = _sweep(system, r, axis)
+            d, r_axis = _sweep(system, d + chi[axis], axis)
             res.append(r_axis)
         return d, max(res)
 
     delta2, res = sweeps(delta0)
 
-    df = None
-    if f0 is not None or f1 is not None:
-        z = np.zeros_like(u)
-        df = 0.5 * dt * ((f1 if f1 is not None else z)
-                         - (f0 if f0 is not None else z))
+    df = None if f0 is None else 0.5 * dt * (f1 - f0)
 
     prev = delta2
     for n_left in reversed(range(max(1, cross_iterations))):
@@ -363,7 +328,6 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
         u, res = step_slices(st0, st1, u, grid,
                              f0=None if f is None else f[k],
                              f1=None if f is None else f[k + 1],
-                             time_constant=fields.time_constant,
                              collect_residual=collect_residual,
                              cross_iterations=cross_iterations)
         max_res = max(max_res, res)

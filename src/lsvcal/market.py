@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
 
-from . import tridiag
+from . import fd, tridiag
 from .errors import (ArbitrageWarning, CalendarArbitrage, DegenerateSurface,
                      DuplicateQuote, InsufficientData, ParseError,
                      StabilityFailure)
@@ -320,8 +320,7 @@ def dupire_forward_solve(sigma_d, rate: float, grid: GridSpec, q0: np.ndarray,
     s = grid.s_nodes
     ds, dt = grid.ds, grid.dt
     m = grid.n_s + 2
-    cell = np.full(m, ds)
-    cell[0] = cell[-1] = 0.5 * ds
+    cell = fd.trapezoid_weights(m, ds)
 
     q = np.array(q0, dtype=float)
     if q.shape != (m,):
@@ -368,6 +367,4 @@ def dupire_forward_solve(sigma_d, rate: float, grid: GridSpec, q0: np.ndarray,
 
 def fv_mass(q: np.ndarray, grid: GridSpec) -> float:
     """Finite-volume mass of a marginal slice (equals the trapezoid rule)."""
-    cell = np.full(grid.n_s + 2, grid.ds)
-    cell[0] = cell[-1] = 0.5 * grid.ds
-    return float(q @ cell)
+    return float(q @ fd.trapezoid_weights(grid.n_s + 2, grid.ds))

@@ -353,8 +353,7 @@ def test_criterion_07_linear_solver_verification():
     fields, _, _ = mms_fields(grid)
     fields = CoefficientFields(
         a_ss=fields.a_ss, a_sy=fields.a_sy, a_yy=fields.a_yy,
-        b_s=fields.b_s, b_y=fields.b_y, c=np.broadcast_to(0.0, grid.shape),
-        time_constant=True)
+        b_s=fields.b_s, b_y=fields.b_y, c=np.broadcast_to(0.0, grid.shape))
     psi = np.full((grid.n_s + 2, grid.n_y + 2), 1.37)
     traj, _ = solve_linear(fields, psi, grid)
     assert np.array_equal(traj[-1], psi)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsvcal import (HorizonExhausted, IterateBounds, MembershipLost,
                     NotConverged, apply_map, assemble_frozen, build_rhs,
@@ -150,6 +152,26 @@ class TestIterate:
         assert rep.residuals[-1] == 0.0
         fields = assemble_frozen(spec, grid, b_ref=1.0)
         traj, _ = solve_linear(fields, psi, grid)
+        assert np.array_equal(dens.values, traj)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_t=st.integers(12, 20), b0=st.floats(0.5, 2.0),
+           amp=st.one_of(st.just(0.0), st.floats(0.0, 0.1)))
+    def test_constant_b_degenerates_exactly(self, n_t, b0, amp):
+        # any constant b, flat or time-varying Dupire rows: zero source,
+        # and the fixed point is one linear solve bit for bit
+        grid = make_grid(n_s=40, n_y=24, n_t=n_t)
+        sigma = np.repeat((0.2 + amp * np.sin(3.0 * grid.t_nodes))[:, None],
+                          grid.n_s + 2, axis=1)
+        spec = make_spec(grid, b=lambda y: np.full_like(np.asarray(y, dtype=float), b0),
+                         sigma=sigma)
+        psi = make_psi(grid)
+        b_ref = spec.b_ref(grid)
+        dens, rep = iterate(spec, grid, psi)
+        for u in (traj_of(psi, grid), dens.values):
+            assert np.all(build_rhs(u, spec, b_ref=b_ref, grid=grid) == 0.0)
+        assert rep.converged and rep.iterations == 2
+        traj, _ = solve_linear(assemble_frozen(spec, grid, b_ref=b_ref), psi, grid)
         assert np.array_equal(dens.values, traj)
 
     def test_small_perturbation_contracts_geometrically(self):
@@ -304,6 +326,27 @@ class TestShrinkHorizon:
         assert steps[0] == steps[1]
         assert steps[0][0] == grid.n_t and steps[0][-1] < grid.n_t
 
+    def test_ladder_assembles_the_operator_once(self, monkeypatch):
+        import lsvcal.fixed_point
+        grid = make_grid(n_s=48, n_y=32, n_t=40)
+        spec = make_spec(grid, b=b_perturbed(5.0))
+        psi = make_psi(grid)
+        built, seen = [], []
+
+        def assemble_spy(*args, real=lsvcal.fixed_point.assemble_frozen, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        def iterate_spy(*args, real=lsvcal.fixed_point.iterate, **kwargs):
+            seen.append(kwargs.get("frozen"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lsvcal.fixed_point, "assemble_frozen", assemble_spy)
+        monkeypatch.setattr(lsvcal.fixed_point, "iterate", iterate_spy)
+        out = shrink_horizon(spec, grid, psi, IterateBounds.from_initial(psi, grid))
+        assert out.t_star < grid.horizon
+        assert len(built) == 1
+        assert len(seen) > 2 and all(f is built[0] for f in seen)
+
     def test_monotone_horizon_property(self):
         # a run that succeeds at t* succeeds at t*/2 with the same caps
         grid = make_grid(n_s=32, n_y=20, n_t=20)
@@ -335,4 +378,4 @@ class TestTimeLagged:
         dens, _ = solve_lagged(spec, grid, psi, mixing_override=1.0)
         fields = assemble_frozen(spec, grid, b_ref=1.0)
         traj, _ = solve_linear(fields, psi, grid)
-        np.testing.assert_allclose(dens.values, traj, rtol=0, atol=1e-12)
+        assert np.array_equal(dens.values, traj)

@@ -161,7 +161,7 @@ class TestAlgebraAndMonotonicity:
         with pytest.raises(ValueError):
             HolderNormEstimate(value=0.5, sup_norm=1.0, quotient=0.0)
 
-    def test_time_constant_extension_equals_slice_norm(self):
+    def test_constant_in_time_extension_equals_slice_norm(self):
         # a field constant in time has no time contributions, so its
         # space-time norm equals the spatial-slice norm
         grid = make_grid(n_s=20, n_y=16, n_t=8)

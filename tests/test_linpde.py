@@ -60,6 +60,20 @@ class TestAssembly:
             errs.append(np.max(np.abs(fields.b_s[0] - b_s_exact)))
         assert errs[0] / errs[1] > 3.0
 
+    def test_every_slice_assembled_for_time_varying_coefficients(self):
+        # alpha2 agrees at t = 0, T/2 and T and differs in between: every
+        # slice of the frozen operator is its own assembly
+        grid = make_grid(n_s=40, n_y=24, n_t=40)
+        horizon = grid.horizon
+        spec = make_spec(grid, alpha2=lambda t, s, y:
+                         0.2 + 0.1 * np.sin(2 * np.pi * t / horizon) ** 2)
+        b_ref = spec.b_ref(grid)
+        fields = assemble_frozen(spec, grid, b_ref=b_ref)
+        for k in range(grid.n_t + 1):
+            expected = assemble_slice(spec, grid, k, 1 / b_ref**2, 1 / b_ref)
+            got = fields.slice(k)
+            assert all(np.array_equal(got[key], expected[key]) for key in expected), k
+
     def test_linearity_in_frozen_ratio(self):
         # swapping the frozen constant for a per-S-node ratio (the
         # time-lagged freeze) shifts a_ss by exactly rho11 alpha1^2 (ratio - 1)
@@ -84,7 +98,7 @@ class TestEllipticity:
         mk = lambda v: np.broadcast_to(v, shape)
         fields = CoefficientFields(a_ss=mk(0.5 * 0.04), a_sy=mk(0.0),
                                    a_yy=mk(0.5 * 0.09), b_s=mk(0.0),
-                                   b_y=mk(0.0), c=mk(0.0), time_constant=True)
+                                   b_y=mk(0.0), c=mk(0.0))
         assert ellipticity_constant(fields) == pytest.approx(0.02)
 
     def test_worked_example(self):
@@ -120,7 +134,7 @@ class TestEllipticity:
         with pytest.raises(NonElliptic):
             CoefficientFields(a_ss=mk(0.02), a_sy=mk(np.sqrt(0.02 * 0.045)),
                               a_yy=mk(0.045), b_s=mk(0.0), b_y=mk(0.0),
-                              c=mk(0.0), time_constant=True)
+                              c=mk(0.0))
 
     def test_assembly_raises_non_elliptic_assembly(self):
         # alpha1 = 0 leaves the S diffusion at zero: K2 = 0
@@ -231,7 +245,7 @@ def mms_fields(grid):
     fsrc = np.empty(shape)
     for k, t in enumerate(grid.t_nodes):
         fsrc[k] = f_fn(t, s2, y2)
-    fields = CoefficientFields(**arrays, time_constant=True)
+    fields = CoefficientFields(**arrays)
     return fields, fsrc, v_fn
 
 
@@ -348,8 +362,7 @@ class TestStepAndSolve:
         shape = grid.shape
         mk = lambda v: np.broadcast_to(v, shape)
         fields = CoefficientFields(a_ss=mk(0.1), a_sy=mk(0.0), a_yy=mk(0.1),
-                                   b_s=mk(0.5), b_y=mk(-0.5), c=mk(0.2),
-                                   time_constant=True)
+                                   b_s=mk(0.5), b_y=mk(-0.5), c=mk(0.2))
         s = grid.s_nodes[:, None]
         y = grid.y_nodes[None, :]
         psi = 1.0 + np.sin(np.pi * s) * np.sin(np.pi * y)
