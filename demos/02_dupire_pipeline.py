@@ -35,7 +35,7 @@ for t in (0.375, 0.75, 1.25):
 # --- local volatility: d(sigma^2 T)/dT = 0.04 + 0.02 T ------------------------
 sigma_d = dupire_local_vol(surface, 0.0, grid)
 exact = np.sqrt(0.04 + 0.02 * grid.t_nodes)
-err = np.max(np.abs(sigma_d.values - exact[:, None]))
+err = np.max(np.abs(sigma_d - exact[:, None]))
 print(f"\nlocal vol vs closed-form time derivative: max |err| = {err:.2e}")
 
 # --- forward density vs the lognormal family ----------------------------------

@@ -20,12 +20,12 @@ from .holder import HolderNormEstimate, holder_norm
 from .linpde import (CoefficientFields, LinearSolveReport, assemble_frozen,
                      assemble_slice, ellipticity_constant, solve_linear,
                      supnorm_time_bound)
-from .market import (ImpliedSurface, LocalVolSurface, OptionQuote,
-                     build_implied_surface, dupire_forward_solve,
-                     dupire_local_vol, fv_mass, load_quotes)
+from .market import (ImpliedSurface, OptionQuote, build_implied_surface,
+                     dupire_forward_solve, dupire_local_vol, fv_mass,
+                     load_quotes)
 from .mixing import (GapRecord, MixingField, leverage, marginal, mixing_ratio,
                      ratio_gap_monitor)
-from .model import (CorrelationMatrix, DensityField, ModelSpec, SpotAmplitude,
+from .model import (CorrelationMatrix, ModelSpec, SpotAmplitude,
                     ValidationReport, compatibility_residual,
                     convert_correlation, grid_mass, measured_bsq_slope,
                     smoothed_dirac, validate_model)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .pipeline import RunConfig, run_pipeline
@@ -14,7 +15,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "to vanilla quotes by solving the joint forward equation.")
     p.add_argument("--config", required=True, help="path to the run configuration")
     p.add_argument("--output-dir", default=None,
-                   help="override paths.output_dir from the config")
+                   help="override paths.output_dir from the config "
+                        "(relative to the working directory)")
     p.add_argument("--mode", choices=["fixed-point", "time-lagged"], default=None,
                    help="override fp.mode from the config")
     p.add_argument("--verify", action="store_true", default=None,
@@ -31,8 +33,15 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    return run_pipeline(config, output_dir=args.output_dir, mode=args.mode,
-                        verify=args.verify, snapshot_every=args.snapshot_every)
+    # the flags replace their config keys; a relative output directory is
+    # taken from the working directory, not from the config's
+    out_dir = os.path.abspath(args.output_dir) if args.output_dir else None
+    flags = {"paths.output_dir": out_dir, "fp.mode": args.mode,
+             "run.verify": args.verify, "run.snapshot_every": args.snapshot_every}
+    for key, val in flags.items():
+        if val is not None:
+            config.values[key] = str(val)
+    return run_pipeline(config)
 
 
 if __name__ == "__main__":

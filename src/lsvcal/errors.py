@@ -77,8 +77,8 @@ class DensityBoundViolation(CalibrationError):
 class MembershipLost(CalibrationError):
     """An iterate left the admissible set (pointwise bounds or norm cap).
 
-    Carries the iteration index, the running report and the offending field
-    so callers can still persist artifacts.
+    Carries the iteration index, the running report and the offending
+    trajectory so callers can still persist artifacts.
     """
 
     def __init__(self, iteration, report=None, density=None):

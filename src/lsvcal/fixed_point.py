@@ -23,8 +23,7 @@ from .holder import holder_norm
 from .linpde import (CoefficientFields, assemble_frozen, assemble_slice,
                      solve_linear, stencil, step_slices)
 from .mixing import mixing_ratio, ratio_gap_monitor
-from .model import (DensityField, ModelSpec, measured_bsq_slope,
-                    operator_coefficients)
+from .model import ModelSpec, measured_bsq_slope, operator_coefficients
 
 
 @dataclass
@@ -190,14 +189,16 @@ def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
 
 
 def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
-              psi: np.ndarray | None = None, b_ref: float | None = None,
+              psi: np.ndarray | None = None,
               frozen: CoefficientFields | None = None,
               products: tuple | None = None, cross_iterations: int = 1) -> tuple:
     """One application of the calibration map: freeze, source, linear solve.
 
     ``u`` is a trajectory over the current horizon; the result carries the
-    same boundary template.  Heavy pieces (frozen operator, coefficient
-    products) may be passed in to amortize across iterations.
+    same boundary template.  The source is built around ``frozen.b_ref``,
+    the anchor of the frozen operator; without ``frozen``, the operator is
+    assembled here at ``spec.b_ref(grid)``.  Heavy pieces (frozen operator,
+    coefficient products) may be passed in to amortize across iterations.
 
     Returns:
         (trajectory, LinearSolveReport) of the linear solve.
@@ -205,18 +206,11 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
     u = np.asarray(u, dtype=float)
     if psi is None:
         psi = u[0]
-    if b_ref is None:
-        b_ref = spec.b_ref(grid)
     if frozen is None:
-        frozen = assemble_frozen(spec, grid, b_ref=b_ref)
-    f = build_rhs(u, spec, b_ref, grid, products=products)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+    f = build_rhs(u, spec, frozen.b_ref, grid, products=products)
     return solve_linear(frozen, psi, grid, f=f, n_steps=u.shape[0] - 1,
                         cross_iterations=cross_iterations)
-
-
-def _as_density(values, psi) -> DensityField:
-    return DensityField(values=values, psi=psi,
-                        p_lo=float(psi.min()), p_hi=float(psi.max()))
 
 
 def _horizon_steps(t_star: float, grid: GridSpec) -> int:
@@ -225,36 +219,37 @@ def _horizon_steps(t_star: float, grid: GridSpec) -> int:
 
 def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             params: IterateBounds | None = None, max_iter: int = 50,
-            b_ref_mode: str = "center", cross_iterations: int = 1,
+            cross_iterations: int = 1,
             frozen: CoefficientFields | None = None) -> tuple:
     """Run the fixed-point construction from the constant-in-time start.
 
-    ``frozen``, the ``assemble_frozen`` result for this grid and b_ref,
-    serves every horizon attempt of a run; without it, it is assembled here.
+    ``frozen``, the ``assemble_frozen`` result for this grid, serves every
+    horizon attempt of a run and carries the only freeze anchor,
+    ``frozen.b_ref``; without it, it is assembled here at ``spec.b_ref(grid)``.
 
-    Returns (DensityField, FixedPointReport) on convergence.
+    Returns (trajectory, FixedPointReport) on convergence; the trajectory
+    has shape (k*+1, n_s+2, n_y+2).
 
     Raises:
-        ValueError: ``frozen`` was built for another b_ref or grid.
+        ValueError: ``frozen`` was built for another grid.
         MembershipLost: an iterate left the admissible set (the exception
-            carries the report and the offending field).
+            carries the report and the offending trajectory).
         NotConverged: the iteration budget ran out.
     """
     psi = np.asarray(psi, dtype=float)
     if params is None:
         params = IterateBounds.from_initial(psi, grid)
-    b_ref = spec.b_ref(grid, mode=b_ref_mode, psi=psi)
     if frozen is None:
-        frozen = assemble_frozen(spec, grid, b_ref=b_ref)
-    elif (frozen.b_ref, frozen.grid) != (b_ref, grid):
-        raise ValueError(f"frozen operator does not match b_ref {b_ref} and this grid")
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+    elif frozen.grid != grid:
+        raise ValueError("frozen operator does not match this grid")
     k_star = _horizon_steps(params.t_star, grid)
     bsq_slope = measured_bsq_slope(spec, grid)
 
     products = _unit_products(spec, grid, k_star + 1)
 
     def calibration_map(u):
-        return apply_map(u, spec, grid, psi=psi, b_ref=b_ref, frozen=frozen,
+        return apply_map(u, spec, grid, psi=psi, frozen=frozen,
                          products=products, cross_iterations=cross_iterations)
 
     report = FixedPointReport(t_star=k_star * grid.dt, tol=params.tol)
@@ -269,7 +264,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         report.norms.append(mem.norm_value)
         report.membership.append(mem.as_dict())
         try:
-            rec = ratio_gap_monitor(v, spec.b, b_ref, grid, bsq_slope,
+            rec = ratio_gap_monitor(v, spec.b, frozen.b_ref, grid, bsq_slope,
                                     p_floor=params.p_lo if mem.lower_ok else None,
                                     p_norm=mem.norm_value)
             report.gap_records.append(rec.as_dict())
@@ -279,7 +274,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         report.iterations = n
         if not mem.ok:
             report.fit_contraction()
-            raise MembershipLost(n, report=report, density=_as_density(v, psi))
+            raise MembershipLost(n, report=report, density=v)
         p = v
         if resid <= params.tol:
             report.converged = True
@@ -287,13 +282,13 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
 
     report.fit_contraction()
     if not report.converged:
-        raise NotConverged(report=report, density=_as_density(p, psi))
+        raise NotConverged(report=report, density=p)
 
     # defining property of the solution: one more map application moves it
     # by no more than the stopping tolerance's scale
     v, _ = calibration_map(p)
     report.fixed_point_residual = float(np.max(np.abs(v - p)))
-    return _as_density(p, psi), report
+    return p, report
 
 
 def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
@@ -304,15 +299,14 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     Runs the construction at the current horizon first; a run that succeeds
     immediately returns the parameters unchanged.  Returns parameters whose
     ``t_star`` produced a convergent run.  ``kwargs`` go to every
-    ``iterate`` attempt; one ``frozen`` operator serves them all, assembled
-    here when none is among them.
+    ``iterate`` attempt; one ``frozen`` operator, with its anchor, serves
+    them all, assembled here at ``spec.b_ref(grid)`` when none is among them.
 
     Raises:
         HorizonExhausted: no horizon in the ladder worked.
     """
     if kwargs.get("frozen") is None:
-        b_ref = spec.b_ref(grid, mode=kwargs.get("b_ref_mode", "center"), psi=psi)
-        kwargs["frozen"] = assemble_frozen(spec, grid, b_ref=b_ref)
+        kwargs["frozen"] = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
     bounds = params
     last_err = None
     for _ in range(max_halvings + 1):
@@ -337,7 +331,8 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     pins the ratio to a constant (1.0 reproduces the plain local-volatility
     evolution and serves as the uncorrected baseline).
 
-    Returns (DensityField, report dict).
+    Returns (trajectory, report dict); the trajectory has shape
+    (n_t+1, n_s+2, n_y+2).
     """
     psi = np.asarray(psi, dtype=float)
     n = grid.n_t
@@ -361,4 +356,4 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     report = {"mode": "time-lagged", "n_steps": n, "t_star": n * grid.dt,
               "denominator_min": den_min if den_min < math.inf else None,
               "converged": True}
-    return _as_density(traj, psi), report
+    return traj, report

@@ -244,26 +244,13 @@ def build_implied_surface(quotes, spot: float,
     return surf
 
 
-@dataclass
-class LocalVolSurface:
-    """Dupire local volatility on the (t, S) grid, clamped to its band."""
-
-    values: np.ndarray           # (n_t+1, n_s+2)
-    floor: float = 1e-2
-    cap: float = 3.0
-
-    def __post_init__(self):
-        v = self.values
-        if np.any(v < self.floor - 1e-12) or np.any(v > self.cap + 1e-12):
-            raise ValueError("local volatility outside its clamp band")
-
-
 def dupire_local_vol(surface: ImpliedSurface, rate: float, grid: GridSpec,
-                     floor: float = 1e-2, cap: float = 3.0) -> LocalVolSurface:
+                     floor: float = 1e-2, cap: float = 3.0) -> np.ndarray:
     """Extract local volatility from the surface on the solver grid.
 
     The surface derivatives are centered differences with step 1e-3 in both
-    maturity and log-moneyness.
+    maturity and log-moneyness.  Returns sigma_D on the (t, S) nodes, shape
+    (n_t+1, n_s+2), clipped to ``[floor, cap]``.
 
     Raises:
         DegenerateSurface: Dupire denominator below 1e-6 (pre-clamp) on more
@@ -297,12 +284,13 @@ def dupire_local_vol(surface: ImpliedSurface, rate: float, grid: GridSpec,
     if n_bad > 0.05 * total:
         raise DegenerateSurface(
             f"Dupire denominator < 1e-6 on {n_bad}/{total} nodes")
-    return LocalVolSurface(values=out, floor=floor, cap=cap)
+    return out
 
 
 def dupire_forward_solve(sigma_d, rate: float, grid: GridSpec, q0: np.ndarray,
                          n_steps: int | None = None) -> np.ndarray:
-    """March the 1D forward equation for the spot marginal.
+    """March the 1D forward equation for the spot marginal under the local
+    volatility ``sigma_d`` of shape (n_t+1, n_s+2).
 
     Conservative finite volumes on the S-nodes (half cells at the walls),
     implicit Euler in time, donor-cell upwinding of the rate drift and
@@ -313,9 +301,7 @@ def dupire_forward_solve(sigma_d, rate: float, grid: GridSpec, q0: np.ndarray,
     Raises:
         StabilityFailure: NaNs or a negative-mass slice.
     """
-    vals = sigma_d.values if isinstance(sigma_d, LocalVolSurface) else np.asarray(sigma_d, dtype=float)
-    if vals.ndim == 1:
-        vals = np.broadcast_to(vals, (grid.n_t + 1, grid.n_s + 2))
+    vals = np.asarray(sigma_d, dtype=float)
     n = grid.n_t if n_steps is None else int(n_steps)
     s = grid.s_nodes
     ds, dt = grid.ds, grid.dt

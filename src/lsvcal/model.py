@@ -235,29 +235,6 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
 # densities
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DensityField:
-    """Space-time density with its boundary template and initial bounds."""
-
-    values: np.ndarray          # (k*+1, n_s+2, n_y+2)
-    psi: np.ndarray             # (n_s+2, n_y+2)
-    p_lo: float                 # inf psi
-    p_hi: float                 # sup psi
-
-    def check_boundary(self, atol: float = 0.0) -> bool:
-        v = self.values
-        ok = np.allclose(v[0], self.psi, atol=atol, rtol=0)
-        ok &= np.allclose(v[:, 0, :], self.psi[0, :], atol=atol, rtol=0)
-        ok &= np.allclose(v[:, -1, :], self.psi[-1, :], atol=atol, rtol=0)
-        ok &= np.allclose(v[:, :, 0], self.psi[:, 0], atol=atol, rtol=0)
-        ok &= np.allclose(v[:, :, -1], self.psi[:, -1], atol=atol, rtol=0)
-        return bool(ok)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0] - 1
-
-
 def grid_mass(psi: np.ndarray, grid: GridSpec) -> float:
     """2D trapezoid mass of a (S, y) slice."""
     ws = fd.trapezoid_weights(grid.n_s + 2, grid.ds)

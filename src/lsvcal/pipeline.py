@@ -31,9 +31,9 @@ from .market import (_bs_call, build_implied_surface, check_price_bounds,
                      dupire_forward_solve, dupire_local_vol,
                      implied_vol_from_price, load_quotes)
 from .mixing import b_values, leverage, marginal, mixing_ratio
-from .model import (DensityField, ModelSpec, SpotAmplitude,
-                    compatibility_residual, convert_correlation, grid_mass,
-                    smoothed_dirac, validate_model)
+from .model import (ModelSpec, SpotAmplitude, compatibility_residual,
+                    convert_correlation, grid_mass, smoothed_dirac,
+                    validate_model)
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +49,27 @@ def _table_fn(path):
     return fn
 
 
+_BUILTIN_FORMS = {
+    "const": "const:v", "exp": "exp", "exp_clamped": "exp_clamped:lo:hi",
+    "sqrt1p_sin": "sqrt1p_sin:s[:floor]", "cir": "cir:nu:floor",
+    "mean_revert": "mean_revert:kappa:theta", "table": "table:file.csv",
+}
+
+
 def builtin_y_function(spec_str: str, base_dir: str = "."):
-    """Resolve a named y-function: ``const:v``, ``exp``,
-    ``exp_clamped:lo:hi``, ``sqrt1p_sin:s``, ``cir:nu:floor``,
-    ``mean_revert:kappa:theta`` or ``table:file.csv``."""
-    parts = spec_str.strip().split(":")
-    name, args = parts[0], [p for p in parts[1:]]
+    """Resolve a named y-function written in one of the ``_BUILTIN_FORMS``.
+
+    Raises:
+        ValueError: unknown name, or an argument count the form rejects.
+    """
+    name, *args = spec_str.strip().split(":")
+    form = _BUILTIN_FORMS.get(name)
+    if form is None:
+        raise ValueError(f"unknown builtin {spec_str!r}")
+    # a form's colons count its arguments, its brackets the optional ones
+    n_max = form.count(":")
+    if not n_max - form.count("[") <= len(args) <= n_max:
+        raise ValueError(f"builtin {spec_str!r} does not have the form {form}")
     if name == "const":
         v = float(args[0])
         return lambda y: np.full_like(np.asarray(y, dtype=float), v)
@@ -73,9 +88,7 @@ def builtin_y_function(spec_str: str, base_dir: str = "."):
     if name == "mean_revert":
         kappa, theta = float(args[0]), float(args[1])
         return lambda y: kappa * (theta - np.asarray(y, dtype=float))
-    if name == "table":
-        return _table_fn(os.path.join(base_dir, args[0]))
-    raise ValueError(f"unknown builtin {spec_str!r}")
+    return _table_fn(os.path.join(base_dir, args[0]))      # table:file.csv
 
 
 def _as_txy(fn):
@@ -121,6 +134,9 @@ _DEFAULTS = {
     "verify.identity_tol": "1e-8",
 }
 
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
 _REQUIRED = ["paths.quotes", "grid.s_min", "grid.s_max", "grid.y_min",
              "grid.y_max", "grid.ns", "grid.ny", "grid.t", "grid.nt",
              "init.bandwidth_s", "init.bandwidth_y"]
@@ -155,7 +171,11 @@ class RunConfig:
     def get(self, key, cast=str):
         v = self.values[key]
         if cast is bool:
-            return str(v).strip().lower() in ("1", "true", "yes", "on")
+            word = str(v).strip().lower()
+            if word not in _BOOLEANS:
+                raise ValueError(f"{key} = {v!r} is not one of "
+                                 f"{'/'.join(_BOOLEANS)}")
+            return _BOOLEANS[word]
         return cast(v)
 
     def path(self, key) -> str:
@@ -218,22 +238,23 @@ class VerificationReport:
         }
 
 
-def verify_calibration(density: DensityField, sigma_d: np.ndarray,
+def verify_calibration(p: np.ndarray, sigma_d: np.ndarray,
                        q_p: np.ndarray, q_d: np.ndarray, lev: np.ndarray,
                        spec: ModelSpec, grid: GridSpec, snapshot_ks,
                        quotes=None, l1_tol: float = 1e-2, mass_tol: float = 5e-3,
                        identity_tol: float = 1e-8) -> VerificationReport:
     """Check the arrays a run wrote against the joint density.
 
-    ``q_p`` is the density's spot marginal, ``q_d`` the one-dimensional
-    forward solve from ``q_p[0]`` and ``lev`` the leverage surface, each over
-    the density's time slices.  Records the L1 marginal distance at each
-    index of ``snapshot_ks``, the mass drift of the density from its
-    discounted initial mass ``e^{-rt}``, the pointwise leverage identity
+    ``p`` is the density trajectory, shape (k*+1, n_s+2, n_y+2), and
+    ``sigma_d`` the local volatility on the (t, S) nodes.  ``q_p`` is the
+    density's spot marginal, ``q_d`` the one-dimensional forward solve from
+    ``q_p[0]`` and ``lev`` the leverage surface, each over the density's
+    time slices.  Records the L1 marginal distance at each index of
+    ``snapshot_ks``, the mass drift of the density from its discounted
+    initial mass ``e^{-rt}``, the pointwise leverage identity
     ``lev^2 E[b^2 | S] = sigma_d^2`` with ``E[b^2 | S]`` taken from the
     density, and (when quotes are given) repricing errors against them.
     """
-    p = density.values
     n_k = p.shape[0] - 1
     sig = sigma_d[:n_k + 1]
 
@@ -363,10 +384,11 @@ def read_density_bin(path) -> tuple:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def run_pipeline(config: RunConfig, output_dir: str | None = None,
-                 mode: str | None = None, verify: bool | None = None,
-                 snapshot_every: int | None = None, log=None) -> int:
+def run_pipeline(config: RunConfig, log=None) -> int:
     """Execute the full calibration; returns the process exit status.
+
+    Every setting comes from ``config``; ``log`` receives the progress and
+    error lines (standard error by default).
 
     0: converged and every enabled verification within tolerance.
     1: input/configuration error (no artifacts written).
@@ -406,7 +428,7 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
         gamma = config.get("model.gamma")
         spec = ModelSpec(
             b=b_fn,
-            alpha1=SpotAmplitude(sigma_d.values, b_fn, grid),
+            alpha1=SpotAmplitude(sigma_d, b_fn, grid),
             alpha2=alpha2,
             beta1=_as_txy(builtin_y_function(beta1, config.base_dir)) if beta1 else None,
             beta2=_as_txy(builtin_y_function(beta2, config.base_dir)) if beta2 else None,
@@ -427,29 +449,29 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
                 f"(accuracy is locally degraded near t = 0)")
 
         # the remaining settings, parsed before anything is written
-        mode = mode or config.get("fp.mode")
+        mode = config.get("fp.mode")
         if mode not in ("fixed-point", "time-lagged"):
             raise ValueError(f"unknown mode {mode!r}")
         bound_factors = {"cap_factor": config.get("fp.cap_factor", float),
                          "tol_factor": config.get("fp.tol_factor", float)}
         fp_kwargs = {"max_iter": config.get("fp.max_iter", int),
-                     "b_ref_mode": config.get("model.b_ref"),
                      "cross_iterations": config.get("fp.cross_iterations", int)}
-        b_ref = spec.b_ref(grid, mode=fp_kwargs["b_ref_mode"], psi=psi)
+        b_ref = spec.b_ref(grid, mode=config.get("model.b_ref"), psi=psi)
         auto_shrink = config.get("fp.auto_shrink", bool)
         max_halvings = config.get("fp.max_halvings", int)
-        do_verify = verify if verify is not None else config.get("run.verify", bool)
+        do_verify = config.get("run.verify", bool)
         verify_tols = {"l1_tol": config.get("verify.l1_tol", float),
                        "mass_tol": config.get("verify.mass_tol", float),
                        "identity_tol": config.get("verify.identity_tol", float)}
-        snap_every = snapshot_every if snapshot_every is not None \
-            else config.get("run.snapshot_every", int)
+        snap_every = config.get("run.snapshot_every", int)
         snap_format = config.get("run.snapshot_format")
+        if snap_format not in ("csv", "bin"):
+            raise ValueError(f"unknown snapshot format {snap_format!r}")
     except (CalibrationError, OSError, ValueError) as err:
         log(f"input error: {err}")
         return 1
 
-    out_dir = output_dir or config.path("paths.output_dir")
+    out_dir = config.path("paths.output_dir")
     os.makedirs(out_dir, exist_ok=True)
     if snap_every <= 0:
         snap_every = max(1, grid.n_t // 10)
@@ -468,7 +490,8 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
             fp_json = dict(lag_report)
         else:
             params = IterateBounds.from_initial(psi, grid, **bound_factors)
-            # one operator serves every attempt, built through iterate's binding
+            # one operator, carrying the anchor, serves every attempt; built
+            # through iterate's binding
             fp_kwargs["frozen"] = fixed_point.assemble_frozen(spec, grid, b_ref=b_ref)
             try:
                 density, fp_report = iterate(spec, grid, psi, params=params,
@@ -501,37 +524,36 @@ def run_pipeline(config: RunConfig, output_dir: str | None = None,
                   "corner_residual": corner_residual}
     if density is not None:
         try:
-            n_k = density.values.shape[0] - 1
+            n_k = density.shape[0] - 1
             ks = list(range(0, n_k + 1, snap_every))
             if ks[-1] != n_k:
                 ks.append(n_k)
 
             _write_csv(os.path.join(out_dir, "local_vol.csv"), "t,S,sigma_D",
-                       grid.t_nodes, grid.s_nodes, sigma_d.values)
+                       grid.t_nodes, grid.s_nodes, sigma_d)
 
-            q_p = marginal(density.values, grid)
-            q_d = dupire_forward_solve(sigma_d.values, rate, grid, q_p[0], n_steps=n_k)
+            q_p = marginal(density, grid)
+            q_d = dupire_forward_solve(sigma_d, rate, grid, q_p[0], n_steps=n_k)
             _write_csv(os.path.join(out_dir, "marginals.csv"), "t,S,q_p,q_D",
                        grid.t_nodes[ks], grid.s_nodes, q_p[ks], q_d[ks])
 
             for k in ks:
-                name = os.path.join(
-                    out_dir, f"density_{k}.{'bin' if snap_format == 'bin' else 'csv'}")
+                name = os.path.join(out_dir, f"density_{k}.{snap_format}")
                 if snap_format == "bin":
-                    _write_density_bin(name, density.values[k], grid)
+                    _write_density_bin(name, density[k], grid)
                 else:
                     _write_csv(name, "S,y,p", grid.s_nodes, grid.y_nodes,
-                               density.values[k])
+                               density[k])
 
             # last, as the mixing ratio of an escaped iterate can fail
-            mix = mixing_ratio(density.values, spec.b, grid)
-            lev = leverage(sigma_d.values[:n_k + 1], mix)
+            mix = mixing_ratio(density, spec.b, grid)
+            lev = leverage(sigma_d[:n_k + 1], mix)
             _write_csv(os.path.join(out_dir, "leverage.csv"), "t,S,a",
                        grid.t_nodes[:n_k + 1], grid.s_nodes, lev)
 
             if do_verify and status == 0:
                 ver = verify_calibration(
-                    density, sigma_d.values, q_p, q_d, lev, spec, grid,
+                    density, sigma_d, q_p, q_d, lev, spec, grid,
                     ks[1:] or [n_k], quotes=quotes, **verify_tols)
                 report_obj["verification"] = ver.as_json_dict()
                 if not ver.all_within_tolerance:

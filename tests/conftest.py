@@ -49,9 +49,8 @@ def make_psi(grid, spot0=100.0, y0=0.0, bw_s=16.0, bw_y=0.25, floor_rel=1e-6):
     return smoothed_dirac(spot0, y0, bw_s, bw_y, floor_rel * peak, grid)
 
 
-def verification_arrays(density, sigma, spec, grid):
-    """(q_p, q_d, leverage) of a density, as the pipeline writes them."""
-    p = density.values
+def verification_arrays(p, sigma, spec, grid):
+    """(q_p, q_d, leverage) of a density trajectory, as the pipeline writes them."""
     q_p = marginal(p, grid)
     q_d = dupire_forward_solve(sigma, spec.rate, grid, q_p[0], n_steps=p.shape[0] - 1)
     return q_p, q_d, leverage(sigma[:p.shape[0]], mixing_ratio(p, spec.b, grid))

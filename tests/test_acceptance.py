@@ -8,7 +8,6 @@ shared through module-scoped fixtures.
 import json
 import math
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,18 +15,15 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.stats import norm
 
-from lsvcal import (CrossTermCFL, GridSpec, IterateBounds, MembershipLost,
-                    NotConverged, OptionQuote, assemble_frozen,
-                    build_implied_surface, dupire_local_vol, iterate,
-                    mixing_ratio, ratio_gap_monitor, shrink_horizon,
-                    supnorm_time_bound, verify_calibration)
+from lsvcal import (GridSpec, IterateBounds, MembershipLost, NotConverged,
+                    OptionQuote, assemble_frozen, build_implied_surface,
+                    dupire_local_vol, iterate, mixing_ratio, ratio_gap_monitor,
+                    shrink_horizon, supnorm_time_bound, verify_calibration)
 from lsvcal.linpde import CoefficientFields, solve_linear
 from lsvcal.pipeline import RunConfig, run_pipeline
 
 from conftest import make_psi, make_spec, verification_arrays, write_flat_quotes
 from test_linpde import mms_error, mms_fields
-
-warnings.simplefilter("ignore", CrossTermCFL)
 
 BIG = dict(ns=200, ny=100, nt=200)
 
@@ -85,8 +81,9 @@ def local_vol_degenerate_run(tmp_path_factory):
     write_flat_quotes(root / "quotes.csv")
     (root / "run.cfg").write_text(CONFIG_BIG.format(**BIG))
     config = RunConfig.from_file(root / "run.cfg")
+    config.values["paths.output_dir"] = str(root / "out")
     t0 = time.perf_counter()
-    rc = run_pipeline(config, output_dir=str(root / "out"), log=lambda m: None)
+    rc = run_pipeline(config, log=lambda m: None)
     elapsed = time.perf_counter() - t0
     out = root / "out"
     return {
@@ -118,7 +115,7 @@ def calibration_run(scale):
     surface = build_implied_surface(quotes, spot=100.0, t_max=1.0)
     sigma_d = dupire_local_vol(surface, 0.0, grid)
     b = lambda y: np.clip(np.exp(np.asarray(y, dtype=float)), 0.5, 2.0)
-    spec = make_spec(grid, b=b, sigma=sigma_d.values, rho=-0.3,
+    spec = make_spec(grid, b=b, sigma=sigma_d, rho=-0.3,
                      beta2=lambda t, s, y: -4.0 * (y + 0.0 * s))
     psi = make_psi(grid, bw_s=10.0, bw_y=0.075)
     return grid, spec, sigma_d, psi
@@ -137,9 +134,9 @@ def exp_b_calibration():
         params = shrink_horizon(spec, grid, psi, params)
         dens, rep = iterate(spec, grid, psi, params=params)
     out["fine_elapsed"] = time.perf_counter() - t0
-    n_k = dens.values.shape[0] - 1
+    n_k = dens.shape[0] - 1
     ks = list(range(n_k // 5, n_k + 1, max(1, n_k // 5)))
-    sig = sigma_d.values
+    sig = sigma_d
     ver = verify_calibration(dens, sig, *verification_arrays(dens, sig, spec, grid),
                              spec, grid, ks)
     out.update(fine_grid=grid, fine_density=dens, fine_report=rep,
@@ -149,9 +146,9 @@ def exp_b_calibration():
     params_c = replace(IterateBounds.from_initial(psi_c, grid_c),
                        t_star=rep.t_star)
     dens_c, rep_c = iterate(spec_c, grid_c, psi_c, params=params_c)
-    n_kc = dens_c.values.shape[0] - 1
+    n_kc = dens_c.shape[0] - 1
     ks_c = list(range(max(1, n_kc // 5), n_kc + 1, max(1, n_kc // 5)))
-    sig_c = sigma_c.values
+    sig_c = sigma_c
     ver_c = verify_calibration(dens_c, sig_c,
                                *verification_arrays(dens_c, sig_c, spec_c, grid_c),
                                spec_c, grid_c, ks_c)
@@ -238,8 +235,7 @@ def test_criterion_03_fixed_point_contraction(contraction_run):
     dens_lag, _ = solve_lagged(contraction_run["spec"],
                                contraction_run["grid"],
                                contraction_run["psi"])
-    mode_gap = float(np.max(np.abs(contraction_run["density"].values
-                                   - dens_lag.values)))
+    mode_gap = float(np.max(np.abs(contraction_run["density"] - dens_lag)))
     assert mode_gap < 1e-2 * contraction_run["psi"].max()
     criterion(3, f"{len(rep.residuals)} iterations, contraction "
                  f"{rep.contraction:.2e}, R^2 {rep.r_squared:.4f}; "
@@ -293,7 +289,7 @@ def test_criterion_05_gap_monitor(contraction_run):
 
     # linearity of the gap norm in the perturbation size at the converged p
     grid = contraction_run["grid"]
-    p = contraction_run["density"].values
+    p = contraction_run["density"]
     lhs = {}
     for s in (1e-3, 1e-2):
         b = lambda y, s=s: np.sqrt(1.0 + s * np.sin(np.asarray(y, dtype=float)))
@@ -435,10 +431,9 @@ init.bandwidth_s = 20.0
 init.bandwidth_y = 0.25
 """)
     config = RunConfig.from_file(tmp_path / "run.cfg")
-    assert run_pipeline(config, output_dir=str(tmp_path / "a"),
-                        log=lambda m: None) == 0
-    assert run_pipeline(config, output_dir=str(tmp_path / "b"),
-                        log=lambda m: None) == 0
+    for out in ("a", "b"):
+        config.values["paths.output_dir"] = str(tmp_path / out)
+        assert run_pipeline(config, log=lambda m: None) == 0
     for name in ("leverage.csv", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()

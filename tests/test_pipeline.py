@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -116,6 +117,14 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin_y_function("warp:9")
 
+    @pytest.mark.parametrize("spec_str,form", [
+        ("const", "const:v"), ("exp_clamped:0.5", "exp_clamped:lo:hi"),
+        ("cir:1.0", "cir:nu:floor"), ("mean_revert:1.0", "mean_revert:kappa:theta"),
+        ("sqrt1p_sin", "sqrt1p_sin:s[:floor]"), ("exp:2", "exp")])
+    def test_wrong_argument_count_names_the_form(self, spec_str, form):
+        with pytest.raises(ValueError, match=f"form {re.escape(form)}$"):
+            builtin_y_function(spec_str)
+
 
 class TestExitCodes:
     def test_missing_quotes_no_artifacts(self, tmp_path):
@@ -231,11 +240,43 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra", ["fp.mode = bogus", "fp.max_iter = abc",
                                        "model.b_ref = centre",
-                                       "verify.l1_tol = tight"])
+                                       "verify.l1_tol = tight",
+                                       "run.verify = ture",
+                                       "run.snapshot_format = binary"])
     def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra):
         cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
         assert run_pipeline(cfg, log=lambda m: None) == 1
         assert not os.path.exists(tmp_path / "out")
+
+    def test_short_builtin_exits_one_naming_the_form(self, tmp_path):
+        cfg = RunConfig.from_file(write_config(tmp_path, b="const"))
+        logged = []
+        assert run_pipeline(cfg, log=logged.append) == 1
+        assert logged == ["input error: builtin 'const' does not have the form const:v"]
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_mean_anchor_reaches_the_operator(self, tmp_path, monkeypatch):
+        # model.b_ref = mean travels only inside the assembled operator
+        import lsvcal.fixed_point
+        import lsvcal.pipeline
+        seen = {}
+
+        def psi_spy(*args, real=lsvcal.pipeline.smoothed_dirac, **kwargs):
+            seen["psi"] = real(*args, **kwargs)
+            return seen["psi"]
+
+        def assemble_spy(spec, grid, b_ref, real=lsvcal.fixed_point.assemble_frozen):
+            seen.update(spec=spec, grid=grid, b_ref=b_ref)
+            return real(spec, grid, b_ref=b_ref)
+        monkeypatch.setattr(lsvcal.pipeline, "smoothed_dirac", psi_spy)
+        monkeypatch.setattr(lsvcal.fixed_point, "assemble_frozen", assemble_spy)
+        cfg = RunConfig.from_file(write_config(tmp_path, b="exp_clamped:0.5:2.0",
+                                               extra="model.b_ref = mean"))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        spec, grid = seen["spec"], seen["grid"]
+        assert seen["b_ref"] == spec.b_ref(grid, mode="mean", psi=seen["psi"])
+        assert seen["b_ref"] == pytest.approx(1.0636, abs=1e-4)
+        assert spec.b_ref(grid) == 1.0
 
     @pytest.mark.parametrize("target,err,mode,written", [
         ("lsvcal.fixed_point.solve_linear", StabilityFailure("NaNs"),
@@ -258,8 +299,8 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise err
         monkeypatch.setattr(target, fail)
-        cfg = RunConfig.from_file(write_config(tmp_path))
-        assert run_pipeline(cfg, mode=mode, log=lambda m: None) == 2
+        cfg = RunConfig.from_file(write_config(tmp_path, extra=f"fp.mode = {mode}"))
+        assert run_pipeline(cfg, log=lambda m: None) == 2
         out = tmp_path / "out"
         assert set(os.listdir(out)) == {"report.json", "run_meta.json"} | written
         rep = json.loads((out / "report.json").read_text())
@@ -296,20 +337,38 @@ class TestExitCodes:
              "marginals.csv"} | {f"density_{k}.csv" for k in (*range(0, 32, 3), 32)})
 
     def test_time_lagged_mode(self, tmp_path):
-        cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.05"))
-        rc = run_pipeline(cfg, mode="time-lagged", log=lambda m: None)
+        cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.05",
+                                               extra="fp.mode = time-lagged"))
+        rc = run_pipeline(cfg, log=lambda m: None)
         assert rc == 0
         fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
         assert fp["mode"] == "time-lagged"
 
 
+class TestCli:
+    def test_flags_replace_their_config_keys(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, extra="run.verify = false")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["--config", str(path), "--output-dir", "rel",
+                     "--mode", "time-lagged", "--snapshot-every", "6",
+                     "--verify"]) == 0
+        out = work / "rel"
+        assert not os.path.exists(tmp_path / "rel")
+        fp = json.loads((out / "fixed_point.json").read_text())
+        assert fp["mode"] == "time-lagged"
+        assert sorted(p.name for p in out.glob("density_*")) == sorted(
+            f"density_{k}.csv" for k in (0, 6, 12, 18, 24))
+        assert "verification" in json.loads((out / "report.json").read_text())
+
+
 class TestDeterminism:
     def test_byte_identical_artifacts(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.05"))
-        assert run_pipeline(cfg, output_dir=str(tmp_path / "o1"),
-                            log=lambda m: None) == 0
-        assert run_pipeline(cfg, output_dir=str(tmp_path / "o2"),
-                            log=lambda m: None) == 0
+        for out in ("o1", "o2"):
+            cfg.values["paths.output_dir"] = out
+            assert run_pipeline(cfg, log=lambda m: None) == 0
         for name in ("leverage.csv", "report.json", "fixed_point.json",
                      "marginals.csv"):
             b1 = (tmp_path / "o1" / name).read_bytes()
@@ -364,17 +423,17 @@ class TestCsvWriter:
 
 class TestSnapshots:
     def test_binary_roundtrip(self, tmp_path):
-        extra = "run.snapshot_format = bin"
+        extra = "run.snapshot_format = bin\nrun.snapshot_every = 12"
         cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
-        assert run_pipeline(cfg, snapshot_every=12, log=lambda m: None) == 0
+        assert run_pipeline(cfg, log=lambda m: None) == 0
         payload, meta = read_density_bin(tmp_path / "out" / "density_24.bin")
         assert payload.shape == (50, 30)
         assert meta["s_min"] == 30.0
         assert payload.min() > 0
 
     def test_snapshot_cadence(self, tmp_path):
-        cfg = RunConfig.from_file(write_config(tmp_path))
-        assert run_pipeline(cfg, snapshot_every=6, log=lambda m: None) == 0
+        cfg = RunConfig.from_file(write_config(tmp_path, extra="run.snapshot_every = 6"))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
         names = sorted(p.name for p in (tmp_path / "out").glob("density_*.csv"))
         assert names == [f"density_{k}.csv" for k in (0, 12, 18, 24, 6)]
 
@@ -422,7 +481,7 @@ class TestVerification:
         psi = make_psi(grid)
         dens, _ = iterate(spec, grid, psi)
         sigma = flat_sigma(grid)
-        n_k = dens.values.shape[0] - 1
+        n_k = dens.shape[0] - 1
         ks = list(range(n_k // 10, n_k + 1, n_k // 10))
         rep = verify_calibration(dens, sigma, *verification_arrays(dens, sigma, spec, grid),
                                  spec, grid, ks)
@@ -446,7 +505,7 @@ class TestVerification:
         q_d = dupire_forward_solve(sigma, 0.0, grid, q0)
 
         def l1_at_end(d):
-            q = marginal(d.values[-1], grid)
+            q = marginal(d[-1], grid)
             return float(np.sum(np.abs(q - q_d[-1])) * grid.ds)
 
         corrected = l1_at_end(dens)
