@@ -45,8 +45,8 @@ class IterateBounds:
     def __post_init__(self):
         if not 0 < self.p_lo <= self.p_hi:
             raise ValueError("density bounds must satisfy 0 < p_lo <= p_hi")
-        if self.t_star <= 0 or self.tol <= 0:
-            raise ValueError("horizon and tolerance must be positive")
+        if not (self.t_star > 0 and self.tol > 0 and self.holder_cap > 0):
+            raise ValueError("horizon, tolerance and norm cap must be positive")
 
     @classmethod
     def from_initial(cls, psi: np.ndarray, grid: GridSpec,
@@ -160,9 +160,33 @@ class FixedPointReport:
 def _unit_products(spec: ModelSpec, grid: GridSpec, n_k: int) -> tuple:
     """The operator's ``a_s`` and ``a_x`` at ratio = root = 1, i.e.
     rho11 a1^2 and 2 rho12 a1 a2, over n_k time slices."""
-    coeffs = (operator_coefficients(spec, grid, k, 1.0, 1.0) for k in range(n_k))
-    p1, p2 = zip(*((co["a_s"], co["a_x"]) for co in coeffs))
-    return np.array(p1), np.array(p2)
+    p1, p2 = (np.empty((n_k,) + grid.shape[1:]) for _ in range(2))
+    for k in range(n_k):
+        co = operator_coefficients(spec, grid, k, 1.0, 1.0)
+        p1[k], p2[k] = co["a_s"], co["a_x"]
+    return p1, p2
+
+
+def _source(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
+            products: tuple | None = None):
+    """The source of `build_rhs` as a function of the time index.
+
+    The mixing ratio is taken once, on the whole trajectory: its outputs
+    are (n_k, n_s+2) and its floor uses the trajectory-wide maximum
+    marginal.  Each call then builds one (n_s+2, n_y+2) source slice.
+    """
+    if products is None:
+        products = _unit_products(spec, grid, u.shape[0])
+    p1, p2 = products
+    mix = mixing_ratio(u, spec.b, grid)
+    gap_ratio = (mix.ratio - 1.0 / (b_ref * b_ref))[..., None]
+    gap_root = (mix.sqrt_ratio - 1.0 / b_ref)[..., None]
+
+    def source_slice(k: int) -> np.ndarray:
+        f = fd.second_diff_interior(p1[k] * gap_ratio[k] * u[k], grid.ds, axis=-2)
+        f += fd.cross_diff_interior(p2[k] * gap_root[k] * u[k], grid.ds, grid.dy)
+        return f
+    return source_slice
 
 
 def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
@@ -172,19 +196,14 @@ def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
     Computes ``d2_S[rho11 a1^2 (ratio - 1/b_ref^2) u]
     + d2_Sy[2 rho12 a1 a2 (sqrt(ratio) - 1/b_ref) u]`` with centered second
     differences on interior nodes.  Identically zero when b is constant.
+    This is the whole-trajectory view of the source; `apply_map` hands the
+    same slices to the linear solve one step at a time.
     """
     u = np.asarray(u, dtype=float)
-    n_k = u.shape[0]
-    if products is None:
-        products = _unit_products(spec, grid, n_k)
-    p1, p2 = products[0][:n_k], products[1][:n_k]
-
-    mix = mixing_ratio(u, spec.b, grid)
-    gap_ratio = (mix.ratio - 1.0 / (b_ref * b_ref))[..., None]
-    gap_root = (mix.sqrt_ratio - 1.0 / b_ref)[..., None]
-
-    f = fd.second_diff_interior(p1 * gap_ratio * u, grid.ds, axis=-2)
-    f += fd.cross_diff_interior(p2 * gap_root * u, grid.ds, grid.dy)
+    source_slice = _source(u, spec, b_ref, grid, products)
+    f = np.empty(u.shape)
+    for k in range(u.shape[0]):
+        f[k] = source_slice(k)
     return f
 
 
@@ -199,6 +218,8 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
     the anchor of the frozen operator; without ``frozen``, the operator is
     assembled here at ``spec.b_ref(grid)``.  Heavy pieces (frozen operator,
     coefficient products) may be passed in to amortize across iterations.
+    The source reaches the linear solve slice by slice, so no source field
+    of the whole trajectory is built.
 
     Returns:
         (trajectory, LinearSolveReport) of the linear solve.
@@ -208,9 +229,15 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
         psi = u[0]
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
-    f = build_rhs(u, spec, frozen.b_ref, grid, products=products)
-    return solve_linear(frozen, psi, grid, f=f, n_steps=u.shape[0] - 1,
+    return solve_linear(frozen, psi, grid,
+                        f=_source(u, spec, frozen.b_ref, grid, products),
+                        n_steps=u.shape[0] - 1,
                         cross_iterations=cross_iterations)
+
+
+def _sup_diff(v: np.ndarray, p: np.ndarray) -> float:
+    """max|v - p| over two trajectories, one time slice at a time."""
+    return float(np.max([np.max(np.abs(a - b)) for a, b in zip(v, p)]))
 
 
 def _horizon_steps(t_star: float, grid: GridSpec) -> int:
@@ -258,7 +285,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     for n in range(1, max_iter + 1):
         v, solve_rep = calibration_map(p)
         report.solver_residual = max(report.solver_residual, solve_rep.max_residual)
-        resid = float(np.max(np.abs(v - p)))
+        resid = _sup_diff(v, p)
         mem = check_membership(v, params, grid)
         report.residuals.append(resid)
         report.norms.append(mem.norm_value)
@@ -287,7 +314,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     # defining property of the solution: one more map application moves it
     # by no more than the stopping tolerance's scale
     v, _ = calibration_map(p)
-    report.fixed_point_residual = float(np.max(np.abs(v - p)))
+    report.fixed_point_residual = _sup_diff(v, p)
     return p, report
 
 

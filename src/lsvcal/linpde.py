@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,12 +304,17 @@ def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
 
 
 def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
-                 f: np.ndarray | None = None, n_steps: int | None = None,
+                 f: np.ndarray | Callable[[int], np.ndarray] | None = None,
+                 n_steps: int | None = None,
                  collect_residual: bool = True, cross_iterations: int = 1) -> tuple:
     """Solve the frozen equation over [0, n_steps * dt] from and with psi.
 
     ``psi`` provides both the initial slice and (through its boundary trace,
-    held constant in time) the lateral Dirichlet data.
+    held constant in time) the lateral Dirichlet data.  The source ``f`` is
+    an array over the time slices or a function of the slice index that
+    returns one slice.  Either way it is taken per step: slice k+1 is built
+    for step k and carried into step k+1 as slice k, like the stencil, so a
+    source function never has more than two slices alive.
 
     Returns:
         (trajectory (n_steps+1, n_s+2, n_y+2), LinearSolveReport)
@@ -316,18 +322,20 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     n = grid.n_t if n_steps is None else int(n_steps)
     if not 1 <= n <= grid.n_t:
         raise ValueError(f"step count {n} outside [1, {grid.n_t}]")
+    source = f if f is None or callable(f) else f.__getitem__
     traj = np.empty((n + 1, grid.n_s + 2, grid.n_y + 2))
     traj[0] = psi
     u = np.array(psi, dtype=float)
     max_res = 0.0
     hs = (grid.ds, grid.dy)
     st1 = stencil(fields.slice(0), hs)
+    f1 = None if source is None else source(0)
     for k in range(n):
-        # slice k+1's stencil serves step k and, as slice k, step k+1
+        # slice k+1's stencil and source serve step k and, as slice k,
+        # step k+1
         st0, st1 = st1, stencil(fields.slice(k + 1), hs)
-        u, res = step_slices(st0, st1, u, grid,
-                             f0=None if f is None else f[k],
-                             f1=None if f is None else f[k + 1],
+        f0, f1 = f1, None if source is None else source(k + 1)
+        u, res = step_slices(st0, st1, u, grid, f0=f0, f1=f1,
                              collect_residual=collect_residual,
                              cross_iterations=cross_iterations)
         max_res = max(max_res, res)

@@ -168,7 +168,8 @@ class RunConfig:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
         return cls(values=values, base_dir=os.path.dirname(os.path.abspath(path)))
 
-    def get(self, key, cast=str):
+    def get(self, key, cast=str, minimum=None):
+        """The value of ``key`` as ``cast``; below ``minimum`` is an error."""
         v = self.values[key]
         if cast is bool:
             word = str(v).strip().lower()
@@ -176,7 +177,10 @@ class RunConfig:
                 raise ValueError(f"{key} = {v!r} is not one of "
                                  f"{'/'.join(_BOOLEANS)}")
             return _BOOLEANS[word]
-        return cast(v)
+        value = cast(v)
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{key} = {v!r} is below {minimum}")
+        return value
 
     def path(self, key) -> str:
         return os.path.join(self.base_dir, self.get(key))
@@ -454,16 +458,19 @@ def run_pipeline(config: RunConfig, log=None) -> int:
             raise ValueError(f"unknown mode {mode!r}")
         bound_factors = {"cap_factor": config.get("fp.cap_factor", float),
                          "tol_factor": config.get("fp.tol_factor", float)}
-        fp_kwargs = {"max_iter": config.get("fp.max_iter", int),
-                     "cross_iterations": config.get("fp.cross_iterations", int)}
+        params = (IterateBounds.from_initial(psi, grid, **bound_factors)
+                  if mode == "fixed-point" else None)
+        fp_kwargs = {"max_iter": config.get("fp.max_iter", int, minimum=1),
+                     "cross_iterations": config.get("fp.cross_iterations", int,
+                                                    minimum=1)}
         b_ref = spec.b_ref(grid, mode=config.get("model.b_ref"), psi=psi)
         auto_shrink = config.get("fp.auto_shrink", bool)
-        max_halvings = config.get("fp.max_halvings", int)
+        max_halvings = config.get("fp.max_halvings", int, minimum=0)
         do_verify = config.get("run.verify", bool)
         verify_tols = {"l1_tol": config.get("verify.l1_tol", float),
                        "mass_tol": config.get("verify.mass_tol", float),
                        "identity_tol": config.get("verify.identity_tol", float)}
-        snap_every = config.get("run.snapshot_every", int)
+        snap_every = config.get("run.snapshot_every", int, minimum=0)
         snap_format = config.get("run.snapshot_format")
         if snap_format not in ("csv", "bin"):
             raise ValueError(f"unknown snapshot format {snap_format!r}")
@@ -473,7 +480,7 @@ def run_pipeline(config: RunConfig, log=None) -> int:
 
     out_dir = config.path("paths.output_dir")
     os.makedirs(out_dir, exist_ok=True)
-    if snap_every <= 0:
+    if snap_every == 0:
         snap_every = max(1, grid.n_t // 10)
 
     # ---- stage 2: solve ----
@@ -489,7 +496,6 @@ def run_pipeline(config: RunConfig, log=None) -> int:
             density, lag_report = solve_lagged(spec, grid, psi)
             fp_json = dict(lag_report)
         else:
-            params = IterateBounds.from_initial(psi, grid, **bound_factors)
             # one operator, carrying the anchor, serves every attempt; built
             # through iterate's binding
             fp_kwargs["frozen"] = fixed_point.assemble_frozen(spec, grid, b_ref=b_ref)

@@ -33,6 +33,8 @@ class TestIterateBounds:
             IterateBounds(holder_cap=1.0, p_lo=0.0, p_hi=1.0, t_star=1.0, tol=1e-8)
         with pytest.raises(ValueError):
             IterateBounds(holder_cap=1.0, p_lo=0.1, p_hi=1.0, t_star=-1.0, tol=1e-8)
+        with pytest.raises(ValueError):
+            IterateBounds(holder_cap=0.0, p_lo=0.1, p_hi=1.0, t_star=1.0, tol=1e-8)
 
 
 class TestBuildRhs:
@@ -111,6 +113,48 @@ class TestApplyMap:
         d_full = np.max(np.abs(v_full - psi))
         d_half = np.max(np.abs(v_half - psi))
         assert 0.35 <= d_half / d_full <= 0.65
+
+    def test_streamed_source_equals_whole_field_source(self):
+        # the map builds its source slice by slice; the solve sees the
+        # same bits as with the build_rhs field
+        grid = make_grid(n_s=32, n_y=20, n_t=12)
+        spec = make_spec(grid, b=b_perturbed(0.3), rho=-0.4)
+        psi = make_psi(grid)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+        u = apply_map(traj_of(psi, grid), spec, grid, frozen=frozen)[0]
+        v, _ = apply_map(u, spec, grid, frozen=frozen)
+        f = build_rhs(u, spec, frozen.b_ref, grid)
+        assert np.array_equal(v, solve_linear(frozen, psi, grid, f=f)[0])
+
+    def test_one_pass_allocates_little_beyond_its_iterate(self, monkeypatch):
+        # one map application, its successive difference and its membership
+        # check hold the new iterate plus per-slice and per-slab scratch;
+        # each whole-trajectory temporary would add one trajectory here.  A
+        # time step's scratch is about 60 slices, so 160 steps keep it
+        # below 0.4 of a trajectory
+        import tracemalloc
+        from lsvcal import fixed_point, holder
+        grid = make_grid(n_s=32, n_y=20, n_t=160)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        psi = make_psi(grid)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+        products = fixed_point._unit_products(spec, grid, grid.n_t + 1)
+        params = IterateBounds.from_initial(psi, grid)
+        u = traj_of(psi, grid)
+        # the slab budget is a byte count, not a share of the trajectory,
+        # so it shrinks with the grid
+        monkeypatch.setattr(holder, "_SLAB_BYTES", 4 * psi.nbytes)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            v, _ = apply_map(u, spec, grid, psi=psi, frozen=frozen,
+                             products=products)
+            fixed_point._sup_diff(v, u)
+            check_membership(v, params, grid)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u.nbytes
 
 
 class TestMembership:

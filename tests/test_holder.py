@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lsvcal import holder, holder_norm
+from lsvcal import fd, holder, holder_norm
 from lsvcal.holder import HolderNormEstimate
 
 from conftest import make_grid
@@ -201,9 +201,59 @@ class TestSlabBlocking:
 
     @pytest.mark.parametrize("n_t", [1, 2, 3, 17])
     def test_default_slab_matches_unblocked(self, n_t):
-        # a time slice of 40 kB gives slabs of 6, so n_t = 17 ends mid-slab
+        # a time slice of 40 kB gives slabs of 13, so n_t = 17 ends mid-slab
         rng = np.random.default_rng(n_t)
         u = rng.standard_normal((n_t, 100, 50))
         dt, hs = 0.01, (3.0, 0.02)
         ref = unblocked_base_norm(u, "tSy", dt, hs, 0.5)
         assert holder._base_norm(u, "tSy", dt, hs, 0.5) == ref
+
+
+def whole_field_holder_norm(u, k, h_exp, grid, kind):
+    """(value, derivative parts) of the order-(k+h) norm with every
+    derivative built over the whole field (oracle)."""
+    dt, hs = holder._spacings(grid, kind)
+    has_time = holder._HAS_TIME[kind]
+    ax0 = 1 if has_time else 0
+    named = list(zip("Sy", hs, range(ax0, ax0 + len(hs))))
+    derivs = []
+    if k >= 1:
+        derivs += [(f"d{n}", fd.d1(u, h, axis=ax)) for n, h, ax in named]
+    if k >= 2:
+        derivs += [(f"d{n}{n}", fd.d2(u, h, axis=ax)) for n, h, ax in named]
+        if len(hs) == 2:
+            derivs.append(("dSy", fd.d2_cross(u, *hs)))
+    if k >= 1 and has_time:
+        derivs.append(("dt", fd.d1(u, dt, axis=0)))
+    sup, quot = unblocked_base_norm(u, kind, dt, hs, h_exp)
+    value = sup + quot
+    parts = {}
+    for name, f in derivs:
+        s, q = unblocked_base_norm(f, kind, dt, hs, h_exp)
+        parts[name] = float(s + q)
+        value += s + q
+    return float(value), parts
+
+
+class TestSlabDerivatives:
+    @pytest.mark.parametrize("one_slice_slabs", [True, False])
+    @pytest.mark.parametrize("n_times", [1, 2, 3, 4, 9])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_slab_derivatives_equal_whole_field(self, n_times, one_slice_slabs,
+                                                data):
+        # derivatives taken slab by slab, time derivative included, give the
+        # norm of the whole-field derivatives bit for bit; n_times 1-3 cover
+        # the zero, first-order and shortest second-order time derivative
+        kind = data.draw(st.sampled_from(["tSy", "tS"]))
+        shape = (n_times,) + tuple(data.draw(st.integers(0, 6))
+                                   for _ in range(holder._N_SPACE[kind]))
+        u = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+        k = data.draw(st.sampled_from([0, 1, 2]))
+        h_exp = data.draw(st.sampled_from([0.3, 0.5, 0.9]))
+        grid = make_grid(n_s=20, n_y=10, n_t=8)
+        slab = 1 if one_slice_slabs else holder._SLAB_BYTES
+        with mock.patch.object(holder, "_SLAB_BYTES", slab):
+            est = holder_norm(u, k, h_exp, grid, kind=kind)
+        assert (est.value, est.derivative_parts) == \
+            whole_field_holder_norm(u, k, h_exp, grid, kind)

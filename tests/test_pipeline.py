@@ -242,7 +242,13 @@ class TestExitCodes:
                                        "model.b_ref = centre",
                                        "verify.l1_tol = tight",
                                        "run.verify = ture",
-                                       "run.snapshot_format = binary"])
+                                       "run.snapshot_format = binary",
+                                       "fp.tol_factor = 0", "fp.cap_factor = 0",
+                                       "fp.cap_factor = -1.5",
+                                       "run.snapshot_every = -1",
+                                       "fp.cross_iterations = 0",
+                                       "fp.max_iter = 0",
+                                       "fp.max_halvings = -1"])
     def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra):
         cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
         assert run_pipeline(cfg, log=lambda m: None) == 1
