@@ -7,14 +7,11 @@ term, and the time-scaled sup-norm bound for zero boundary data, whose
 long-time level is the Poisson equilibrium of the domain.
 """
 import math
-import warnings
 
 import numpy as np
 
-from lsvcal import (CrossTermCFL, GridSpec, ModelSpec, assemble_frozen,
-                    convert_correlation, solve_linear, supnorm_time_bound)
-
-warnings.simplefilter("ignore", CrossTermCFL)
+from lsvcal import (GridSpec, ModelSpec, assemble_frozen, convert_correlation,
+                    solve_linear, supnorm_time_bound)
 
 print("=" * 70)
 print("  03 - frozen linear solver diagnostics")

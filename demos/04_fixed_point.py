@@ -6,15 +6,11 @@ degeneracy when the volatility transform is constant, geometric contraction
 for a small perturbation, and loss of admissibility for large ones with
 recovery by shrinking the horizon.
 """
-import warnings
-
 import numpy as np
 
-from lsvcal import (CrossTermCFL, GridSpec, IterateBounds, MembershipLost,
-                    ModelSpec, NotConverged, SpotAmplitude, assemble_frozen,
+from lsvcal import (GridSpec, IterateBounds, MembershipLost, ModelSpec,
+                    NotConverged, SpotAmplitude, assemble_frozen,
                     convert_correlation, iterate, shrink_horizon, smoothed_dirac)
-
-warnings.simplefilter("ignore", CrossTermCFL)
 
 print("=" * 70)
 print("  04 - fixed-point construction")

@@ -13,7 +13,7 @@ from .errors import (ArbitrageWarning, BandwidthTooSmall, CalendarArbitrage,
                      MembershipLost, NonElliptic, NonEllipticAssembly,
                      NotConverged, OutOfRange, ParseError, StabilityFailure)
 from .fixed_point import (FixedPointReport, IterateBounds, MembershipResult,
-                          apply_map, build_rhs, check_membership, iterate,
+                          apply_map, check_membership, iterate,
                           shrink_horizon, solve_lagged)
 from .grids import GridSpec
 from .holder import HolderNormEstimate, holder_norm

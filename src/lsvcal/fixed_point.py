@@ -23,7 +23,7 @@ from .holder import holder_norm
 from .linpde import (CoefficientFields, assemble_frozen, assemble_slice,
                      solve_linear, stencil, step_slices)
 from .mixing import mixing_ratio, ratio_gap_monitor
-from .model import ModelSpec, measured_bsq_slope, operator_coefficients
+from .model import ModelSpec, measured_bsq_slope
 
 
 @dataclass
@@ -157,69 +157,38 @@ class FixedPointReport:
         }
 
 
-def _unit_products(spec: ModelSpec, grid: GridSpec, n_k: int) -> tuple:
-    """The operator's ``a_s`` and ``a_x`` at ratio = root = 1, i.e.
-    rho11 a1^2 and 2 rho12 a1 a2, over n_k time slices."""
-    p1, p2 = (np.empty((n_k,) + grid.shape[1:]) for _ in range(2))
-    for k in range(n_k):
-        co = operator_coefficients(spec, grid, k, 1.0, 1.0)
-        p1[k], p2[k] = co["a_s"], co["a_x"]
-    return p1, p2
+def _source(u: np.ndarray, spec: ModelSpec, frozen: CoefficientFields,
+            grid: GridSpec):
+    """The source ``d2_S[a_s (ratio - 1/b_ref^2) u]
+    + d2_Sy[a_x (sqrt(ratio) - 1/b_ref) u]`` as a function of the time index.
 
-
-def _source(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
-            products: tuple | None = None):
-    """The source of `build_rhs` as a function of the time index.
-
-    The mixing ratio is taken once, on the whole trajectory: its outputs
-    are (n_k, n_s+2) and its floor uses the trajectory-wide maximum
-    marginal.  Each call then builds one (n_s+2, n_y+2) source slice.
+    ``a_s``, ``a_x`` and ``b_ref`` are the frozen operator's; the centered
+    differences cover interior nodes, and b constant gives exact zeros.  The
+    mixing ratio is taken once, on the whole trajectory (its floor uses the
+    trajectory-wide maximum marginal); each call builds one source slice.
     """
-    if products is None:
-        products = _unit_products(spec, grid, u.shape[0])
-    p1, p2 = products
     mix = mixing_ratio(u, spec.b, grid)
-    gap_ratio = (mix.ratio - 1.0 / (b_ref * b_ref))[..., None]
-    gap_root = (mix.sqrt_ratio - 1.0 / b_ref)[..., None]
+    gap_ratio = (mix.ratio - 1.0 / (frozen.b_ref * frozen.b_ref))[..., None]
+    gap_root = (mix.sqrt_ratio - 1.0 / frozen.b_ref)[..., None]
 
     def source_slice(k: int) -> np.ndarray:
-        f = fd.second_diff_interior(p1[k] * gap_ratio[k] * u[k], grid.ds, axis=-2)
-        f += fd.cross_diff_interior(p2[k] * gap_root[k] * u[k], grid.ds, grid.dy)
+        f = fd.second_diff_interior(frozen.a_s[k] * gap_ratio[k] * u[k], grid.ds, axis=-2)
+        f += fd.cross_diff_interior(frozen.a_x[k] * gap_root[k] * u[k], grid.ds, grid.dy)
         return f
     return source_slice
-
-
-def build_rhs(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec,
-              products: tuple | None = None) -> np.ndarray:
-    """Source field from the gap between the live ratio and its freeze.
-
-    Computes ``d2_S[rho11 a1^2 (ratio - 1/b_ref^2) u]
-    + d2_Sy[2 rho12 a1 a2 (sqrt(ratio) - 1/b_ref) u]`` with centered second
-    differences on interior nodes.  Identically zero when b is constant.
-    This is the whole-trajectory view of the source; `apply_map` hands the
-    same slices to the linear solve one step at a time.
-    """
-    u = np.asarray(u, dtype=float)
-    source_slice = _source(u, spec, b_ref, grid, products)
-    f = np.empty(u.shape)
-    for k in range(u.shape[0]):
-        f[k] = source_slice(k)
-    return f
 
 
 def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
               psi: np.ndarray | None = None,
               frozen: CoefficientFields | None = None,
-              products: tuple | None = None, cross_iterations: int = 1) -> tuple:
+              cross_iterations: int = 1) -> tuple:
     """One application of the calibration map: freeze, source, linear solve.
 
     ``u`` is a trajectory over the current horizon; the result carries the
-    same boundary template.  The source is built around ``frozen.b_ref``,
-    the anchor of the frozen operator; without ``frozen``, the operator is
-    assembled here at ``spec.b_ref(grid)``.  Heavy pieces (frozen operator,
-    coefficient products) may be passed in to amortize across iterations.
-    The source reaches the linear solve slice by slice, so no source field
-    of the whole trajectory is built.
+    same boundary template.  The solve and the source both read ``frozen``,
+    the operator with its anchor; without it, the operator is assembled
+    here at ``spec.b_ref(grid)``.  The source reaches the linear solve slice
+    by slice, so no source field of the whole trajectory is built.
 
     Returns:
         (trajectory, LinearSolveReport) of the linear solve.
@@ -229,8 +198,7 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
         psi = u[0]
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
-    return solve_linear(frozen, psi, grid,
-                        f=_source(u, spec, frozen.b_ref, grid, products),
+    return solve_linear(frozen, psi, grid, f=_source(u, spec, frozen, grid),
                         n_steps=u.shape[0] - 1,
                         cross_iterations=cross_iterations)
 
@@ -253,16 +221,20 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     ``frozen``, the ``assemble_frozen`` result for this grid, serves every
     horizon attempt of a run and carries the only freeze anchor,
     ``frozen.b_ref``; without it, it is assembled here at ``spec.b_ref(grid)``.
+    Every iteration reads its operator and source products from ``frozen``.
 
     Returns (trajectory, FixedPointReport) on convergence; the trajectory
     has shape (k*+1, n_s+2, n_y+2).
 
     Raises:
-        ValueError: ``frozen`` was built for another grid.
+        ValueError: ``max_iter`` < 1, or ``frozen`` was built for another
+            grid.
         MembershipLost: an iterate left the admissible set (the exception
             carries the report and the offending trajectory).
         NotConverged: the iteration budget ran out.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter = {max_iter} < 1")
     psi = np.asarray(psi, dtype=float)
     if params is None:
         params = IterateBounds.from_initial(psi, grid)
@@ -273,11 +245,9 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     k_star = _horizon_steps(params.t_star, grid)
     bsq_slope = measured_bsq_slope(spec, grid)
 
-    products = _unit_products(spec, grid, k_star + 1)
-
     def calibration_map(u):
         return apply_map(u, spec, grid, psi=psi, frozen=frozen,
-                         products=products, cross_iterations=cross_iterations)
+                         cross_iterations=cross_iterations)
 
     report = FixedPointReport(t_star=k_star * grid.dt, tol=params.tol)
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
@@ -330,8 +300,11 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     them all, assembled here at ``spec.b_ref(grid)`` when none is among them.
 
     Raises:
+        ValueError: ``max_halvings`` < 0.
         HorizonExhausted: no horizon in the ladder worked.
     """
+    if max_halvings < 0:
+        raise ValueError(f"max_halvings = {max_halvings} < 0")
     if kwargs.get("frozen") is None:
         kwargs["frozen"] = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
     bounds = params

@@ -22,30 +22,34 @@ from . import fd, tridiag
 from .errors import CrossTermCFL, NonElliptic, NonEllipticAssembly, StabilityFailure
 from .grids import GridSpec
 from .mixing import b_values
-from .model import ModelSpec, eval_coeff, operator_coefficients
+from .model import ModelSpec, operator_coefficients, with_ratio
 
 
 @dataclass
 class CoefficientFields:
     """Space-time coefficient arrays of the non-divergence operator.
 
-    ``a_sy`` stores the symmetric off-diagonal entry (the operator term is
-    ``2 a_sy d2u/dSdy``).  The ellipticity constant ``k2`` and ``a_sy_max``
-    = max|a_sy| are operator invariants, computed once at construction.
-    ``assemble_frozen`` records the ``b_ref`` and ``grid`` it was given.
+    The coefficient products are held at unit mixing ratio, as
+    ``operator_coefficients`` names them: ``a_s = rho11 a1^2`` and
+    ``a_x = 2 rho12 a1 a2``; the fixed point's source reads them too.
+    ``slice(k)`` freezes them at the anchor: ``a_ss = a_s / b_ref^2`` and
+    ``a_sy = a_x / (2 b_ref)``, the symmetric off-diagonal entry (the
+    operator term is ``2 a_sy d2u/dSdy``).  ``assemble_frozen`` records its
+    ``b_ref`` and ``grid``; built directly, the fields default to
+    ``b_ref = 1``.  ``k2`` and ``a_sy_max`` = max|a_sy| are computed once.
 
     Raises:
         NonElliptic: see ``ellipticity_constant``.
     """
 
-    a_ss: np.ndarray
-    a_sy: np.ndarray
+    a_s: np.ndarray
+    a_x: np.ndarray
     a_yy: np.ndarray
     b_s: np.ndarray
     b_y: np.ndarray
     c: np.ndarray
     ellipticity_floor: float | None = None
-    b_ref: float | None = None
+    b_ref: float = 1.0
     grid: GridSpec | None = None
     k2: float = field(init=False)
     a_sy_max: float = field(init=False)
@@ -53,11 +57,15 @@ class CoefficientFields:
     def __post_init__(self):
         self.k2 = ellipticity_constant(self)
         # slice by slice, as a full-field temporary would raise peak memory
-        self.a_sy_max = max(float(np.max(np.abs(a))) for a in self.a_sy)
+        self.a_sy_max = max(float(np.max(np.abs(self.slice(k)["a_sy"])))
+                            for k in range(len(self.a_x)))
 
     def slice(self, k: int) -> dict:
-        return {"a_ss": self.a_ss[k], "a_sy": self.a_sy[k], "a_yy": self.a_yy[k],
-                "b_s": self.b_s[k], "b_y": self.b_y[k], "c": self.c[k]}
+        """The ``assemble_slice`` keys at time index k (anchor multiplied in last)."""
+        ratio, root = 1.0 / (self.b_ref * self.b_ref), 1.0 / self.b_ref
+        return {"a_s": self.a_s[k], "a_x": self.a_x[k],
+                "a_ss": self.a_s[k] * ratio, "a_sy": 0.5 * (self.a_x[k] * root),
+                "a_yy": self.a_yy[k], "b_s": self.b_s[k], "b_y": self.b_y[k], "c": self.c[k]}
 
 
 @dataclass
@@ -83,10 +91,12 @@ def assemble_slice(spec: ModelSpec, grid: GridSpec, k: int,
 
     ``ratio``/``root`` may be scalars (the constant-b freeze) or per-S-node
     arrays (time-lagged mode).  Derivatives of the coefficient products are
-    taken with second-order differences on the full node set.
+    taken with second-order differences on the full node set.  The products
+    before the ratio come back too, as ``a_s`` and ``a_x``.
     """
     ds, dy = grid.ds, grid.dy
-    co = operator_coefficients(spec, grid, k, ratio, root)
+    unit = operator_coefficients(spec, grid, k)
+    co = with_ratio(unit, ratio, root)
     big_a, cross_full, big_b = co["a_s"], co["a_x"], co["a_y"]
     beta1, beta2 = co["b1"], co["b2"]
 
@@ -96,15 +106,16 @@ def assemble_slice(spec: ModelSpec, grid: GridSpec, k: int,
          - fd.d2(big_b, dy, axis=1)
          + fd.d1(beta1, ds, axis=0) + fd.d1(beta2, dy, axis=1) + co["g"])
 
-    return {"a_ss": big_a, "a_sy": 0.5 * cross_full, "a_yy": big_b,
-            "b_s": b_s, "b_y": b_y, "c": c}
+    return {"a_s": unit["a_s"], "a_x": unit["a_x"], "a_ss": big_a,
+            "a_sy": 0.5 * cross_full, "a_yy": big_b, "b_s": b_s, "b_y": b_y, "c": c}
 
 
 def assemble_frozen(spec: ModelSpec, grid: GridSpec, b_ref: float) -> CoefficientFields:
     """Assemble the frozen linear operator on every time slice of the horizon.
 
     The mixing ratio is frozen at the exact constants 1/b_ref^2 and
-    1/b_ref; the coefficients keep their time dependence.
+    1/b_ref; the coefficients keep their time dependence.  The products are
+    stored at unit ratio, and ``slice(k)`` gives back each slice bit for bit.
 
     Raises:
         NonEllipticAssembly: the assembled diffusion matrix is not
@@ -112,16 +123,18 @@ def assemble_frozen(spec: ModelSpec, grid: GridSpec, b_ref: float) -> Coefficien
     """
     ratio, root = 1.0 / (b_ref * b_ref), 1.0 / b_ref
     arrays = {key: np.empty(grid.shape) for key in
-              ("a_ss", "a_sy", "a_yy", "b_s", "b_y", "c")}
-    a1_lo = a2_lo = math.inf
-    for k, t in enumerate(grid.t_nodes):
-        for key, val in assemble_slice(spec, grid, k, ratio, root).items():
-            arrays[key][k] = val
-        a1_lo = min(a1_lo, float(eval_coeff(spec.alpha1, k, t, grid).min()))
-        a2_lo = min(a2_lo, float(eval_coeff(spec.alpha2, k, t, grid).min()))
+              ("a_s", "a_x", "a_yy", "b_s", "b_y", "c")}
+    for k in range(grid.n_t + 1):
+        sl = assemble_slice(spec, grid, k, ratio, root)
+        for key, arr in arrays.items():
+            arr[k] = sl[key]
 
+    # the theoretical floor min_eig * min(a1 / b, a2)^2, read off the stored
+    # rho11 a1^2 and rho22 a2^2 rather than evaluating the alphas again
+    rho = spec.corr.entries
     b_hi = float(np.max(b_values(spec.b, grid)))
-    floor = spec.corr.min_eig * min(a1_lo / b_hi, a2_lo) ** 2
+    floor = spec.corr.min_eig * min(float(arrays["a_s"].min()) / (rho[0, 0] * b_hi * b_hi),
+                                    float(arrays["a_yy"].min()) / rho[1, 1])
 
     try:
         return CoefficientFields(**arrays, ellipticity_floor=floor,
@@ -138,9 +151,9 @@ def ellipticity_constant(fields: CoefficientFields) -> float:
         the theoretical floor recorded at assembly by more than round-off.
     """
     k2 = math.inf
-    for k in range(fields.a_ss.shape[0]):
-        lam = _min_eig_2x2(fields.a_ss[k], fields.a_sy[k], fields.a_yy[k])
-        k2 = min(k2, float(lam.min()))
+    for k in range(len(fields.a_x)):
+        sl = fields.slice(k)
+        k2 = min(k2, float(_min_eig_2x2(sl["a_ss"], sl["a_sy"], sl["a_yy"]).min()))
     if k2 <= 0:
         raise NonElliptic(f"K2 = {k2:.3e} <= 0")
     if fields.ellipticity_floor is not None:
@@ -169,14 +182,16 @@ def _weights(a, b, h: float) -> tuple:
 
 
 def stencil(sl: dict, hs: tuple) -> dict:
-    """A coefficient slice with the neighbour weights of both axes.
+    """What a step reads of a coefficient slice: ``a_sy``, ``c`` and the
+    neighbour weights of both axes.
 
     ``hs`` is the spacing pair (dS, dy); the weights go under ``"w"``, one
     (lower, upper) pair per axis, so the operator applications and the
-    sweep matrix of a slice share them.
+    sweep matrix of a slice share them.  The rest of the slice is not kept.
     """
-    return dict(sl, w=tuple(_weights(sl[a_key], sl[b_key], h)
-                            for (a_key, b_key), h in zip(_AXIS_KEYS, hs)))
+    return {"a_sy": sl["a_sy"], "c": sl["c"],
+            "w": tuple(_weights(sl[a_key], sl[b_key], h)
+                       for (a_key, b_key), h in zip(_AXIS_KEYS, hs))}
 
 
 def _apply(st: dict, u: np.ndarray, axis: int) -> np.ndarray:
@@ -279,7 +294,7 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
     df = None if f0 is None else 0.5 * dt * (f1 - f0)
 
     prev = delta2
-    for n_left in reversed(range(max(1, cross_iterations))):
+    for n_left in reversed(range(cross_iterations)):
         corr = 0.5 * dt * (_apply_mix(st1, u + prev, ds, dy) - am0)
         if df is not None:
             corr = corr + df
@@ -318,10 +333,16 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
 
     Returns:
         (trajectory (n_steps+1, n_s+2, n_y+2), LinearSolveReport)
+
+    Raises:
+        ValueError: the step count is outside [1, n_t], or
+            ``cross_iterations`` < 1.
     """
     n = grid.n_t if n_steps is None else int(n_steps)
     if not 1 <= n <= grid.n_t:
         raise ValueError(f"step count {n} outside [1, {grid.n_t}]")
+    if cross_iterations < 1:
+        raise ValueError(f"cross_iterations = {cross_iterations} < 1")
     source = f if f is None or callable(f) else f.__getitem__
     traj = np.empty((n + 1, grid.n_s + 2, grid.n_y + 2))
     traj[0] = psi

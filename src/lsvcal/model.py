@@ -294,30 +294,34 @@ def divergence_apply(u: np.ndarray, a_s: np.ndarray, a_x: np.ndarray,
     return out
 
 
-def operator_coefficients(spec: ModelSpec, grid: GridSpec, k: int,
-                          ratio, root) -> dict:
-    """Divergence-form coefficients of the forward operator at time index k.
+def operator_coefficients(spec: ModelSpec, grid: GridSpec, k: int) -> dict:
+    """Divergence-form coefficients of the forward operator at time index k
+    and unit mixing ratio (:func:`with_ratio` multiplies one in).
 
-    The mixing ratio enters frozen as ``ratio`` with square root ``root``,
-    scalars or per-S-node arrays.  The keys match the arguments of
-    :func:`divergence_apply`: ``a_s = rho11 a1^2 ratio``,
-    ``a_x = 2 rho12 a1 a2 root``, ``a_y = rho22 a2^2``, the drifts ``b1``
-    (with the rate's S-drift) and ``b2``, and ``g`` (with the rate).
+    The keys match the arguments of :func:`divergence_apply`:
+    ``a_s = rho11 a1^2``, ``a_x = 2 rho12 a1 a2``, ``a_y = rho22 a2^2``, the
+    drifts ``b1`` (with the rate's S-drift) and ``b2``, and ``g`` (with the rate).
     """
     t = grid.t_nodes[k] if k < grid.n_t + 1 else grid.horizon
     a1 = eval_coeff(spec.alpha1, k, t, grid)
     a2 = eval_coeff(spec.alpha2, k, t, grid)
     rho = spec.corr.entries
-    ratio_col = np.asarray(ratio, dtype=float).reshape(-1, 1) if np.ndim(ratio) else float(ratio)
-    root_col = np.asarray(root, dtype=float).reshape(-1, 1) if np.ndim(root) else float(root)
     return {
-        "a_s": rho[0, 0] * a1 * a1 * ratio_col,
-        "a_x": 2.0 * rho[0, 1] * a1 * a2 * root_col,
+        "a_s": rho[0, 0] * a1 * a1,
+        "a_x": 2.0 * rho[0, 1] * a1 * a2,
         "a_y": rho[1, 1] * a2 * a2,
         "b1": eval_coeff(spec.beta1, k, t, grid) + spec.rate * grid.s_nodes[:, None],
         "b2": eval_coeff(spec.beta2, k, t, grid),
         "g": eval_coeff(spec.gamma, k, t, grid) + spec.rate,
     }
+
+
+def with_ratio(co: dict, ratio, root) -> dict:
+    """``co`` with the mixing ratio multiplied last into ``a_s`` and its
+    square root ``root`` into ``a_x``; scalars or per-S-node arrays."""
+    ratio, root = (np.asarray(r, dtype=float).reshape(-1, 1) if np.ndim(r) else float(r)
+                   for r in (ratio, root))
+    return dict(co, a_s=co["a_s"] * ratio, a_x=co["a_x"] * root)
 
 
 def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> float:
@@ -330,7 +334,7 @@ def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> 
     if np.any(psi <= 0):
         raise ValueError("initial density must be strictly positive")
     mix = mixing_ratio(psi, spec.b, grid)
-    coeffs = operator_coefficients(spec, grid, 0, mix.ratio, mix.sqrt_ratio)
+    coeffs = with_ratio(operator_coefficients(spec, grid, 0), mix.ratio, mix.sqrt_ratio)
     op = divergence_apply(psi, grid=grid, **coeffs)
     ring = np.zeros(psi.shape, dtype=bool)
     ring[1, 1:-1] = ring[-2, 1:-1] = True

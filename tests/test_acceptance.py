@@ -19,7 +19,7 @@ from lsvcal import (GridSpec, IterateBounds, MembershipLost, NotConverged,
                     OptionQuote, assemble_frozen, build_implied_surface,
                     dupire_local_vol, iterate, mixing_ratio, ratio_gap_monitor,
                     shrink_horizon, supnorm_time_bound, verify_calibration)
-from lsvcal.linpde import CoefficientFields, solve_linear
+from lsvcal.linpde import solve_linear
 from lsvcal.pipeline import RunConfig, run_pipeline
 
 from conftest import make_psi, make_spec, verification_arrays, write_flat_quotes
@@ -347,9 +347,7 @@ def test_criterion_07_linear_solver_verification():
     grid = GridSpec(s_min=0.0, s_max=1.0, y_min=0.0, y_max=1.0, n_s=24,
                     n_y=24, horizon=0.25, n_t=16)
     fields, _, _ = mms_fields(grid)
-    fields = CoefficientFields(
-        a_ss=fields.a_ss, a_sy=fields.a_sy, a_yy=fields.a_yy,
-        b_s=fields.b_s, b_y=fields.b_y, c=np.broadcast_to(0.0, grid.shape))
+    fields = replace(fields, c=np.broadcast_to(0.0, grid.shape))
     psi = np.full((grid.n_s + 2, grid.n_y + 2), 1.37)
     traj, _ = solve_linear(fields, psi, grid)
     assert np.array_equal(traj[-1], psi)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsvcal import (HorizonExhausted, IterateBounds, MembershipLost,
-                    NotConverged, apply_map, assemble_frozen, build_rhs,
-                    check_membership, iterate, shrink_horizon, solve_lagged,
-                    solve_linear)
+                    NotConverged, apply_map, assemble_frozen, check_membership,
+                    iterate, shrink_horizon, solve_lagged, solve_linear)
+from lsvcal import fd
 from lsvcal.mixing import mixing_ratio
+from lsvcal.model import operator_coefficients
 
 from conftest import b_const, b_perturbed, make_grid, make_psi, make_spec
 
@@ -17,6 +18,25 @@ from conftest import b_const, b_perturbed, make_grid, make_psi, make_spec
 def traj_of(psi, grid, n_steps=None):
     n = grid.n_t if n_steps is None else n_steps
     return np.broadcast_to(psi, (n + 1,) + psi.shape).copy()
+
+
+def build_rhs(u, spec, b_ref, grid):
+    """Whole-field oracle of the fixed point's source.
+
+    ``d2_S[rho11 a1^2 (ratio - 1/b_ref^2) u]
+    + d2_Sy[2 rho12 a1 a2 (sqrt(ratio) - 1/b_ref) u]`` on interior nodes,
+    with the products evaluated afresh on each slice rather than read from
+    a frozen operator.
+    """
+    mix = mixing_ratio(u, spec.b, grid)
+    f = np.empty(u.shape)
+    for k in range(u.shape[0]):
+        co = operator_coefficients(spec, grid, k)
+        gap_ratio = (mix.ratio[k] - 1.0 / (b_ref * b_ref))[:, None]
+        gap_root = (mix.sqrt_ratio[k] - 1.0 / b_ref)[:, None]
+        f[k] = fd.second_diff_interior(co["a_s"] * gap_ratio * u[k], grid.ds, axis=-2)
+        f[k] += fd.cross_diff_interior(co["a_x"] * gap_root * u[k], grid.ds, grid.dy)
+    return f
 
 
 class TestIterateBounds:
@@ -115,8 +135,8 @@ class TestApplyMap:
         assert 0.35 <= d_half / d_full <= 0.65
 
     def test_streamed_source_equals_whole_field_source(self):
-        # the map builds its source slice by slice; the solve sees the
-        # same bits as with the build_rhs field
+        # the map builds its source slice by slice from the operator's
+        # products; the solve sees the same bits as with the oracle's field
         grid = make_grid(n_s=32, n_y=20, n_t=12)
         spec = make_spec(grid, b=b_perturbed(0.3), rho=-0.4)
         psi = make_psi(grid)
@@ -138,7 +158,6 @@ class TestApplyMap:
         spec = make_spec(grid, b=b_perturbed(0.05))
         psi = make_psi(grid)
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
-        products = fixed_point._unit_products(spec, grid, grid.n_t + 1)
         params = IterateBounds.from_initial(psi, grid)
         u = traj_of(psi, grid)
         # the slab budget is a byte count, not a share of the trajectory,
@@ -147,8 +166,7 @@ class TestApplyMap:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            v, _ = apply_map(u, spec, grid, psi=psi, frozen=frozen,
-                             products=products)
+            v, _ = apply_map(u, spec, grid, psi=psi, frozen=frozen)
             fixed_point._sup_diff(v, u)
             check_membership(v, params, grid)
             peak = tracemalloc.get_traced_memory()[1] - held
@@ -276,6 +294,35 @@ class TestIterate:
         assert err.value.report is not None
         assert err.value.density is not None
 
+    def test_zero_iteration_budget_rejected(self):
+        grid = make_grid(n_s=32, n_y=20, n_t=10)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        with pytest.raises(ValueError, match="max_iter"):
+            iterate(spec, grid, make_psi(grid), max_iter=0)
+
+    def test_iterations_on_a_handed_in_operator_evaluate_no_coefficients(self, monkeypatch):
+        # the source reads the operator's unit-ratio products: assembly
+        # evaluates the coefficients once per slice, the iterations never
+        import sys
+        from lsvcal import model
+        grid = make_grid(n_s=32, n_y=20, n_t=10)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        psi = make_psi(grid)
+        real, calls = model.operator_coefficients, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "lsvcal" and getattr(mod, "operator_coefficients", None) is real:
+                monkeypatch.setattr(mod, "operator_coefficients", spy)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+        assert calls == list(range(grid.n_t + 1))
+        calls.clear()
+        _, rep = iterate(spec, grid, psi, frozen=frozen)
+        assert rep.converged and rep.iterations >= 3
+        assert calls == []
+
     def test_budget_exhaustion_raises_not_converged(self):
         grid = make_grid(n_s=32, n_y=20, n_t=10)
         spec = make_spec(grid, b=b_perturbed(0.05))
@@ -333,6 +380,14 @@ class TestShrinkHorizon:
         dens, rep = iterate(spec, grid, psi, params=out)
         assert rep.converged
         assert rep.t_star == out.t_star
+
+    def test_negative_halvings_rejected(self):
+        grid = make_grid(n_s=32, n_y=20, n_t=10)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        psi = make_psi(grid)
+        with pytest.raises(ValueError, match="max_halvings"):
+            shrink_horizon(spec, grid, psi, IterateBounds.from_initial(psi, grid),
+                           max_halvings=-1)
 
     def test_exhaustion(self):
         grid = make_grid(n_s=48, n_y=32, n_t=40)

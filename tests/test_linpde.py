@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from lsvcal.grids import GridSpec
 from lsvcal.linpde import (CoefficientFields, _apply, _sweep, _sweep_system,
                            cross_cfl_number, stencil)
 
-from conftest import flat_sigma, make_grid, make_psi, make_spec
+from conftest import b_const, b_perturbed, flat_sigma, make_grid, make_psi, make_spec
 
 # regression constant fitted once on the calibration corpus below and frozen
 SCHAUDER_KHAT = 5.0
@@ -35,8 +34,8 @@ class TestAssembly:
         spec = const_spec(alpha1=0.5, alpha2=0.3, rho=0.2, rate=0.03)
         fields = assemble_frozen(spec, grid, b_ref=1.0)
         s = grid.s_nodes[:, None]
-        assert np.allclose(fields.a_ss, 0.5 * 0.25, atol=1e-15)
-        assert np.allclose(fields.a_sy, 0.1 * 0.5 * 0.3, atol=1e-15)
+        assert np.allclose(fields.a_s, 0.5 * 0.25, atol=1e-15)
+        assert np.allclose(fields.a_x, 2 * 0.1 * 0.5 * 0.3, atol=1e-15)
         assert np.allclose(fields.a_yy, 0.5 * 0.09, atol=1e-15)
         # drift rS from the rate, zeroth order d(rS)/dS + r = 2r
         assert np.allclose(fields.b_s[0], 0.03 * s, atol=1e-13)
@@ -60,18 +59,23 @@ class TestAssembly:
             errs.append(np.max(np.abs(fields.b_s[0] - b_s_exact)))
         assert errs[0] / errs[1] > 3.0
 
-    def test_every_slice_assembled_for_time_varying_coefficients(self):
+    @pytest.mark.parametrize("b_ref", [1.0, 0.8, 1.37])
+    @pytest.mark.parametrize("b,rho", [(b_const, 0.0), (b_perturbed(0.3), -0.4)],
+                             ids=["flat-b", "perturbed-b"])
+    def test_every_slice_assembled_for_time_varying_coefficients(self, b, rho, b_ref):
         # alpha2 agrees at t = 0, T/2 and T and differs in between: every
-        # slice of the frozen operator is its own assembly
+        # slice of the frozen operator is its own assembly, and the slice
+        # formed from the stored unit-ratio products and the anchor is that
+        # assembly bit for bit
         grid = make_grid(n_s=40, n_y=24, n_t=40)
         horizon = grid.horizon
-        spec = make_spec(grid, alpha2=lambda t, s, y:
+        spec = make_spec(grid, b=b, rho=rho, alpha2=lambda t, s, y:
                          0.2 + 0.1 * np.sin(2 * np.pi * t / horizon) ** 2)
-        b_ref = spec.b_ref(grid)
         fields = assemble_frozen(spec, grid, b_ref=b_ref)
         for k in range(grid.n_t + 1):
             expected = assemble_slice(spec, grid, k, 1 / b_ref**2, 1 / b_ref)
             got = fields.slice(k)
+            assert got.keys() == expected.keys(), k
             assert all(np.array_equal(got[key], expected[key]) for key in expected), k
 
     def test_linearity_in_frozen_ratio(self):
@@ -96,7 +100,7 @@ class TestEllipticity:
         grid = make_grid(n_s=16, n_y=12, n_t=4)
         shape = grid.shape
         mk = lambda v: np.broadcast_to(v, shape)
-        fields = CoefficientFields(a_ss=mk(0.5 * 0.04), a_sy=mk(0.0),
+        fields = CoefficientFields(a_s=mk(0.5 * 0.04), a_x=mk(0.0),
                                    a_yy=mk(0.5 * 0.09), b_s=mk(0.0),
                                    b_y=mk(0.0), c=mk(0.0))
         assert ellipticity_constant(fields) == pytest.approx(0.02)
@@ -132,7 +136,7 @@ class TestEllipticity:
         shape = grid.shape
         mk = lambda v: np.broadcast_to(v, shape)
         with pytest.raises(NonElliptic):
-            CoefficientFields(a_ss=mk(0.02), a_sy=mk(np.sqrt(0.02 * 0.045)),
+            CoefficientFields(a_s=mk(0.02), a_x=mk(2 * np.sqrt(0.02 * 0.045)),
                               a_yy=mk(0.045), b_s=mk(0.0), b_y=mk(0.0),
                               c=mk(0.0))
 
@@ -159,7 +163,8 @@ class TestEllipticity:
         for rep in reports:
             assert rep.k2 == fields.k2 == ellipticity_constant(fields)
             assert rep.cross_cfl == cross_cfl_number(fields, grid)
-        assert fields.a_sy_max == float(np.max(np.abs(fields.a_sy)))
+        # unit anchor: a_sy is half of a_x
+        assert fields.a_sy_max == float(np.max(np.abs(0.5 * fields.a_x)))
 
 
 @st.composite
@@ -240,12 +245,13 @@ def mms_fields(grid):
     s2 = grid.s_nodes[:, None]
     y2 = grid.y_nodes[None, :]
     shape = grid.shape
-    arrays = {k: np.broadcast_to(np.asarray(fn(0.0, s2, y2), dtype=float), shape)
-              for k, fn in lam.items()}
+    arrays = {k: np.asarray(fn(0.0, s2, y2), dtype=float) for k, fn in lam.items()}
+    # the fields hold the products at unit anchor: a_s = a_ss, a_x = 2 a_sy
+    arrays["a_s"], arrays["a_x"] = arrays.pop("a_ss"), 2.0 * arrays.pop("a_sy")
     fsrc = np.empty(shape)
     for k, t in enumerate(grid.t_nodes):
         fsrc[k] = f_fn(t, s2, y2)
-    fields = CoefficientFields(**arrays)
+    fields = CoefficientFields(**{k: np.broadcast_to(v, shape) for k, v in arrays.items()})
     return fields, fsrc, v_fn
 
 
@@ -254,9 +260,7 @@ def mms_error(n, n_t, horizon=0.25):
                     horizon=horizon, n_t=n_t)
     fields, fsrc, v_fn = mms_fields(grid)
     psi = v_fn(0.0, grid.s_nodes[:, None], grid.y_nodes[None, :])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CrossTermCFL)
-        traj, rep = solve_linear(fields, psi, grid, f=fsrc)
+    traj, rep = solve_linear(fields, psi, grid, f=fsrc)
     exact = v_fn(horizon, grid.s_nodes[:, None], grid.y_nodes[None, :])
     return float(np.max(np.abs(traj[-1] - exact))), traj[-1], rep
 
@@ -287,14 +291,30 @@ class TestManufacturedSolution:
         fields, fsrc, v_fn = mms_fields(grid)
         psi = v_fn(0.0, grid.s_nodes[:, None], grid.y_nodes[None, :])
         exact = v_fn(0.25, grid.s_nodes[:, None], grid.y_nodes[None, :])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CrossTermCFL)
-            t1, _ = solve_linear(fields, psi, grid, f=fsrc)
-            t2, _ = solve_linear(fields, psi, grid, f=fsrc, cross_iterations=8)
+        t1, _ = solve_linear(fields, psi, grid, f=fsrc)
+        t2, _ = solve_linear(fields, psi, grid, f=fsrc, cross_iterations=8)
         e1 = np.max(np.abs(t1[-1] - exact))
         e2 = np.max(np.abs(t2[-1] - exact))
         assert np.max(np.abs(t1[-1] - t2[-1])) < 5.0 * grid.dt ** 2
         assert e2 < 1.5 * e1
+
+    def test_cross_term_warning_is_harmless(self):
+        # CrossTermCFL is the explicit-Euler bound on the mixed term; the
+        # Craig-Sneyd corrector with theta = 1/2 is stable past it.  At
+        # nu = 3, three corrector passes move the solution by a small
+        # fraction of the one-pass scheme's own error
+        grid = GridSpec(s_min=0.0, s_max=1.0, y_min=0.0, y_max=1.0, n_s=48,
+                        n_y=48, horizon=0.25, n_t=8)
+        fields, fsrc, v_fn = mms_fields(grid)
+        psi = v_fn(0.0, grid.s_nodes[:, None], grid.y_nodes[None, :])
+        exact = v_fn(0.25, grid.s_nodes[:, None], grid.y_nodes[None, :])
+        with pytest.warns(CrossTermCFL):
+            t1, rep = solve_linear(fields, psi, grid, f=fsrc)
+        with pytest.warns(CrossTermCFL):
+            t3, _ = solve_linear(fields, psi, grid, f=fsrc, cross_iterations=3)
+        assert rep.cross_cfl > 1.0
+        e1 = float(np.max(np.abs(t1[-1] - exact)))
+        assert float(np.max(np.abs(t1 - t3))) < 0.05 * e1
 
 
 class TestStepAndSolve:
@@ -320,6 +340,13 @@ class TestStepAndSolve:
         exact = np.exp(-(s * s + y * y) / (2 * var)) / (2 * np.pi * var)
         l1 = np.sum(np.abs(traj[-1] - exact)) * grid.ds * grid.dy
         assert l1 < 1e-3
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_cross_iterations_below_one_rejected(self, n):
+        grid = make_grid(n_s=24, n_y=16, n_t=10)
+        fields = assemble_frozen(make_spec(grid), grid, b_ref=1.0)
+        with pytest.raises(ValueError, match="cross_iterations"):
+            solve_linear(fields, make_psi(grid), grid, cross_iterations=n)
 
     def test_deterministic_repeat(self):
         grid = make_grid(n_s=24, n_y=16, n_t=10)
@@ -361,7 +388,7 @@ class TestStepAndSolve:
                          y_span=(0.0, 1.0))
         shape = grid.shape
         mk = lambda v: np.broadcast_to(v, shape)
-        fields = CoefficientFields(a_ss=mk(0.1), a_sy=mk(0.0), a_yy=mk(0.1),
+        fields = CoefficientFields(a_s=mk(0.1), a_x=mk(0.0), a_yy=mk(0.1),
                                    b_s=mk(0.5), b_y=mk(-0.5), c=mk(0.2))
         s = grid.s_nodes[:, None]
         y = grid.y_nodes[None, :]
