@@ -11,7 +11,7 @@ mirroring the short-time nature of the underlying existence argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -56,21 +56,22 @@ class IterateBounds:
         times the initial supremum."""
         p_lo = float(psi.min())
         p_hi = float(psi.max())
-        cap = cap_factor * holder_norm(psi, 2, grid.holder_exp, grid, kind="Sy").value
+        cap = cap_factor * holder_norm(psi[None], 2, grid).value
         return cls(holder_cap=cap, p_lo=p_lo, p_hi=p_hi,
                    t_star=grid.horizon, tol=tol_factor * p_hi)
 
 
 @dataclass
 class MembershipResult:
-    """Outcome of the admissibility check for one iterate."""
+    """Outcome of the admissibility check for one iterate; the fields are
+    the keys of its JSON form."""
 
     lower_ok: bool
     upper_ok: bool
     norm_ok: bool
-    min_value: float
-    max_value: float
-    norm_value: float
+    min: float
+    max: float
+    norm: float
     lower_bound: float
     upper_bound: float
     norm_cap: float
@@ -79,42 +80,34 @@ class MembershipResult:
     def ok(self) -> bool:
         return self.lower_ok and self.upper_ok and self.norm_ok
 
-    def as_dict(self) -> dict:
-        return {
-            "lower_ok": self.lower_ok, "upper_ok": self.upper_ok,
-            "norm_ok": self.norm_ok, "min": self.min_value,
-            "max": self.max_value, "norm": self.norm_value,
-            "lower_bound": self.lower_bound, "upper_bound": self.upper_bound,
-            "norm_cap": self.norm_cap,
-        }
-
 
 def check_membership(p: np.ndarray, params: IterateBounds,
                      grid: GridSpec) -> MembershipResult:
-    """Check the pointwise bounds and the norm cap for a trajectory."""
+    """Check the pointwise bounds and the norm cap for a trajectory; pass
+    one slice as ``p[None]``."""
     p = np.asarray(p, dtype=float)
     lo = 0.5 * params.p_lo
     hi = params.p_hi + 0.5 * params.p_lo
     pmin = float(p.min())
     pmax = float(p.max())
-    kind = "tSy" if p.ndim == 3 else "Sy"
-    nrm = float(holder_norm(p, 2, grid.holder_exp, grid, kind=kind).value)
+    nrm = float(holder_norm(p, 2, grid).value)
     return MembershipResult(
         lower_ok=bool(pmin >= lo), upper_ok=bool(pmax <= hi),
         norm_ok=bool(nrm <= params.holder_cap),
-        min_value=pmin, max_value=pmax, norm_value=nrm,
+        min=pmin, max=pmax, norm=nrm,
         lower_bound=float(lo), upper_bound=float(hi),
         norm_cap=float(params.holder_cap))
 
 
 @dataclass
 class FixedPointReport:
-    """Per-iteration residuals, norms and membership flags plus the outcome."""
+    """Per-iteration residuals, norms, membership and gap-monitor records
+    plus the outcome; the fields are the keys of its JSON form."""
 
     residuals: list = field(default_factory=list)
     norms: list = field(default_factory=list)
     membership: list = field(default_factory=list)
-    gap_records: list = field(default_factory=list)
+    gap_monitor: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
     contraction: float | None = None
@@ -138,23 +131,6 @@ class FixedPointReport:
         ss_tot = float(np.sum((logs - logs.mean()) ** 2))
         self.contraction = float(np.exp(slope))
         self.r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-
-    def as_json_dict(self) -> dict:
-        return {
-            "residuals": list(self.residuals),
-            "norms": list(self.norms),
-            "membership": list(self.membership),
-            "gap_monitor": list(self.gap_records),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "contraction": self.contraction,
-            "r_squared": self.r_squared,
-            "t_star": self.t_star,
-            "tol": self.tol,
-            "solver_residual": self.solver_residual,
-            "fixed_point_residual": self.fixed_point_residual,
-            "mode": self.mode,
-        }
 
 
 def _source(u: np.ndarray, spec: ModelSpec, frozen: CoefficientFields,
@@ -258,16 +234,16 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         resid = _sup_diff(v, p)
         mem = check_membership(v, params, grid)
         report.residuals.append(resid)
-        report.norms.append(mem.norm_value)
-        report.membership.append(mem.as_dict())
+        report.norms.append(mem.norm)
+        report.membership.append(asdict(mem))
         try:
             rec = ratio_gap_monitor(v, spec.b, frozen.b_ref, grid, bsq_slope,
                                     p_floor=params.p_lo if mem.lower_ok else None,
-                                    p_norm=mem.norm_value)
-            report.gap_records.append(rec.as_dict())
+                                    p_norm=mem.norm)
+            report.gap_monitor.append(asdict(rec))
         except (DegenerateDenominator, ValueError) as err:
             # an escaping iterate can be too sick to measure
-            report.gap_records.append({"error": str(err)})
+            report.gap_monitor.append({"error": str(err)})
         report.iterations = n
         if not mem.ok:
             report.fit_contraction()
@@ -351,7 +327,7 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             root = math.sqrt(ratio)
         st0, st1 = (stencil(assemble_slice(spec, grid, j, ratio, root), hs)
                     for j in (k, k + 1))
-        u, _ = step_slices(st0, st1, u, grid)
+        u, _, _ = step_slices(st0, st1, u, grid)
         traj[k + 1] = u
     report = {"mode": "time-lagged", "n_steps": n, "t_star": n * grid.dt,
               "denominator_min": den_min if den_min < math.inf else None,

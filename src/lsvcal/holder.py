@@ -3,8 +3,8 @@
 The distance between grid points P = (t, x) and Q = (t', x') is
 ``sqrt(|x - x'|^2 + |t - t'|)``; a field's order-(k+h) norm adds the plain
 sup norm, the Hoelder quotient, the same quotient applied to every spatial
-derivative up to order k, and (for space-time fields with k >= 1) the time
-derivative's contribution.
+derivative up to order k, and (for k >= 1) the time derivative's
+contribution.  Every field is laid out over (t, S, y).
 
 Quotients are estimated over nearest and next-nearest neighbor pairs; for
 smooth fields the supremum is attained in the small-separation limit, so
@@ -19,16 +19,9 @@ import numpy as np
 
 from . import fd
 
-# index offsets (time, space...) defining the neighbor pairs per field kind
-_OFFSETS = {
-    "tSy": [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -1), (0, 2, 0), (0, 0, 2),
-            (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1)],
-    "Sy": [(1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2)],
-    "tS": [(0, 1), (0, 2), (1, 0), (2, 0), (1, 1)],
-    "S": [(1,), (2,)],
-}
-_HAS_TIME = {"tSy": True, "Sy": False, "tS": True, "S": False}
-_N_SPACE = {"tSy": 2, "Sy": 2, "tS": 1, "S": 1}
+# (t, S, y) index offsets defining the neighbor pairs
+_OFFSETS = [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -1), (0, 2, 0), (0, 0, 2),
+            (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1)]
 # byte budget of one slab of time slices in `_base_norm`.  Each slab of a
 # derivative is differentiated on its own, with a few slab-sized
 # temporaries: at 256 kB the per-slab calls made a 200x100x200 norm about
@@ -51,18 +44,6 @@ class HolderNormEstimate:
     def __post_init__(self):
         if self.value < self.sup_norm - 1e-12:
             raise ValueError("norm estimate below its sup-norm part")
-
-
-def _spacings(grid, kind):
-    if kind == "tSy":
-        return grid.dt, (grid.ds, grid.dy)
-    if kind == "Sy":
-        return None, (grid.ds, grid.dy)
-    if kind == "tS":
-        return grid.dt, (grid.ds,)
-    if kind == "S":
-        return None, (grid.ds,)
-    raise ValueError(f"unknown field kind {kind!r}")
 
 
 def _pair_views(u, offset):
@@ -88,14 +69,14 @@ def _pair_views(u, offset):
 
 
 def _offset_distance(offset, dt, hs):
-    """Parabolic length of a (time, space...) index offset."""
-    d2 = abs(offset[0]) * dt if offset[0] else 0.0
+    """Parabolic length of a (t, S, y) index offset."""
+    d2 = abs(offset[0]) * dt
     for o, h in zip(offset[1:], hs):
         d2 += (o * h) ** 2
     return np.sqrt(d2)
 
 
-def _base_norm(u, kind, dt, hs, h_exp, fn=None, halo=0):
+def _base_norm(u, dt, hs, h_exp, fn=None, halo=0):
     """Sup norm and largest neighbor-pair quotient |v(P) - v(Q)| / d(P, Q)^h
     of v = u, or of v = fn(u) for a derivative (fn, halo) of `_derivatives`.
 
@@ -106,15 +87,10 @@ def _base_norm(u, kind, dt, hs, h_exp, fn=None, halo=0):
     and the slices kept are computed exactly as on the whole field.  Both
     parts are maxima, so the result does not depend on the slab length.
     """
-    has_time = _HAS_TIME[kind]
-    offsets = _OFFSETS[kind]
-    if not has_time:
-        u = u[None]
-        offsets = [(0,) + off for off in offsets]
     if u.size == 0:
         return 0.0, 0.0
     nt = u.shape[0]
-    offsets = [off for off in offsets
+    offsets = [off for off in _OFFSETS
                if all(abs(o) < n for o, n in zip(off, u.shape))]
     reach = max((off[0] for off in offsets), default=0)
     step = max(1, _SLAB_BYTES // u[0].nbytes)
@@ -147,49 +123,53 @@ def _base_norm(u, kind, dt, hs, h_exp, fn=None, halo=0):
     return float(sup), best
 
 
-def _derivatives(kind, dt, hs, k):
+def _derivatives(dt, hs, k):
     """Yield (name, fn, halo) for spatial derivatives up to order k plus d/dt.
 
-    Each ``fn`` differentiates a window of consecutive time slices (a
-    leading time axis is always present); ``halo`` is the number of
-    neighbor slices per side the window needs.  d/dt needs one for its
-    centered difference and takes two, so that a window at either end of
-    the time axis holds the three slices of `fd.d1`'s second-order
-    one-sided formula.
+    Each ``fn`` differentiates a window of consecutive time slices;
+    ``halo`` is the number of neighbor slices per side the window needs.
+    d/dt needs one for its centered difference and takes two, so that a
+    window at either end of the time axis holds the three slices of
+    `fd.d1`'s second-order one-sided formula.  An axis of length 1
+    differentiates to zero.
     """
-    named = list(zip("Sy", hs, range(1, _N_SPACE[kind] + 1)))
+    named = list(zip("Sy", hs, (1, 2)))
     if k >= 1:
         for n, h, ax in named:
             yield f"d{n}", partial(fd.d1, h=h, axis=ax), 0
     if k >= 2:
         for n, h, ax in named:
             yield f"d{n}{n}", partial(fd.d2, h=h, axis=ax), 0
-        if len(named) == 2:
-            yield "dSy", partial(fd.d2_cross, hx=hs[0], hy=hs[1]), 0
-    if k >= 1 and _HAS_TIME[kind]:
+        yield "dSy", partial(fd.d2_cross, hx=hs[0], hy=hs[1]), 0
+    if k >= 1:
         yield "dt", partial(fd.d1, h=dt, axis=0), 2
 
 
-def holder_norm(u: np.ndarray, k: int, h: float, grid,
-                kind: str) -> HolderNormEstimate:
-    """Estimate the order-(k+h) Hoelder norm of a grid field.
+def holder_norm(u: np.ndarray, k: int, grid) -> HolderNormEstimate:
+    """Estimate the order-(k+h) Hoelder norm of a (t, S, y) grid field.
 
     Args:
-        u: field over (t, S, y), (S, y), (t, S) or (S,) nodes.
+        u: field over (t, S, y) nodes.  Pass one slice as ``u[None]`` and a
+            (t, S) field as ``u[..., None]``; a length-1 axis adds no pairs
+            and differentiates to zero.
         k: number of spatial derivative orders to include (0, 1 or 2).
-        h: Hoelder exponent in (0, 1).
-        grid: GridSpec supplying spacings.
-        kind: field layout, one of "tSy", "Sy", "tS", "S".
+        grid: GridSpec supplying the spacings and the exponent
+            ``grid.holder_exp``.
+
+    Raises:
+        ValueError: ``k`` is not 0, 1 or 2, or ``u`` does not have 3 axes.
     """
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1 or 2")
     u = np.asarray(u, dtype=float)
-    dt, hs = _spacings(grid, kind)
-    sup, quot = _base_norm(u, kind, dt, hs, h)
+    if u.ndim != 3:
+        raise ValueError(f"expected a (t, S, y) field, got {u.ndim} axes")
+    h, dt, hs = grid.holder_exp, grid.dt, (grid.ds, grid.dy)
+    sup, quot = _base_norm(u, dt, hs, h)
     value = sup + quot
     parts = {}
-    for name, fn, halo in _derivatives(kind, dt, hs, k):
-        s, q = _base_norm(u, kind, dt, hs, h, fn, halo)
+    for name, fn, halo in _derivatives(dt, hs, k):
+        s, q = _base_norm(u, dt, hs, h, fn, halo)
         parts[name] = float(s + q)
         value += s + q
     return HolderNormEstimate(float(value), float(sup), float(quot), parts, k, h)

@@ -103,25 +103,17 @@ class GapRecord:
     """One evaluation of the perturbation-gap monitor.
 
     ``lhs`` is the Hoelder-2 norm of (ratio - 1/b_ref^2) plus that of
-    (sqrt(ratio) - 1/b_ref); ``scaled`` divides it by
-    slope * (1 + |p|)**6, the growth law the short-time theory predicts.
+    (sqrt(ratio) - 1/b_ref), the two ``lhs_*_part`` fields; ``scaled``
+    divides it by bsq_slope * (1 + |p|)**6, the growth law the short-time
+    theory predicts.  The fields are the keys of the record's JSON form.
     """
 
     lhs: float
-    lhs_parts: tuple
+    lhs_ratio_part: float
+    lhs_root_part: float
     p_norm: float
-    slope: float
+    bsq_slope: float
     scaled: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "lhs_ratio_part": self.lhs_parts[0],
-            "lhs_root_part": self.lhs_parts[1],
-            "p_norm": self.p_norm,
-            "bsq_slope": self.slope,
-            "scaled": self.scaled,
-        }
 
 
 def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
@@ -130,7 +122,8 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
     """Measure how far the mixing ratio sits from its constant-b anchor.
 
     Args:
-        p: density trajectory (n_t+1, n_s+2, n_y+2) or a single slice.
+        p: density trajectory (n_t+1, n_s+2, n_y+2); pass one slice as
+            ``p[None]``.
         b_ref: anchor value of b (the freeze used by the linear solves).
         bsq_slope: measured sup |d(b^2)/dy| on the grid.
         p_floor: initial density floor; when given, p must stay above half
@@ -145,17 +138,15 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
     mix = mixing_ratio(p, b, grid)
     gap_ratio = mix.ratio - 1.0 / (b_ref * b_ref)
     gap_root = mix.sqrt_ratio - 1.0 / b_ref
-    kind = "tS" if p.ndim == 3 else "S"
-    n1 = holder_norm(gap_ratio, 2, grid.holder_exp, grid, kind=kind)
-    n2 = holder_norm(gap_root, 2, grid.holder_exp, grid, kind=kind)
+    n1 = holder_norm(gap_ratio[..., None], 2, grid)
+    n2 = holder_norm(gap_root[..., None], 2, grid)
     lhs = n1.value + n2.value
     if not np.isfinite(lhs):
         raise ValueError("gap norm is not finite")
     if p_norm is None:
-        p_norm = holder_norm(p, 2, grid.holder_exp, grid,
-                             kind="tSy" if p.ndim == 3 else "Sy").value
+        p_norm = holder_norm(p, 2, grid).value
     scaled = None
     if bsq_slope > 0:
         scaled = lhs / (bsq_slope * (1.0 + p_norm) ** 6)
-    return GapRecord(lhs, (n1.value, n2.value), p_norm, bsq_slope, scaled)
+    return GapRecord(lhs, n1.value, n2.value, p_norm, bsq_slope, scaled)
 

@@ -55,10 +55,6 @@ class CorrelationMatrix:
     def off_diag(self) -> float:
         return float(self.entries[0, 1])
 
-    @property
-    def market_rho(self) -> float:
-        return 2.0 * self.off_diag
-
 
 def convert_correlation(rho_market: float) -> CorrelationMatrix:
     """Build the half-scaled matrix from a market correlation in (-1, 1).
@@ -166,15 +162,6 @@ class ValidationReport:
     @property
     def all_ok(self) -> bool:
         return all(self.checks.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "b_inf": self.b_inf, "b_sup": self.b_sup,
-            "bsq_slope": self.bsq_slope,
-            "alpha1_min": self.alpha1_min, "alpha2_min": self.alpha2_min,
-            "corr_min_eig": self.corr_min_eig,
-            "checks": dict(self.checks),
-        }
 
 
 def measured_bsq_slope(spec_or_b, grid: GridSpec) -> float:

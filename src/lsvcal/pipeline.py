@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -169,7 +169,8 @@ class RunConfig:
         return cls(values=values, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def get(self, key, cast=str, minimum=None):
-        """The value of ``key`` as ``cast``; below ``minimum`` is an error."""
+        """The value of ``key`` as ``cast``; below ``minimum``, or a float
+        that is not finite, is an error."""
         v = self.values[key]
         if cast is bool:
             word = str(v).strip().lower()
@@ -178,6 +179,8 @@ class RunConfig:
                                  f"{'/'.join(_BOOLEANS)}")
             return _BOOLEANS[word]
         value = cast(v)
+        if cast is float and not math.isfinite(value):
+            raise ValueError(f"{key} = {v!r} is not finite")
         if minimum is not None and value < minimum:
             raise ValueError(f"{key} = {v!r} is below {minimum}")
         return value
@@ -231,15 +234,9 @@ class VerificationReport:
         return all(self.gates.values())
 
     def as_json_dict(self) -> dict:
-        return {
-            "marginal_l1": {f"{t:.10g}": v for t, v in self.marginal_l1.items()},
-            "mass_drift": self.mass_drift,
-            "identity_max_rel": self.identity_max_rel,
-            "reprice_max_rel_err": self.reprice_max_rel_err,
-            "uncorrected_l1": self.uncorrected_l1,
-            "gates": dict(self.gates),
-            "extras": dict(self.extras),
-        }
+        """The fields as JSON keys, the float maturities written as text."""
+        return {**asdict(self), "marginal_l1": {
+            f"{t:.10g}": v for t, v in self.marginal_l1.items()}}
 
 
 def verify_calibration(p: np.ndarray, sigma_d: np.ndarray,
@@ -421,9 +418,12 @@ def run_pipeline(config: RunConfig, log=None) -> int:
                           q.price, spot0, q.strike, q.maturity, rate))
                       for q in quotes]
         surface = build_implied_surface(quotes, spot0, t_max=grid.horizon)
-        sigma_d = dupire_local_vol(
-            surface, rate, grid,
-            floor=config.get("vol.floor", float), cap=config.get("vol.cap", float))
+        vol_floor = config.get("vol.floor", float)
+        vol_cap = config.get("vol.cap", float)
+        if not 0 < vol_floor <= vol_cap:
+            raise ValueError(f"vol.floor = {vol_floor} and vol.cap = {vol_cap} "
+                             f"do not satisfy 0 < vol.floor <= vol.cap")
+        sigma_d = dupire_local_vol(surface, rate, grid, floor=vol_floor, cap=vol_cap)
 
         b_fn = builtin_y_function(config.get("model.b"), config.base_dir)
         alpha2 = _as_txy(builtin_y_function(config.get("model.alpha2"), config.base_dir))
@@ -467,9 +467,10 @@ def run_pipeline(config: RunConfig, log=None) -> int:
         auto_shrink = config.get("fp.auto_shrink", bool)
         max_halvings = config.get("fp.max_halvings", int, minimum=0)
         do_verify = config.get("run.verify", bool)
-        verify_tols = {"l1_tol": config.get("verify.l1_tol", float),
-                       "mass_tol": config.get("verify.mass_tol", float),
-                       "identity_tol": config.get("verify.identity_tol", float)}
+        verify_tols = {"l1_tol": config.get("verify.l1_tol", float, minimum=0.0),
+                       "mass_tol": config.get("verify.mass_tol", float, minimum=0.0),
+                       "identity_tol": config.get("verify.identity_tol", float,
+                                                  minimum=0.0)}
         snap_every = config.get("run.snapshot_every", int, minimum=0)
         snap_format = config.get("run.snapshot_format")
         if snap_format not in ("csv", "bin"):
@@ -520,13 +521,13 @@ def run_pipeline(config: RunConfig, log=None) -> int:
         log(f"solve failed: {err}")
         status, error = 2, f"{type(err).__name__}: {err}"
     if fp_report is not None and fp_json is None:
-        fp_json = fp_report.as_json_dict()
+        fp_json = asdict(fp_report)
 
     # ---- stage 3: artifacts ----
     if fp_json is not None:
         _write_json(os.path.join(out_dir, "fixed_point.json"), fp_json)
 
-    report_obj = {"validation": validation.as_dict(), "mode": mode,
+    report_obj = {"validation": asdict(validation), "mode": mode,
                   "corner_residual": corner_residual}
     if density is not None:
         try:

@@ -281,7 +281,7 @@ def test_criterion_04_short_time_threshold():
 
 def test_criterion_05_gap_monitor(contraction_run):
     rep = contraction_run["report"]
-    scaled = [g["scaled"] for g in rep.gap_records
+    scaled = [g["scaled"] for g in rep.gap_monitor
               if isinstance(g, dict) and g.get("scaled")]
     assert len(scaled) >= 3
     band = max(scaled) / min(scaled)

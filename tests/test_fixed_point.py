@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -252,8 +252,8 @@ class TestIterate:
         grid = make_grid(n_s=32, n_y=20, n_t=20)
         spec = make_spec(grid, b=b_perturbed(0.05))
         _, rep = iterate(spec, grid, make_psi(grid))
-        assert len(rep.gap_records) == rep.iterations >= 3
-        for norm, rec in zip(rep.norms, rep.gap_records):
+        assert len(rep.gap_monitor) == rep.iterations >= 3
+        for norm, rec in zip(rep.norms, rep.gap_monitor):
             assert norm == rec["p_norm"]
 
     def test_fixed_point_consistency(self):
@@ -344,7 +344,7 @@ class TestIterate:
                 dens, rep = iterate(spec, grid, psi, **kwargs)
             except MembershipLost as err:
                 dens, rep = err.density, err.report
-            return dens, rep.as_json_dict()
+            return dens, asdict(rep)
         own, handed = outcome(), outcome(frozen=frozen)
         assert np.array_equal(own[0], handed[0])
         assert own[1] == handed[1]

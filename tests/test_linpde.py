@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lsvcal import (CrossTermCFL, ModelSpec, NonElliptic, NonEllipticAssembly,
                     assemble_frozen, assemble_slice, convert_correlation,
                     ellipticity_constant, holder_norm, solve_linear,
-                    supnorm_time_bound)
+                    supnorm_time_bound, tridiag)
 from lsvcal.grids import GridSpec
 from lsvcal.linpde import (CoefficientFields, _apply, _sweep, _sweep_system,
                            cross_cfl_number, stencil)
@@ -298,6 +298,25 @@ class TestManufacturedSolution:
         assert np.max(np.abs(t1[-1] - t2[-1])) < 5.0 * grid.dt ** 2
         assert e2 < 1.5 * e1
 
+    @pytest.mark.parametrize("cross_iterations", [1, 3])
+    def test_tridiag_solve_count_is_the_solves_made(self, cross_iterations,
+                                                    monkeypatch):
+        # every corrector pass adds one batched solve per axis to the
+        # predictor's two
+        grid = GridSpec(s_min=0.0, s_max=1.0, y_min=0.0, y_max=1.0, n_s=32,
+                        n_y=32, horizon=0.25, n_t=16)
+        fields, fsrc, v_fn = mms_fields(grid)
+        psi = v_fn(0.0, grid.s_nodes[:, None], grid.y_nodes[None, :])
+        calls = []
+
+        def solve_spy(*args, real=tridiag.solve_batch, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(tridiag, "solve_batch", solve_spy)
+        _, rep = solve_linear(fields, psi, grid, f=fsrc,
+                              cross_iterations=cross_iterations)
+        assert rep.n_tridiag_solves == len(calls)
+
     def test_cross_term_warning_is_harmless(self):
         # CrossTermCFL is the explicit-Euler bound on the mixed term; the
         # Craig-Sneyd corrector with theta = 1/2 is stable past it.  At
@@ -412,7 +431,6 @@ class TestStepAndSolve:
         # must stay below it
         grid = make_grid(n_s=48, n_y=32, n_t=40, horizon=0.5)
         sig = flat_sigma(grid)
-        h = grid.holder_exp
         s2 = grid.s_nodes[:, None]
         y2 = grid.y_nodes[None, :]
         f_osc = np.broadcast_to(1e-4 * np.sin(s2 / 40.0) * np.cos(3.0 * y2),
@@ -428,9 +446,9 @@ class TestStepAndSolve:
         for spec, psi, f in cases:
             fields = assemble_frozen(spec, grid, b_ref=1.0)
             traj, _ = solve_linear(fields, psi, grid, f=f)
-            nv = holder_norm(traj, 2, h, grid, kind="tSy").value
-            n_psi = holder_norm(psi, 2, h, grid, kind="Sy").value
-            n_f = holder_norm(f, 0, h, grid, kind="tSy").value if f is not None else 0.0
+            nv = holder_norm(traj, 2, grid).value
+            n_psi = holder_norm(psi[None], 2, grid).value
+            n_f = holder_norm(f, 0, grid).value if f is not None else 0.0
             ratios.append(nv / (n_psi + n_f))
         assert max(ratios) <= SCHAUDER_KHAT
 

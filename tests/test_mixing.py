@@ -185,7 +185,7 @@ class TestGapMonitor:
         b = lambda y: np.sqrt(1.0 + 0.05 * np.sin(np.asarray(y, dtype=float)))
         args = (p, b, 1.0, grid, 0.05)
         fresh = ratio_gap_monitor(*args, p_floor=float(psi.min()))
-        p_norm = holder_norm(p, 2, grid.holder_exp, grid, kind="tSy").value
+        p_norm = holder_norm(p, 2, grid).value
         reused = ratio_gap_monitor(*args, p_floor=float(psi.min()), p_norm=p_norm)
         assert reused == fresh
         assert fresh.scaled is not None and fresh.lhs > 0.0

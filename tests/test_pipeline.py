@@ -248,7 +248,13 @@ class TestExitCodes:
                                        "run.snapshot_every = -1",
                                        "fp.cross_iterations = 0",
                                        "fp.max_iter = 0",
-                                       "fp.max_halvings = -1"])
+                                       "fp.max_halvings = -1",
+                                       "fp.tol_factor = inf",
+                                       "vol.floor = nan", "model.rate = nan",
+                                       "vol.cap = -1", "vol.floor = 5",
+                                       "verify.l1_tol = nan",
+                                       "verify.l1_tol = -1",
+                                       "verify.mass_tol = -1"])
     def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra):
         cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
         assert run_pipeline(cfg, log=lambda m: None) == 1
