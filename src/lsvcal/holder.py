@@ -123,26 +123,29 @@ def _base_norm(u, dt, hs, h_exp, fn=None, halo=0):
     return float(sup), best
 
 
-def _derivatives(dt, hs, k):
+def _derivatives(dt, hs, k, shape):
     """Yield (name, fn, halo) for spatial derivatives up to order k plus d/dt.
 
     Each ``fn`` differentiates a window of consecutive time slices;
     ``halo`` is the number of neighbor slices per side the window needs.
     d/dt needs one for its centered difference and takes two, so that a
     window at either end of the time axis holds the three slices of
-    `fd.d1`'s second-order one-sided formula.  An axis of length 1
-    differentiates to zero.
+    `fd.d1`'s second-order one-sided formula.  ``fn`` is None where `fd`
+    gives zeros: along an axis of ``shape`` shorter than 2 nodes for a
+    first and 3 for a second derivative (the y-axis of a (t, S) field
+    passed as ``u[..., None]``).
     """
-    named = list(zip("Sy", hs, (1, 2)))
+    named = [(n, h, ax, shape[ax]) for n, h, ax in zip("Sy", hs, (1, 2))]
     if k >= 1:
-        for n, h, ax in named:
-            yield f"d{n}", partial(fd.d1, h=h, axis=ax), 0
+        for n, h, ax, m in named:
+            yield f"d{n}", partial(fd.d1, h=h, axis=ax) if m >= 2 else None, 0
     if k >= 2:
-        for n, h, ax in named:
-            yield f"d{n}{n}", partial(fd.d2, h=h, axis=ax), 0
-        yield "dSy", partial(fd.d2_cross, hx=hs[0], hy=hs[1]), 0
+        for n, h, ax, m in named:
+            yield f"d{n}{n}", partial(fd.d2, h=h, axis=ax) if m >= 3 else None, 0
+        yield "dSy", (partial(fd.d2_cross, hx=hs[0], hy=hs[1])
+                      if min(shape[1:]) >= 2 else None), 0
     if k >= 1:
-        yield "dt", partial(fd.d1, h=dt, axis=0), 2
+        yield "dt", partial(fd.d1, h=dt, axis=0) if shape[0] >= 2 else None, 2
 
 
 def holder_norm(u: np.ndarray, k: int, grid) -> HolderNormEstimate:
@@ -150,8 +153,8 @@ def holder_norm(u: np.ndarray, k: int, grid) -> HolderNormEstimate:
 
     Args:
         u: field over (t, S, y) nodes.  Pass one slice as ``u[None]`` and a
-            (t, S) field as ``u[..., None]``; a length-1 axis adds no pairs
-            and differentiates to zero.
+            (t, S) field as ``u[..., None]``; a length-1 axis adds no pairs,
+            and the derivative parts along it are 0.0 without a scan.
         k: number of spatial derivative orders to include (0, 1 or 2).
         grid: GridSpec supplying the spacings and the exponent
             ``grid.holder_exp``.
@@ -168,7 +171,10 @@ def holder_norm(u: np.ndarray, k: int, grid) -> HolderNormEstimate:
     sup, quot = _base_norm(u, dt, hs, h)
     value = sup + quot
     parts = {}
-    for name, fn, halo in _derivatives(dt, hs, k):
+    for name, fn, halo in _derivatives(dt, hs, k, u.shape):
+        if fn is None:
+            parts[name] = 0.0
+            continue
         s, q = _base_norm(u, dt, hs, h, fn, halo)
         parts[name] = float(s + q)
         value += s + q

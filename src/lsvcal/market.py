@@ -1,9 +1,9 @@
 """Quote ingestion, implied-variance surface and the Dupire machinery.
 
-The surface interpolates total variance w = sigma^2 T: a cubic spline in
-log-moneyness within each quoted maturity, a cubic spline through the
-maturities (anchored at w = 0 for T = 0) across them.  Local volatility is
-extracted in total-variance form,
+The surface interpolates total variance w = sigma^2 T: a not-a-knot cubic
+spline (`_Spline`, this module's own) in log-moneyness within each quoted
+maturity, another through the maturities (anchored at w = 0 for T = 0)
+across them.  Local volatility is extracted in total-variance form,
 
     sigma_D^2 = (dw/dT + r K dw/dK) / D,
     D = 1 - (x/w) dw/dx + (1/4)(-1/4 - 1/w + x^2/w^2)(dw/dx)^2
@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
 
 from . import fd, tridiag
@@ -133,7 +132,10 @@ def _bs_call(spot, strike, t, rate, vol):
 
 
 def implied_vol_from_price(price, spot, strike, t, rate) -> float:
-    """Invert the Black-Scholes call price by bisection."""
+    """Invert the Black-Scholes call price by Brent's method.
+
+    Only price quotes come here, and only this call loads `scipy.optimize`.
+    """
     from scipy.optimize import brentq
     lo_price = _bs_call(spot, strike, t, rate, 1e-6)
     hi_price = _bs_call(spot, strike, t, rate, 5.0)
@@ -141,6 +143,61 @@ def implied_vol_from_price(price, spot, strike, t, rate) -> float:
         raise ValueError(f"price {price} not attainable for vol in [1e-6, 5]")
     return float(brentq(lambda v: _bs_call(spot, strike, t, rate, v) - price,
                         1e-6, 5.0, xtol=1e-12))
+
+
+class _Spline:
+    """Not-a-knot cubic spline through (x[i], y[i]) along the first axis of
+    y, extended beyond both end knots by its end pieces; n >= 4 strictly
+    increasing knots.
+
+    It repeats the arithmetic of SciPy's ``CubicSpline(x, y, axis=0)``
+    step for step and so gives its values bit for bit: the same
+    banded system for the knot slopes, solved by LAPACK ``gtsv`` as
+    `scipy.linalg.solve_banded` does; the same Hermite coefficients; and
+    the interval rule and evaluation order of its piecewise polynomial.
+
+    Raises:
+        ValueError: non-finite knots or values, or knots not strictly
+            increasing (a strike quoted twice at one maturity).
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("spline knots and values must be finite")
+        n = len(x)
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("spline knots must be strictly increasing")
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        b = np.empty_like(y)
+        b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0]
+                + dxr[0] ** 2 * slope[1]) / d0
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        b[-1] = (dxr[-1] ** 2 * slope[-2]
+                 + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+        s = tridiag.solve_tridiag(
+            np.concatenate([dx[1:], [d1]]),
+            np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]]),
+            np.concatenate([[d0], dx[:-1]]),
+            b.reshape(n, -1)).reshape(y.shape)
+        r = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.x = x
+        # coefficients of (t - x[i])^3, ^2, ^1, ^0 on interval i
+        self.c = (r / dxr, (slope - s[:-1]) / dxr - r, s[:-1], y[:-1])
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1,
+                    0, len(self.x) - 2)
+        s = (t - self.x[i]).reshape(t.shape + (1,) * (self.c[3].ndim - 1))
+        c3, c2, c1, c0 = (c[i] for c in self.c)
+        # summed from 0.0 upward, power by power, as the piecewise
+        # polynomial does (so a zero comes out as +0.0)
+        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
 
 @dataclass
@@ -153,7 +210,7 @@ class ImpliedSurface:
 
     spot: float
     maturities: np.ndarray
-    slices: list                       # per-maturity CubicSpline in x
+    slices: list                       # per-maturity `_Spline` in x
     x_ranges: list                     # per-maturity (x_lo, x_hi)
 
     def w(self, t, x) -> np.ndarray:
@@ -168,7 +225,7 @@ class ImpliedSurface:
         for i, (spl, (xl, xh)) in enumerate(zip(self.slices, self.x_ranges)):
             vals[i + 1] = spl(np.clip(x, xl, xh))
         knots = np.concatenate([[0.0], self.maturities])
-        return CubicSpline(knots, vals, axis=0)(t)
+        return _Spline(knots, vals)(t)
 
     def vol(self, t, strike) -> np.ndarray:
         """Implied volatility at (t, K)."""
@@ -225,7 +282,7 @@ def build_implied_surface(quotes, spot: float,
             raise InsufficientData(f"need >= 4 strikes at T={t}, got {len(qs)}")
         x = np.log(np.array([q.strike for q in qs]) / spot)
         w = np.array([q.implied_vol ** 2 * t for q in qs])
-        slices.append(CubicSpline(x, w))
+        slices.append(_Spline(x, w))
         x_ranges.append((x[0], x[-1]))
 
     surf = ImpliedSurface(spot=spot, maturities=mats, slices=slices,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 
 def factor_batch(lower: np.ndarray, diag: np.ndarray,
@@ -46,6 +46,21 @@ def solve_batch(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve the factored systems for an (m, n) right-hand side."""
     x, _ = dgttrs(*factors, np.reshape(rhs, (-1, 1)).astype(float, copy=False))
     return x.reshape(np.shape(rhs))
+
+
+def solve_tridiag(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve one tridiagonal system of size n for each column of an (n, k)
+    right-hand side by LAPACK ``gtsv`` (elimination with partial pivoting).
+
+    ``lower`` and ``upper`` hold the n-1 sub- and super-diagonal entries.
+
+    Raises:
+        LinAlgError: the system is singular.
+    """
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def residual_batch(lower, diag, upper, rhs, x) -> float:

@@ -269,3 +269,25 @@ class TestSlabDerivatives:
             est = holder_norm(u, k, grid)
         assert (est.value, est.derivative_parts) == \
             whole_field_holder_norm(u, k, grid)
+
+
+class TestShortAxisDerivatives:
+    @pytest.mark.parametrize("n_y, scanned", [
+        (1, ["dS", "dSS", "dt"]),
+        (2, ["dS", "dy", "dSS", "dSy", "dt"]),
+        (3, ["dS", "dy", "dSS", "dyy", "dSy", "dt"])])
+    def test_zero_parts_are_not_scanned(self, n_y, scanned):
+        # a derivative along an axis too short for it is exactly 0.0 and
+        # is not scanned; the value is the whole-field oracle's
+        u = np.random.default_rng(n_y).standard_normal((6, 7, n_y))
+        grid = make_grid(n_s=20, n_y=10, n_t=8)
+        with mock.patch.object(holder, "_base_norm",
+                               wraps=holder._base_norm) as base:
+            est = holder_norm(u, 2, grid)
+        assert base.call_count == 1 + len(scanned)
+        assert all(p != 0.0 for n, p in est.derivative_parts.items()
+                   if n in scanned)
+        assert all(p == 0.0 for n, p in est.derivative_parts.items()
+                   if n not in scanned)
+        assert (est.value, est.derivative_parts) == \
+            whole_field_holder_norm(u, 2, grid)

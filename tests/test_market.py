@@ -1,7 +1,14 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
 from scipy.stats import norm
 
 from lsvcal import (ArbitrageWarning, CalendarArbitrage, DegenerateSurface,
@@ -9,7 +16,7 @@ from lsvcal import (ArbitrageWarning, CalendarArbitrage, DegenerateSurface,
                     OptionQuote, ParseError, StabilityFailure,
                     build_implied_surface, dupire_forward_solve,
                     dupire_local_vol, fv_mass, load_quotes, reprice_calls)
-from lsvcal.market import implied_vol_from_price
+from lsvcal.market import _Spline, implied_vol_from_price
 
 from conftest import make_grid, write_flat_quotes
 
@@ -119,12 +126,65 @@ class TestImpliedSurface:
         with pytest.raises(InsufficientData):
             build_implied_surface(quotes, spot=100.0, t_max=1.0)
 
+    @pytest.mark.parametrize("extra", [
+        OptionQuote(0.5, 100.0, implied_vol=0.21),           # strike twice
+        OptionQuote(0.5, 105.0, implied_vol=float("nan")),
+        OptionQuote(0.5, 105.0, implied_vol=float("inf"))])
+    def test_repeated_strike_or_nonfinite_vol_rejected(self, extra):
+        quotes = [OptionQuote(t, k, implied_vol=0.2)
+                  for t in (0.25, 0.5, 1.0, 2.0) for k in (80, 90, 100, 110)]
+        with pytest.raises(ValueError):
+            build_implied_surface(quotes + [extra], spot=100.0)
+
     def test_calendar_arbitrage_detected(self):
         quotes = [OptionQuote(t, k, implied_vol=v)
                   for t, v in ((0.25, 0.30), (0.5, 0.22), (1.0, 0.16), (2.0, 0.11))
                   for k in (80, 90, 100, 110)]
         with pytest.raises(CalendarArbitrage):
             build_implied_surface(quotes, spot=100.0)
+
+
+@st.composite
+def spline_cases(draw):
+    """Knots, values along axis 0 (1-D or 2-D) and evaluation points: inside,
+    on the knots and beyond both ends."""
+    n = draw(st.integers(4, 11))
+    steps = draw(arrays(np.float64, n - 1, elements=st.floats(1e-3, 10.0)))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    shape = (n,) + draw(st.sampled_from([(), (1,), (3,)]))
+    y = draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+    inside = draw(arrays(np.float64, 5, elements=st.floats(x[0], x[-1])))
+    beyond = draw(arrays(np.float64, 4, elements=st.floats(0.0, 20.0)))
+    t = np.concatenate([inside, x, x[0] - beyond[:2], x[-1] + beyond[2:]])
+    t = np.array(draw(st.permutations(list(t))))
+    return x, y, t.reshape(draw(st.sampled_from([(-1,), (1, -1)])))
+
+
+class TestSpline:
+    @settings(max_examples=300, deadline=None)
+    @given(spline_cases(), st.booleans())
+    def test_equals_scipy_cubic_spline_bit_for_bit(self, case, scalar):
+        x, y, t = case
+        if scalar:
+            t = t.flat[0]
+        ref = CubicSpline(x, y, axis=0)(t)
+        got = np.asarray(_Spline(x, y)(t))
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_cli_import_loads_no_interpolation_or_optimization():
+    # a fresh interpreter: this one may already hold the modules
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import lsvcal, lsvcal.cli; print(*sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    mods = out.split()
+    heavy = {f"scipy.{p}" for p in
+             ("interpolate", "optimize", "sparse", "spatial", "fft")}
+    assert "lsvcal.cli" in mods
+    assert [m for m in mods if ".".join(m.split(".")[:2]) in heavy] == []
 
 
 def dupire_per_node(surface, rate, grid, floor=1e-2, cap=3.0):
