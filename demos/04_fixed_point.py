@@ -47,8 +47,8 @@ for n, (r, m) in enumerate(zip(rep.residuals, rep.membership), start=1):
     print(f"  it {n}: residual {r:.3e}   norm {m['norm']:.3f} "
           f"(cap {m['norm_cap']:.3f})")
 print(f"  contraction {rep.contraction:.2e}, fit R^2 {rep.r_squared:.4f}")
-print(f"  one extra map application moves the solution by "
-      f"{rep.fixed_point_residual:.2e}")
+print(f"  map residual of the returned trajectory, max|M(p) - p|: "
+      f"{rep.fixed_point_residual:.2e} (tol {rep.tol:.2e})")
 
 # --- threshold sweep -------------------------------------------------------------
 print("\nperturbation sweep at the full horizon:")

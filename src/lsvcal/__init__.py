@@ -8,10 +8,10 @@ construction around a frozen-coefficient linear parabolic solver.
 from ._version import __version__
 from .errors import (ArbitrageWarning, BandwidthTooSmall, CalendarArbitrage,
                      CalibrationError, CrossTermCFL, DegenerateDenominator,
-                     DegenerateSurface, DensityBoundViolation, DuplicateQuote,
-                     HorizonExhausted, HypothesisViolation, InsufficientData,
-                     MembershipLost, NonElliptic, NonEllipticAssembly,
-                     NotConverged, OutOfRange, ParseError, StabilityFailure)
+                     DegenerateSurface, DuplicateQuote, HorizonExhausted,
+                     HypothesisViolation, InsufficientData, MembershipLost,
+                     NonElliptic, NonEllipticAssembly, NotConverged,
+                     OutOfRange, ParseError, StabilityFailure)
 from .fixed_point import (FixedPointReport, IterateBounds, MembershipResult,
                           apply_map, check_membership, iterate,
                           shrink_horizon, solve_lagged)

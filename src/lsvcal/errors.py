@@ -70,10 +70,6 @@ class NonEllipticAssembly(NonElliptic):
     """Coefficient assembly produced a non-elliptic operator."""
 
 
-class DensityBoundViolation(CalibrationError):
-    """A density iterate dropped below half its initial floor."""
-
-
 class MembershipLost(CalibrationError):
     """An iterate left the admissible set (pointwise bounds or norm cap).
 

@@ -102,7 +102,12 @@ def check_membership(p: np.ndarray, params: IterateBounds,
 @dataclass
 class FixedPointReport:
     """Per-iteration residuals, norms, membership and gap-monitor records
-    plus the outcome; the fields are the keys of its JSON form."""
+    plus the outcome; the fields are the keys of its JSON form.
+
+    ``fixed_point_residual`` is the map residual ``max|M(p) - p|`` of the
+    returned trajectory p, the last entry of ``residuals``; it is None
+    until the iteration converges.
+    """
 
     residuals: list = field(default_factory=list)
     norms: list = field(default_factory=list)
@@ -199,8 +204,10 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     ``frozen.b_ref``; without it, it is assembled here at ``spec.b_ref(grid)``.
     Every iteration reads its operator and source products from ``frozen``.
 
-    Returns (trajectory, FixedPointReport) on convergence; the trajectory
-    has shape (k*+1, n_s+2, n_y+2).
+    Returns (trajectory, FixedPointReport) on convergence.  The trajectory,
+    of shape (k*+1, n_s+2, n_y+2), is the input p of the map application
+    whose residual ``max|M(p) - p|`` passed ``tol``; that residual is the
+    report's ``fixed_point_residual``.
 
     Raises:
         ValueError: ``max_iter`` < 1, or ``frozen`` was built for another
@@ -221,15 +228,12 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     k_star = _horizon_steps(params.t_star, grid)
     bsq_slope = measured_bsq_slope(spec, grid)
 
-    def calibration_map(u):
-        return apply_map(u, spec, grid, psi=psi, frozen=frozen,
-                         cross_iterations=cross_iterations)
-
     report = FixedPointReport(t_star=k_star * grid.dt, tol=params.tol)
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
-        v, solve_rep = calibration_map(p)
+        v, solve_rep = apply_map(p, spec, grid, psi=psi, frozen=frozen,
+                                 cross_iterations=cross_iterations)
         report.solver_residual = max(report.solver_residual, solve_rep.max_residual)
         resid = _sup_diff(v, p)
         mem = check_membership(v, params, grid)
@@ -238,7 +242,6 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         report.membership.append(asdict(mem))
         try:
             rec = ratio_gap_monitor(v, spec.b, frozen.b_ref, grid, bsq_slope,
-                                    p_floor=params.p_lo if mem.lower_ok else None,
                                     p_norm=mem.norm)
             report.gap_monitor.append(asdict(rec))
         except (DegenerateDenominator, ValueError) as err:
@@ -248,19 +251,16 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         if not mem.ok:
             report.fit_contraction()
             raise MembershipLost(n, report=report, density=v)
-        p = v
         if resid <= params.tol:
+            # p is the answer: the map moved it by resid, measured above
             report.converged = True
+            report.fixed_point_residual = resid
             break
+        p = v
 
     report.fit_contraction()
     if not report.converged:
         raise NotConverged(report=report, density=p)
-
-    # defining property of the solution: one more map application moves it
-    # by no more than the stopping tolerance's scale
-    v, _ = calibration_map(p)
-    report.fixed_point_residual = _sup_diff(v, p)
     return p, report
 
 

@@ -42,6 +42,10 @@ class OptionQuote:
     price: float | None = None
 
     def __post_init__(self):
+        for name, value in (("maturity", self.maturity), ("strike", self.strike),
+                            ("implied vol", self.implied_vol), ("price", self.price)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
         if self.maturity <= 0:
             raise ValueError(f"maturity {self.maturity} must be positive")
         if self.strike <= 0:
@@ -57,7 +61,8 @@ def load_quotes(path) -> list:
     ``maturity,strike,price``.
 
     Raises:
-        ParseError: malformed row (with its 1-based line number).
+        ParseError: malformed row, a non-finite value included (with its
+            1-based line number).
         DuplicateQuote: repeated (maturity, strike) pair.
 
     Warns:

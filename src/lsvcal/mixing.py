@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DensityBoundViolation
+from .errors import DegenerateDenominator
 from .fd import trapezoid_weights
 from .grids import GridSpec
 from .holder import holder_norm
@@ -117,8 +117,7 @@ class GapRecord:
 
 
 def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
-                      bsq_slope: float, p_floor: float | None = None,
-                      p_norm: float | None = None) -> GapRecord:
+                      bsq_slope: float, p_norm: float | None = None) -> GapRecord:
     """Measure how far the mixing ratio sits from its constant-b anchor.
 
     Args:
@@ -126,15 +125,10 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
             ``p[None]``.
         b_ref: anchor value of b (the freeze used by the linear solves).
         bsq_slope: measured sup |d(b^2)/dy| on the grid.
-        p_floor: initial density floor; when given, p must stay above half
-            of it (raises DensityBoundViolation otherwise).
         p_norm: the Hoelder-2 norm of p at ``grid.holder_exp``, when the
             caller has it already (the membership check computes it).
     """
     p = np.asarray(p, dtype=float)
-    if p_floor is not None and p.min() < 0.5 * p_floor:
-        raise DensityBoundViolation(
-            f"density fell to {p.min():.3e} < {0.5 * p_floor:.3e}")
     mix = mixing_ratio(p, b, grid)
     gap_ratio = mix.ratio - 1.0 / (b_ref * b_ref)
     gap_root = mix.sqrt_ratio - 1.0 / b_ref

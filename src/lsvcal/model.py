@@ -186,8 +186,9 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
     """Check the structural hypotheses on the grid and report the constants.
 
     Hard failures (b not strictly positive, a diffusion amplitude below the
-    ellipticity floor, a bad correlation matrix, initial point outside the
-    domain) raise HypothesisViolation; everything else is reported.
+    ellipticity floor, initial point outside the domain) raise
+    HypothesisViolation; ``CorrelationMatrix`` rejects a bad correlation
+    matrix when it is built.  Everything else is reported.
     """
     bv = b_values(spec.b, grid)
     if np.any(bv <= 0):
@@ -198,8 +199,6 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
         raise HypothesisViolation(
             "alpha-floor",
             f"min alpha = {min(a1_min, a2_min):.3e} < floor {spec.alpha_floor:.3e}")
-    if spec.corr.min_eig <= 0:
-        raise HypothesisViolation("correlation", "not positive definite")
     if not grid.contains_interior(spec.spot0, spec.y0):
         raise HypothesisViolation(
             "domain", f"initial point ({spec.spot0}, {spec.y0}) not strictly interior")

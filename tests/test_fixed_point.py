@@ -276,6 +276,24 @@ class TestIterate:
                             n_steps=p.shape[0] - 1, cross_iterations=2)
         assert rep.fixed_point_residual == float(np.max(np.abs(v - p)))
 
+    def test_converged_run_applies_the_map_once_per_iteration(self, monkeypatch):
+        # the answer is the input of the application whose residual passed
+        # tol, so no application runs after the loop
+        import lsvcal.fixed_point
+        grid = make_grid(n_s=32, n_y=20, n_t=20)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        inputs = []
+
+        def spy(u, *args, real=lsvcal.fixed_point.apply_map, **kwargs):
+            inputs.append(u.copy())
+            return real(u, *args, **kwargs)
+        monkeypatch.setattr(lsvcal.fixed_point, "apply_map", spy)
+        p, rep = iterate(spec, grid, make_psi(grid))
+        assert rep.converged and rep.iterations >= 3
+        assert len(inputs) == rep.iterations
+        assert np.array_equal(inputs[-1], p)
+        assert rep.fixed_point_residual == rep.residuals[-1] <= rep.tol
+
     def test_boundary_preserved_exactly(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)
         spec = make_spec(grid, b=b_perturbed(0.05))

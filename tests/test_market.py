@@ -50,6 +50,17 @@ class TestLoadQuotes:
             load_quotes(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("column, row", [
+        ("implied_vol", "0.5,100,nan"), ("implied_vol", "0.5,90,inf"),
+        ("implied_vol", "nan,80,0.2"), ("implied_vol", "0.5,inf,0.2"),
+        ("price", "0.5,100,nan")])
+    def test_nonfinite_value_reports_line(self, tmp_path, column, row):
+        path = tmp_path / "q.csv"
+        path.write_text(f"maturity,strike,{column}\n0.5,110,0.2\n{row}\n")
+        with pytest.raises(ParseError, match="not finite") as err:
+            load_quotes(path)
+        assert err.value.line == 3
+
     def test_duplicates_rejected(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("maturity,strike,implied_vol\n0.5,100,0.2\n0.5,100,0.21\n")
@@ -127,14 +138,16 @@ class TestImpliedSurface:
             build_implied_surface(quotes, spot=100.0, t_max=1.0)
 
     @pytest.mark.parametrize("extra", [
-        OptionQuote(0.5, 100.0, implied_vol=0.21),           # strike twice
-        OptionQuote(0.5, 105.0, implied_vol=float("nan")),
-        OptionQuote(0.5, 105.0, implied_vol=float("inf"))])
+        (0.5, 100.0, 0.21),           # strike twice: the surface rejects it
+        (0.5, 105.0, float("nan")),   # non-finite: the quote itself rejects it
+        (0.5, 105.0, float("inf"))])
     def test_repeated_strike_or_nonfinite_vol_rejected(self, extra):
         quotes = [OptionQuote(t, k, implied_vol=0.2)
                   for t in (0.25, 0.5, 1.0, 2.0) for k in (80, 90, 100, 110)]
+        t, k, vol = extra
         with pytest.raises(ValueError):
-            build_implied_surface(quotes + [extra], spot=100.0)
+            build_implied_surface(quotes + [OptionQuote(t, k, implied_vol=vol)],
+                                  spot=100.0)
 
     def test_calendar_arbitrage_detected(self):
         quotes = [OptionQuote(t, k, implied_vol=v)

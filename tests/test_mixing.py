@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lsvcal import (DegenerateDenominator, DensityBoundViolation, holder_norm,
-                    leverage, marginal, mixing_ratio, ratio_gap_monitor)
+from lsvcal import (DegenerateDenominator, holder_norm, leverage, marginal,
+                    mixing_ratio, ratio_gap_monitor)
 
 from conftest import make_grid, make_psi
 
@@ -184,15 +184,8 @@ class TestGapMonitor:
         p = psi[None] * (1.0 + 0.3 * y_mod) * t_mod
         b = lambda y: np.sqrt(1.0 + 0.05 * np.sin(np.asarray(y, dtype=float)))
         args = (p, b, 1.0, grid, 0.05)
-        fresh = ratio_gap_monitor(*args, p_floor=float(psi.min()))
+        fresh = ratio_gap_monitor(*args)
         p_norm = holder_norm(p, 2, grid).value
-        reused = ratio_gap_monitor(*args, p_floor=float(psi.min()), p_norm=p_norm)
+        reused = ratio_gap_monitor(*args, p_norm=p_norm)
         assert reused == fresh
         assert fresh.scaled is not None and fresh.lhs > 0.0
-
-    def test_floor_violation_raises(self):
-        grid = make_grid(n_s=16, n_y=24, n_t=8)
-        psi = make_psi(grid, bw_s=25.0, bw_y=0.25)
-        with pytest.raises(DensityBoundViolation):
-            ratio_gap_monitor(psi * 0.1, lambda y: np.ones_like(y), 1.0, grid,
-                              bsq_slope=0.0, p_floor=float(psi.min()))

@@ -260,6 +260,14 @@ class TestExitCodes:
         assert run_pipeline(cfg, log=lambda m: None) == 1
         assert not os.path.exists(tmp_path / "out")
 
+    def test_nonfinite_quote_exits_one_writing_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        with open(tmp_path / "quotes.csv", "a", encoding="utf-8") as fh:
+            fh.write("0.75,100,nan\n")     # line 27, after the header and 25 rows
+        assert main(["--config", str(path)]) == 1
+        assert not os.path.exists(tmp_path / "out")
+        assert "line 27: implied vol nan is not finite" in capsys.readouterr().err
+
     def test_short_builtin_exits_one_naming_the_form(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path, b="const"))
         logged = []
