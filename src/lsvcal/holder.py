@@ -8,7 +8,13 @@ contribution.  Every field is laid out over (t, S, y).
 
 Quotients are estimated over nearest and next-nearest neighbor pairs; for
 smooth fields the supremum is attained in the small-separation limit, so
-this is the relevant restriction.
+this is the relevant restriction.  Every pair of the ten offsets counts,
+but not every pair is read: a compound offset, such as (0, 1, 1) or
+(0, 0, 2), chains two unit offsets, so by the triangle inequality the
+unit offsets' gaps bound its quotient.  A slab of time slices skips it
+where that bound, with a slack that covers the rounding, cannot exceed the
+largest quotient already found, so the estimate is the full scan's bit
+for bit.  On a smooth trajectory the mixed offsets are almost never read.
 """
 from __future__ import annotations
 
@@ -19,9 +25,22 @@ import numpy as np
 
 from . import fd
 
-# (t, S, y) index offsets defining the neighbor pairs
-_OFFSETS = [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, -1), (0, 2, 0), (0, 0, 2),
-            (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1)]
+# (t, S, y) index offsets defining the neighbor pairs, in the order each
+# slab scans them: the unit offsets, whose gaps make every bound; the
+# doubled ones, which hold the largest quotient of a smooth field; and the
+# mixed ones, which that quotient usually bounds
+_OFFSETS = [(0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 2, 0), (0, 0, 2), (2, 0, 0),
+            (0, 1, 1), (0, 1, -1), (1, 1, 0), (1, 0, 1)]
+# the two unit offsets a compound offset chains: a pair P, P + off passes
+# through a middle node, spatial step first, so each of its two unit pairs
+# starts in P's time slice or, for (2, 0, 0), the next one, and a slab's
+# gaps of the parts bound its gap of off
+_PARTS = {(0, 2, 0): ((0, 1, 0), (0, 1, 0)), (0, 0, 2): ((0, 0, 1), (0, 0, 1)),
+          (2, 0, 0): ((1, 0, 0), (1, 0, 0)),
+          (0, 1, 1): ((0, 1, 0), (0, 0, 1)), (0, 1, -1): ((0, 1, 0), (0, 0, 1)),
+          (1, 1, 0): ((0, 1, 0), (1, 0, 0)), (1, 0, 1): ((0, 0, 1), (1, 0, 0))}
+# relative slack of those bounds; `_base_norm` shows it covers the rounding
+_SLACK = 1 + 1e-12
 # byte budget of one slab of time slices in `_base_norm`.  Each slab of a
 # derivative is differentiated on its own, with a few slab-sized
 # temporaries: at 256 kB the per-slab calls made a 200x100x200 norm about
@@ -76,7 +95,7 @@ def _offset_distance(offset, dt, hs):
     return np.sqrt(d2)
 
 
-def _base_norm(u, dt, hs, h_exp, fn=None, halo=0):
+def _base_norm(u, dt, hs, h_exp, fn=None, halo=0, prune=True):
     """Sup norm and largest neighbor-pair quotient |v(P) - v(Q)| / d(P, Q)^h
     of v = u, or of v = fn(u) for a derivative (fn, halo) of `_derivatives`.
 
@@ -85,18 +104,37 @@ def _base_norm(u, dt, hs, h_exp, fn=None, halo=0):
     while it is in cache.  A derivative is taken slab by slab, on the slab
     and its halos, so no derivative field of the whole trajectory is built
     and the slices kept are computed exactly as on the whole field.  Both
-    parts are maxima, so the result does not depend on the slab length.
+    parts are maxima, so the result does not depend on the slab length,
+    nor on a pair read twice: a time offset reads the halo slices too, so
+    the (1, 0, 0) gaps also cover the pairs that start in the slice after
+    the slab, as the bound of (2, 0, 0) needs.
+
+    A slab skips an offset of `_PARTS` whose bound cannot exceed the
+    largest quotient scanned so far.  The bound is the sum of the slab's
+    gaps of the two parts, times `_SLACK`, over the offset's distance^h,
+    and it must be finite: the triangle inequality fails for infinities.
+    The slack is a proof, not a tolerance.  With unit roundoff u,
+    |fl(a - c)| <= (1 + u)/(1 - u) (fl|a - b| + fl|b - c|); the sum and
+    the product lose at most two more factors (1 - u), and (1 - u)^3
+    `_SLACK` > 1 + u; in the subnormal range every difference involved is
+    exact.  Correctly rounded division is monotone, so a skipped quotient
+    is at most a scanned one, and the result is the full scan's bit for
+    bit, NaN and inf included.  A NaN quotient never enters the maximum,
+    so a NaN gap in a later slab can drop the quotient a skip leaned on;
+    the scan is then redone without skips (``prune=False``).
     """
     if u.size == 0:
         return 0.0, 0.0
     nt = u.shape[0]
     offsets = [off for off in _OFFSETS
                if all(abs(o) < n for o, n in zip(off, u.shape))]
+    den = {off: _offset_distance(off, dt, hs) ** h_exp for off in offsets}
     reach = max((off[0] for off in offsets), default=0)
     step = max(1, _SLAB_BYTES // u[0].nbytes)
-    buf = np.empty(min(step, nt) * u[0].size)
+    buf = np.empty(min(step + 1, nt) * u[0].size)
     sup = 0.0
-    gaps = [0.0] * len(offsets)
+    gaps = dict.fromkeys(offsets, 0.0)
+    best = skipped = 0.0     # largest quotient scanned, largest bound skipped
     for t0 in range(0, nt, step):
         t1 = min(t0 + step, nt)
         t2 = min(t1 + reach, nt)
@@ -108,19 +146,30 @@ def _base_norm(u, dt, hs, h_exp, fn=None, halo=0):
         d = buf[:(t1 - t0) * u[0].size].reshape((t1 - t0,) + u.shape[1:])
         np.abs(v[:t1 - t0], out=d)
         sup = np.maximum(sup, d.max())
-        for j, off in enumerate(offsets):
-            a, b = _pair_views(v[:min(t1 + off[0], nt) - t0], off)
+        slab = {}            # this slab's gap of each offset scanned
+        for off in offsets:
+            if prune and off in _PARTS:
+                p, q = _PARTS[off]
+                bound = (slab[p] + slab[q]) * _SLACK / den[off]
+                if bound <= best < np.inf:       # so the bound is finite
+                    skipped = max(skipped, bound)
+                    continue
+            a, b = _pair_views(v if off[0] else v[:t1 - t0], off)
             if a is None:
+                slab[off] = 0.0
                 continue
             d = buf[:a.size].reshape(a.shape)
             np.subtract(a, b, out=d)
             np.abs(d, out=d)
-            gaps[j] = np.maximum(gaps[j], d.max())
-    best = 0.0
-    for off, gap in zip(offsets, gaps):
-        dist = _offset_distance(off, dt, hs)
-        best = max(best, float(gap) / dist ** h_exp)
-    return float(sup), best
+            slab[off] = d.max()
+            gaps[off] = np.maximum(gaps[off], slab[off])
+            best = max(best, slab[off] / den[off])
+    quot = 0.0
+    for off, gap in gaps.items():
+        quot = max(quot, float(gap) / den[off])
+    if quot < skipped:
+        return _base_norm(u, dt, hs, h_exp, fn, halo, prune=False)
+    return float(sup), quot
 
 
 def _derivatives(dt, hs, k, shape):

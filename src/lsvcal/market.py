@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import fd, tridiag
 from .errors import (ArbitrageWarning, CalendarArbitrage, DegenerateSurface,
@@ -128,6 +127,8 @@ def check_price_bounds(quotes, spot: float, rate: float) -> None:
 
 
 def _bs_call(spot, strike, t, rate, vol):
+    """Black-Scholes call price; only this call loads `scipy.special`."""
+    from scipy.special import ndtr
     if t <= 0 or vol <= 0:
         return max(spot - strike * math.exp(-rate * t), 0.0)
     sq = vol * math.sqrt(t)
@@ -139,7 +140,8 @@ def _bs_call(spot, strike, t, rate, vol):
 def implied_vol_from_price(price, spot, strike, t, rate) -> float:
     """Invert the Black-Scholes call price by Brent's method.
 
-    Only price quotes come here, and only this call loads `scipy.optimize`.
+    Only price quotes come here.  This call loads `scipy.optimize`, and its
+    `_bs_call` prices load `scipy.special`.
     """
     from scipy.optimize import brentq
     lo_price = _bs_call(spot, strike, t, rate, 1e-6)

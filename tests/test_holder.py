@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from unittest import mock
@@ -222,6 +223,95 @@ class TestSlabBlocking:
         dt, hs = 0.01, (3.0, 0.02)
         ref = unblocked_base_norm(u, dt, hs, 0.5)
         assert holder._base_norm(u, dt, hs, 0.5) == ref
+
+
+@st.composite
+def smooth_fields(draw):
+    """A smooth (t, S, y) field of any layout with up to two NaN or infinite
+    entries: the bounds of the pruned scan fire on smooth values, where on
+    noise they rarely do."""
+    has_t, has_y = LAYOUTS[draw(st.sampled_from(list(LAYOUTS)))]
+    shape = (draw(st.integers(1, 11)) if has_t else 1, draw(st.integers(1, 8)),
+             draw(st.integers(1, 8)) if has_y else 1)
+    t, s, y = np.meshgrid(*map(np.arange, shape), indexing="ij")
+    a, b, c, w = (draw(st.floats(-1, 1)) for _ in range(4))
+    u = (a * np.sin(w * s + 0.3 * y) + b * np.cos(0.2 * t - w * y)
+         + c * s * y / 10)
+    for _ in range(draw(st.integers(0, 2))):
+        node = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        u[node] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return u
+
+
+class TestPrunedScan:
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_fields(), st.integers(1, 5), st.sampled_from([0.3, 0.5, 0.9]),
+           st.tuples(*[st.sampled_from([1e-4, 1e-2, 1.0, 30.0])] * 3))
+    def test_pruned_equals_unblocked_on_smooth_fields(self, u, slab, h_exp,
+                                                      spacings):
+        # dt, dS and dy of any ratio, so each offset can hold the maximum
+        dt, *hs = spacings
+        ref = unblocked_base_norm(u, dt, hs, h_exp)
+        with mock.patch.object(holder, "_SLAB_BYTES", slab * u[0].nbytes):
+            got = holder._base_norm(u, dt, hs, h_exp)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("u", [
+        # a linear field makes the triangle inequality an equality: the
+        # (0, 1, 1) quotient tops the (0, 0, 2) one by 0.05%, so it is read
+        np.arange(2)[None, :, None] * (1.0005 * 2 ** 0.75 - 1)
+        + np.arange(3)[None, None, :],
+        # the (1, 0, 0) pairs that start in slice 0 bound the (2, 0, 0)
+        # pairs by 2.02, below the 2.2 of its (0, 1, 0) pair, but the one
+        # at S = 0 reads 2.52: its larger half, 1 -> 3, starts in slice 1
+        np.array([[0.0, 2.2], [1.0, 1.0], [3.0, 3.0]])[..., None],
+        # infinite parts bound nothing: inf - inf is NaN, which drops the
+        # (0, 2, 0) quotient from the full scan
+        np.array([[np.inf, -np.inf, np.inf], [0.0, -np.inf, -np.inf]])[..., None],
+    ], ids=["tight-triangle", "next-slice-half", "infinite-parts"])
+    def test_bound_edges_equal_unblocked(self, u):
+        ref = unblocked_base_norm(u, 1.0, (1.0, 1.0), 0.5)
+        with mock.patch.object(holder, "_SLAB_BYTES", u[0].nbytes):
+            got = holder._base_norm(u, 1.0, (1.0, 1.0), 0.5)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    def test_nan_after_a_skip_rescans(self):
+        # slice 0 skips pairs on the strength of offsets that the NaN of
+        # slice 1 drops from the maximum; without the rescan the quotient
+        # would read 0.816 instead of 2.041
+        u = np.array([[[2., 2., 0.], [-1., -3., -1.], [-1., -3., -3.]],
+                      [[3., 1., -2.], [0., 3., np.nan], [2., -1., 0.]]])
+        dt, hs = 0.01, (3.0, 0.02)
+        with mock.patch.object(holder, "_SLAB_BYTES", u[0].nbytes), \
+                mock.patch.object(holder, "_base_norm",
+                                  wraps=holder._base_norm) as base:
+            got = holder._base_norm(u, dt, hs, 0.5)
+        assert base.call_count == 2
+        ref = unblocked_base_norm(u, dt, hs, 0.5)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    def test_mixed_offsets_are_skipped_on_a_smooth_trajectory(self):
+        # the demo-05 grid
+        grid = make_grid(n_s=100, n_y=50, n_t=100, y_span=(-0.5, 0.5))
+        u = smooth_random_field(np.random.default_rng(0), grid, kind="tSy")
+        pair_views = holder._pair_views
+
+        def scan(parts):
+            counts = collections.Counter()
+
+            def spy(v, off):
+                counts[off] += 1
+                return pair_views(v, off)
+            with mock.patch.object(holder, "_PARTS", parts), \
+                    mock.patch.object(holder, "_pair_views", spy):
+                return holder_norm(u, 2, grid), counts
+        est, pruned = scan(holder._PARTS)
+        full_est, full = scan({})       # no bounds: every offset, every slab
+        assert est == full_est
+        assert [pruned[off] for off in [(0, 1, 1), (0, 1, -1), (1, 1, 0),
+                                        (1, 0, 1)]] == [0, 0, 0, 0]
+        # 10 offsets per slab in full, the 3 unit ones and a few more pruned
+        assert sum(pruned.values()) < 0.45 * sum(full.values())
 
 
 def whole_field_holder_norm(u, k, grid):
