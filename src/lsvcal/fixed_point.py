@@ -119,7 +119,6 @@ class FixedPointReport:
     r_squared: float | None = None
     t_star: float = 0.0
     tol: float = 0.0
-    solver_residual: float = 0.0
     fixed_point_residual: float | None = None
     mode: str = "fixed-point"
 
@@ -232,9 +231,8 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
-        v, solve_rep = apply_map(p, spec, grid, psi=psi, frozen=frozen,
-                                 cross_iterations=cross_iterations)
-        report.solver_residual = max(report.solver_residual, solve_rep.max_residual)
+        v, _ = apply_map(p, spec, grid, psi=psi, frozen=frozen,
+                         cross_iterations=cross_iterations)
         resid = _sup_diff(v, p)
         mem = check_membership(v, params, grid)
         report.residuals.append(resid)
@@ -327,7 +325,7 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             root = math.sqrt(ratio)
         st0, st1 = (stencil(assemble_slice(spec, grid, j, ratio, root), hs)
                     for j in (k, k + 1))
-        u, _, _ = step_slices(st0, st1, u, grid)
+        u, _ = step_slices(st0, st1, u, grid)
         traj[k + 1] = u
     report = {"mode": "time-lagged", "n_steps": n, "t_star": n * grid.dt,
               "denominator_min": den_min if den_min < math.inf else None,

@@ -73,7 +73,6 @@ class LinearSolveReport:
     """Diagnostics of one trajectory solve."""
 
     k2: float
-    max_residual: float
     n_tridiag_solves: int
     cross_cfl: float
     n_steps: int
@@ -213,14 +212,11 @@ def _zero_ring(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sweep_system(st1: dict, theta_dt: float, axis: int,
-                  collect_residual: bool) -> tuple:
+def _sweep_system(st1: dict, theta_dt: float, axis: int) -> tuple:
     """Assemble and factor (I - theta*dt*A_axis) for every grid line.
 
     The systems are laid out contiguously along the last axis, as
-    ``tridiag.factor_batch`` takes them.  Returns the (lower, diag, upper)
-    coefficients, kept only to compute the residual, and their
-    factorization.
+    ``tridiag.factor_batch`` takes them.  Returns the factorization.
     """
     lo, up = st1["w"][axis]
     diag = 1.0 + theta_dt * (lo + up) + theta_dt * 0.5 * st1["c"]
@@ -232,35 +228,30 @@ def _sweep_system(st1: dict, theta_dt: float, axis: int,
     _zero_ring(upper)
     diag[:, 0] = diag[:, -1] = 1.0
     diag[0, :] = diag[-1, :] = 1.0
-    factors = tridiag.factor_batch(lower, diag, upper)
-    return ((lower, diag, upper) if collect_residual else None), factors
+    return tridiag.factor_batch(lower, diag, upper)
 
 
-def _sweep(system: tuple, rhs: np.ndarray, axis: int) -> tuple:
+def _sweep(factors: tuple, rhs: np.ndarray, axis: int) -> np.ndarray:
     """Solve a factored sweep system along ``axis``; the solution comes back
-    in the (S, y) layout, with the residual when the system kept its
-    coefficients (else 0)."""
-    coeffs, factors = system
+    in the (S, y) layout."""
     rhs = np.swapaxes(rhs, axis, 1).copy()
     rhs[:, 0] = rhs[:, -1] = 0.0
     x = tridiag.solve_batch(factors, rhs)
-    res = 0.0 if coeffs is None else tridiag.residual_batch(*coeffs, rhs, x)
-    return np.ascontiguousarray(np.swapaxes(x, axis, 1)), res
+    return np.ascontiguousarray(np.swapaxes(x, axis, 1))
 
 
 def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
-                f0=None, f1=None, collect_residual: bool = False,
-                cross_iterations: int = 1) -> tuple:
+                f0=None, f1=None, cross_iterations: int = 1) -> tuple:
     """One Craig-Sneyd step from the stencils of the slices at t_k and t_{k+1}.
 
     The sources ``f0`` and ``f1`` at the two slices come together or not at
-    all.  Returns (u_next, max_sweep_residual, n_solves), where n_solves
-    counts the batched tridiagonal solves made.  Dirichlet values are
-    enforced by keeping the boundary increment at zero, so the lateral trace
-    of ``u`` carries through every stage unchanged.  Each axis's sweep
-    matrix is factored once and serves the predictor and every corrector
-    pass.  ``cross_iterations`` > 1 repeats the mixed-derivative corrector
-    against the latest increment until it stabilizes, making the cross term
+    all.  Returns (u_next, n_solves), where n_solves counts the batched
+    tridiagonal solves made.  Dirichlet values are enforced by keeping the
+    boundary increment at zero, so the lateral trace of ``u`` carries
+    through every stage unchanged.  Each axis's sweep matrix is factored
+    once and serves the predictor and every corrector pass.
+    ``cross_iterations`` > 1 repeats the mixed-derivative corrector against
+    the latest increment until it stabilizes, making the cross term
     effectively implicit.
     """
     ds, dy, dt = grid.ds, grid.dy, grid.dt
@@ -280,17 +271,14 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
         np.subtract(_apply(st1, u, axis), part, out=part)
         _zero_ring(np.multiply(theta_dt, part, out=part))
     chi = a0
-    systems = [_sweep_system(st1, theta_dt, axis, collect_residual)
-               for axis in (0, 1)]
+    systems = [_sweep_system(st1, theta_dt, axis) for axis in (0, 1)]
 
     def sweeps(d):
-        res = []
         for axis, system in enumerate(systems):
-            d, r_axis = _sweep(system, d + chi[axis], axis)
-            res.append(r_axis)
-        return d, max(res)
+            d = _sweep(system, d + chi[axis], axis)
+        return d
 
-    delta2, res = sweeps(delta0)
+    delta2 = sweeps(delta0)
 
     df = None if f0 is None else 0.5 * dt * (f1 - f0)
 
@@ -301,9 +289,8 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
         if df is not None:
             corr = corr + df
         delta0h = _zero_ring(delta0 + _zero_ring(corr))
-        nxt, res_b = sweeps(delta0h)
+        nxt = sweeps(delta0h)
         n_passes += 1
-        res = max(res, res_b)
         done = n_left == 0 or (float(np.max(np.abs(nxt - prev)))
                                <= 1e-13 * (float(np.max(np.abs(nxt))) + 1e-300))
         prev = nxt
@@ -313,7 +300,7 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
     u_next = u + prev
     if np.isnan(u_next).any():
         raise StabilityFailure("time step produced NaNs")
-    return u_next, res, len(systems) * n_passes
+    return u_next, len(systems) * n_passes
 
 
 def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
@@ -323,8 +310,7 @@ def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
 
 def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
                  f: np.ndarray | Callable[[int], np.ndarray] | None = None,
-                 n_steps: int | None = None,
-                 collect_residual: bool = True, cross_iterations: int = 1) -> tuple:
+                 n_steps: int | None = None, cross_iterations: int = 1) -> tuple:
     """Solve the frozen equation over [0, n_steps * dt] from and with psi.
 
     ``psi`` provides both the initial slice and (through its boundary trace,
@@ -350,7 +336,6 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     traj = np.empty((n + 1, grid.n_s + 2, grid.n_y + 2))
     traj[0] = psi
     u = np.array(psi, dtype=float)
-    max_res = 0.0
     n_solves = 0
     hs = (grid.ds, grid.dy)
     st1 = stencil(fields.slice(0), hs)
@@ -360,18 +345,16 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
         # step k+1
         st0, st1 = st1, stencil(fields.slice(k + 1), hs)
         f0, f1 = f1, None if source is None else source(k + 1)
-        u, res, n_k = step_slices(st0, st1, u, grid, f0=f0, f1=f1,
-                                  collect_residual=collect_residual,
-                                  cross_iterations=cross_iterations)
-        max_res = max(max_res, res)
+        u, n_k = step_slices(st0, st1, u, grid, f0=f0, f1=f1,
+                             cross_iterations=cross_iterations)
         n_solves += n_k
         traj[k + 1] = u
 
     nu = cross_cfl_number(fields, grid)
     if nu > 1.0:
         warnings.warn(f"explicit cross-term estimate {nu:.2f} > 1", CrossTermCFL)
-    report = LinearSolveReport(k2=fields.k2, max_residual=max_res,
-                               n_tridiag_solves=n_solves, cross_cfl=nu, n_steps=n)
+    report = LinearSolveReport(k2=fields.k2, n_tridiag_solves=n_solves,
+                               cross_cfl=nu, n_steps=n)
     return traj, report
 
 
@@ -390,8 +373,7 @@ def supnorm_time_bound(fields: CoefficientFields, f, grid: GridSpec) -> dict:
         return {"t": ts, "ratio": np.zeros(grid.n_t), "k0": 0.0,
                 "sup_curve": np.zeros(grid.n_t)}
 
-    traj, _ = solve_linear(fields, np.zeros(grid.shape[1:]), grid, f=f_arr,
-                           collect_residual=False)
+    traj, _ = solve_linear(fields, np.zeros(grid.shape[1:]), grid, f=f_arr)
     sups = np.max(np.abs(traj[1:]), axis=(1, 2))
     ratio = sups / (ts * f_sup)
     if not np.all(np.isfinite(ratio)):

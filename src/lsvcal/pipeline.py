@@ -225,7 +225,6 @@ class VerificationReport:
     mass_drift: float
     identity_max_rel: float
     reprice_max_rel_err: float | None
-    uncorrected_l1: float | None
     gates: dict
     extras: dict = field(default_factory=dict)
 
@@ -308,7 +307,7 @@ def verify_calibration(p: np.ndarray, sigma_d: np.ndarray,
     }
     return VerificationReport(
         marginal_l1=l1, mass_drift=mass_drift, identity_max_rel=identity,
-        reprice_max_rel_err=reprice_err, uncorrected_l1=None, gates=gates,
+        reprice_max_rel_err=reprice_err, gates=gates,
         extras={"final_mass": float(masses[-1]),
                 "reprice_vs_target_rel_err": reprice_vs_target})
 

@@ -62,12 +62,3 @@ def solve_tridiag(lower, diag, upper, rhs) -> np.ndarray:
         raise LinAlgError("singular matrix")
     return x
 
-
-def residual_batch(lower, diag, upper, rhs, x) -> float:
-    """Max relative residual of the batched systems at a solution x."""
-    dx = diag * x
-    r = dx - rhs
-    r[:, 1:] += lower[:, 1:] * x[:, :-1]
-    r[:, :-1] += upper[:, :-1] * x[:, 1:]
-    scale = np.max(np.abs(rhs)) + np.max(np.abs(dx)) + 1e-300
-    return float(np.max(np.abs(r)) / scale)

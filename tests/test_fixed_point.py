@@ -261,7 +261,8 @@ class TestIterate:
         spec = make_spec(grid, b=b_perturbed(0.05))
         psi = make_psi(grid)
         _, rep = iterate(spec, grid, psi)
-        assert rep.fixed_point_residual <= 10.0 * (rep.tol + rep.solver_residual)
+        assert rep.converged
+        assert rep.fixed_point_residual == rep.residuals[-1] <= rep.tol
 
     def test_fixed_point_residual_uses_the_iterated_map(self):
         # the residual check applies the map the loop iterated, implicit

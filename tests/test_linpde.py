@@ -212,13 +212,51 @@ class TestAxisSymmetry:
         sten, sten_t = stencil(sl, (h_s, h_y)), stencil(transposed(sl), (h_y, h_s))
 
         def sweep(s, r, axis):
-            return _sweep(_sweep_system(s, theta_dt, axis, True), r, axis)
-        x0, r0 = sweep(sten, rhs, 0)
-        x1, r1 = sweep(sten_t, rhs.T, 1)
-        assert np.array_equal(x0, x1.T) and r0 == r1
-        x0, r0 = sweep(sten, rhs, 1)
-        x1, r1 = sweep(sten_t, rhs.T, 0)
-        assert np.array_equal(x0, x1.T) and r0 == r1
+            return _sweep(_sweep_system(s, theta_dt, axis), r, axis)
+        assert np.array_equal(sweep(sten, rhs, 0), sweep(sten_t, rhs.T, 1).T)
+        assert np.array_equal(sweep(sten, rhs, 1), sweep(sten_t, rhs.T, 0).T)
+
+
+def dense_line_solve(sten, rhs, theta_dt, axis):
+    """Oracle of one sweep: ``I - theta*dt*A_axis`` built as a dense matrix
+    per grid line from the stencil and solved by ``np.linalg.solve``.
+
+    The first and last unknown of each line and the first and last line are
+    identity rows; the boundary unknowns of each line solve against zero.
+    Returns the solution and the largest condition number of the lines.
+    """
+    lo, up = (np.swapaxes(w, 0, axis) for w in sten["w"][axis])
+    c, b = (np.swapaxes(x, 0, axis) for x in (sten["c"], rhs))
+    n, m = b.shape
+    x, cond = np.zeros((n, m)), 1.0
+    for j in range(m):
+        mat = np.eye(n)
+        rhs_j = b[:, j].copy()
+        rhs_j[[0, -1]] = 0.0
+        if 0 < j < m - 1:
+            for i in range(1, n - 1):
+                mat[i, i - 1] = -theta_dt * lo[i, j]
+                mat[i, i] = 1.0 + theta_dt * (lo[i, j] + up[i, j] + 0.5 * c[i, j])
+                mat[i, i + 1] = -theta_dt * up[i, j]
+        x[:, j] = np.linalg.solve(mat, rhs_j)
+        cond = max(cond, np.linalg.cond(mat))
+    return np.swapaxes(x, 0, axis), cond
+
+
+class TestSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(slices(), st.floats(1e-4, 0.5))
+    def test_matches_dense_line_solves(self, case, theta_dt):
+        # both axes of a factored sweep solve the per-line systems of the
+        # scheme; LAPACK is backward stable, so the forward error is bounded
+        # by the condition number
+        sl, rhs, h_s, h_y = case
+        sten = stencil(sl, (h_s, h_y))
+        for axis in (0, 1):
+            x = _sweep(_sweep_system(sten, theta_dt, axis), rhs, axis)
+            oracle, cond = dense_line_solve(sten, rhs, theta_dt, axis)
+            tol = 1e-13 * cond * (float(np.max(np.abs(oracle))) + 1e-300)
+            assert np.max(np.abs(x - oracle)) <= tol
 
 
 def mms_fields(grid):
@@ -278,10 +316,6 @@ class TestManufacturedSolution:
             errs.append(float(np.max(np.abs(mms_error(48, n_t)[1] - ref))))
         rate = np.polyfit(np.log([1 / 8, 1 / 16, 1 / 32]), np.log(errs), 1)[0]
         assert rate >= 1.0
-
-    def test_solver_residual_tiny(self):
-        _, _, rep = mms_error(24, 24)
-        assert rep.max_residual < 1e-8
 
     def test_iterated_cross_mode_matches_and_tightens(self):
         # the implicit-cross variant agrees with the explicit corrector to

@@ -458,6 +458,29 @@ class TestSnapshots:
         assert names == [f"density_{k}.csv" for k in (0, 12, 18, 24, 6)]
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_keys(after: str, until: str) -> set:
+    """The backquoted key names the README's file-format notes list between
+    the first ``after`` and the next ``until``."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index(after) + len(after)
+    return set(re.findall(r"`(\w+)(?:\[\])?`", text[start:text.index(until, start)]))
+
+
+class TestArtifactKeys:
+    def test_json_keys_are_the_documented_ones(self, tmp_path):
+        cfg = RunConfig.from_file(write_config(tmp_path))
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        out = tmp_path / "out"
+        fp = json.loads((out / "fixed_point.json").read_text())
+        ver = json.loads((out / "report.json").read_text())["verification"]
+        assert set(fp) == readme_keys("`fixed_point.json`: keys", ".")
+        assert set(ver) == readme_keys("verification\n  block (", ")")
+
+
 class TestVerification:
     def test_nonzero_rate_passes_mass_gate(self, tmp_path):
         # the discount term makes the mass decay like e^{-rt} by design
