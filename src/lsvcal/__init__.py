@@ -18,17 +18,16 @@ from .fixed_point import (FixedPointReport, IterateBounds, MembershipResult,
 from .grids import GridSpec
 from .holder import HolderNormEstimate, holder_norm
 from .linpde import (CoefficientFields, LinearSolveReport, assemble_frozen,
-                     assemble_slice, ellipticity_constant, solve_linear,
-                     supnorm_time_bound)
+                     assemble_slice, compatibility_residual,
+                     ellipticity_constant, solve_linear, supnorm_time_bound)
 from .market import (ImpliedSurface, OptionQuote, build_implied_surface,
                      dupire_forward_solve, dupire_local_vol, fv_mass,
                      load_quotes)
 from .mixing import (GapRecord, MixingField, leverage, marginal, mixing_ratio,
                      ratio_gap_monitor)
 from .model import (CorrelationMatrix, ModelSpec, SpotAmplitude,
-                    ValidationReport, compatibility_residual,
-                    convert_correlation, grid_mass, measured_bsq_slope,
-                    smoothed_dirac, validate_model)
+                    ValidationReport, convert_correlation, grid_mass,
+                    measured_bsq_slope, smoothed_dirac, validate_model)
 from .pipeline import (RunConfig, VerificationReport, reprice_calls,
                        run_pipeline, verify_calibration)
 

@@ -159,13 +159,13 @@ def _source(u: np.ndarray, spec: ModelSpec, frozen: CoefficientFields,
 
 
 def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
-              psi: np.ndarray | None = None,
               frozen: CoefficientFields | None = None,
               cross_iterations: int = 1) -> tuple:
     """One application of the calibration map: freeze, source, linear solve.
 
-    ``u`` is a trajectory over the current horizon; the result carries the
-    same boundary template.  The solve and the source both read ``frozen``,
+    ``u`` is a trajectory over the current horizon; the solve starts from
+    ``u[0]``, so the result carries the same initial slice and boundary
+    template.  The solve and the source both read ``frozen``,
     the operator with its anchor; without it, the operator is assembled
     here at ``spec.b_ref(grid)``.  The source reaches the linear solve slice
     by slice, so no source field of the whole trajectory is built.
@@ -174,11 +174,9 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
         (trajectory, LinearSolveReport) of the linear solve.
     """
     u = np.asarray(u, dtype=float)
-    if psi is None:
-        psi = u[0]
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
-    return solve_linear(frozen, psi, grid, f=_source(u, spec, frozen, grid),
+    return solve_linear(frozen, u[0], grid, f=_source(u, spec, frozen, grid),
                         n_steps=u.shape[0] - 1,
                         cross_iterations=cross_iterations)
 
@@ -202,6 +200,8 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     horizon attempt of a run and carries the only freeze anchor,
     ``frozen.b_ref``; without it, it is assembled here at ``spec.b_ref(grid)``.
     Every iteration reads its operator and source products from ``frozen``.
+    Each map application starts from its input's first slice, which the
+    constant start and every solve keep equal to ``psi``.
 
     Returns (trajectory, FixedPointReport) on convergence.  The trajectory,
     of shape (k*+1, n_s+2, n_y+2), is the input p of the map application
@@ -231,7 +231,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
-        v, _ = apply_map(p, spec, grid, psi=psi, frozen=frozen,
+        v, _ = apply_map(p, spec, grid, frozen=frozen,
                          cross_iterations=cross_iterations)
         resid = _sup_diff(v, p)
         mem = check_membership(v, params, grid)

@@ -1,8 +1,9 @@
-"""Frozen-coefficient linear parabolic solver.
+"""Frozen-coefficient linear parabolic solver, the one discrete forward operator.
 
-The divergence-form operator produced by freezing the mixing ratio is
+``model.operator_coefficients``, with a mixing ratio multiplied in, is
 expanded into non-divergence form (diffusion matrix, drift, zeroth-order
-term) by differentiating the coefficient products on the grid.  Time
+term) by differentiating the coefficient products on the grid; its
+stencils serve the time steps and the corner residual alike.  Time
 stepping uses an alternating-direction scheme: implicit tridiagonal sweeps
 in S and in y, the mixed derivative and the source handled explicitly with
 a second corrector pass (Craig-Sneyd splitting).  All stages work on the
@@ -21,8 +22,8 @@ import numpy as np
 from . import fd, tridiag
 from .errors import CrossTermCFL, NonElliptic, NonEllipticAssembly, StabilityFailure
 from .grids import GridSpec
-from .mixing import b_values
-from .model import ModelSpec, operator_coefficients, with_ratio
+from .mixing import b_values, mixing_ratio
+from .model import ModelSpec, operator_coefficients
 
 
 @dataclass
@@ -89,21 +90,23 @@ def assemble_slice(spec: ModelSpec, grid: GridSpec, k: int,
     """Non-divergence coefficients at time index k for a frozen mixing ratio.
 
     ``ratio``/``root`` may be scalars (the constant-b freeze) or per-S-node
-    arrays (time-lagged mode).  Derivatives of the coefficient products are
-    taken with second-order differences on the full node set.  The products
-    before the ratio come back too, as ``a_s`` and ``a_x``.
+    arrays (time-lagged mode); they multiply ``a_s`` and ``a_x`` last.
+    Derivatives of the coefficient products are taken with second-order
+    differences on the full node set.  The products before the ratio come
+    back too, as ``a_s`` and ``a_x``.
     """
     ds, dy = grid.ds, grid.dy
     unit = operator_coefficients(spec, grid, k)
-    co = with_ratio(unit, ratio, root)
-    big_a, cross_full, big_b = co["a_s"], co["a_x"], co["a_y"]
-    beta1, beta2 = co["b1"], co["b2"]
+    ratio, root = (np.asarray(r, dtype=float).reshape(-1, 1) if np.ndim(r) else float(r)
+                   for r in (ratio, root))
+    big_a, cross_full, big_b = unit["a_s"] * ratio, unit["a_x"] * root, unit["a_y"]
+    beta1, beta2 = unit["b1"], unit["b2"]
 
     b_s = -2.0 * fd.d1(big_a, ds, axis=0) - fd.d1(cross_full, dy, axis=1) + beta1
     b_y = -2.0 * fd.d1(big_b, dy, axis=1) - fd.d1(cross_full, ds, axis=0) + beta2
     c = (-fd.d2(big_a, ds, axis=0) - fd.d2_cross(cross_full, ds, dy)
          - fd.d2(big_b, dy, axis=1)
-         + fd.d1(beta1, ds, axis=0) + fd.d1(beta2, dy, axis=1) + co["g"])
+         + fd.d1(beta1, ds, axis=0) + fd.d1(beta2, dy, axis=1) + unit["g"])
 
     return {"a_s": unit["a_s"], "a_x": unit["a_x"], "a_ss": big_a,
             "a_sy": 0.5 * cross_full, "a_yy": big_b, "b_s": b_s, "b_y": b_y, "c": c}
@@ -301,6 +304,27 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
     if np.isnan(u_next).any():
         raise StabilityFailure("time step produced NaNs")
     return u_next, len(systems) * n_passes
+
+
+def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> float:
+    """Residual of the forward operator on the boundary-adjacent ring at t = 0.
+
+    The operator is the one the solver steps: the slice-0 stencil at psi's
+    own mixing ratio, as a time-lagged first step reads it.  The continuous
+    theory wants the residual to vanish exactly at the corner between the
+    initial and lateral boundaries; for generic initial data it does not,
+    so the discrete value is reported for diagnostics rather than enforced.
+    """
+    if np.any(psi <= 0):
+        raise ValueError("initial density must be strictly positive")
+    ds, dy = grid.ds, grid.dy
+    mix = mixing_ratio(psi, spec.b, grid)
+    st = stencil(assemble_slice(spec, grid, 0, mix.ratio, mix.sqrt_ratio), (ds, dy))
+    op = _apply(st, psi, 0) + _apply(st, psi, 1) + _apply_mix(st, psi, ds, dy)
+    ring = np.zeros(psi.shape, dtype=bool)
+    ring[1, 1:-1] = ring[-2, 1:-1] = True
+    ring[1:-1, 1] = ring[1:-1, -2] = True
+    return float(np.max(np.abs(op[ring])))
 
 
 def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:

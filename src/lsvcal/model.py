@@ -20,7 +20,7 @@ import numpy as np
 from . import fd
 from .errors import BandwidthTooSmall, HypothesisViolation, OutOfRange
 from .grids import GridSpec
-from .mixing import b_values, mixing_ratio
+from .mixing import b_values
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,29 @@ class ModelSpec:
         raise ValueError(f"unknown b_ref mode {mode!r}")
 
 
+def operator_coefficients(spec: ModelSpec, grid: GridSpec, k: int) -> dict:
+    """Divergence-form coefficients of the forward operator at time index k
+    and unit mixing ratio; ``linpde.assemble_slice`` multiplies a ratio in.
+
+    The operator is ``-d2_S(a_s u) - d2_Sy(a_x u) - d2_y(a_y u) + d1_S(b1 u)
+    + d1_y(b2 u) + g u`` with ``a_s = rho11 a1^2``, ``a_x = 2 rho12 a1 a2``,
+    ``a_y = rho22 a2^2``, the drifts ``b1`` (with the rate's S-drift) and
+    ``b2``, and ``g`` (with the rate).
+    """
+    t = grid.t_nodes[k]
+    a1 = eval_coeff(spec.alpha1, k, t, grid)
+    a2 = eval_coeff(spec.alpha2, k, t, grid)
+    rho = spec.corr.entries
+    return {
+        "a_s": rho[0, 0] * a1 * a1,
+        "a_x": 2.0 * rho[0, 1] * a1 * a2,
+        "a_y": rho[1, 1] * a2 * a2,
+        "b1": eval_coeff(spec.beta1, k, t, grid) + spec.rate * grid.s_nodes[:, None],
+        "b2": eval_coeff(spec.beta2, k, t, grid),
+        "g": eval_coeff(spec.gamma, k, t, grid) + spec.rate,
+    }
+
+
 @dataclass
 class ValidationReport:
     """Measured hypothesis constants and per-check flags."""
@@ -256,73 +279,3 @@ def smoothed_dirac(s0: float, y0: float, bandwidth_s: float, bandwidth_y: float,
         raise ValueError("floor carries more than unit mass on this domain")
     psi = floor + bump * ((1.0 - floor_mass) / grid_mass(bump, grid))
     return psi
-
-
-# ---------------------------------------------------------------------------
-# full forward operator (divergence form) and corner compatibility
-# ---------------------------------------------------------------------------
-
-def divergence_apply(u: np.ndarray, a_s: np.ndarray, a_x: np.ndarray,
-                     a_y: np.ndarray, b1: np.ndarray, b2: np.ndarray,
-                     g: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Spatial part of the forward operator in divergence form.
-
-    Computes ``-d2_S(a_s u) - d2_Sy(a_x u) - d2_y(a_y u) + d1_S(b1 u)
-    + d1_y(b2 u) + g u`` with second-order stencils on the full node set.
-    """
-    ds, dy = grid.ds, grid.dy
-    out = -fd.d2(a_s * u, ds, axis=-2)
-    out -= fd.d2_cross(a_x * u, ds, dy)
-    out -= fd.d2(a_y * u, dy, axis=-1)
-    out += fd.d1(b1 * u, ds, axis=-2)
-    out += fd.d1(b2 * u, dy, axis=-1)
-    out += g * u
-    return out
-
-
-def operator_coefficients(spec: ModelSpec, grid: GridSpec, k: int) -> dict:
-    """Divergence-form coefficients of the forward operator at time index k
-    and unit mixing ratio (:func:`with_ratio` multiplies one in).
-
-    The keys match the arguments of :func:`divergence_apply`:
-    ``a_s = rho11 a1^2``, ``a_x = 2 rho12 a1 a2``, ``a_y = rho22 a2^2``, the
-    drifts ``b1`` (with the rate's S-drift) and ``b2``, and ``g`` (with the rate).
-    """
-    t = grid.t_nodes[k] if k < grid.n_t + 1 else grid.horizon
-    a1 = eval_coeff(spec.alpha1, k, t, grid)
-    a2 = eval_coeff(spec.alpha2, k, t, grid)
-    rho = spec.corr.entries
-    return {
-        "a_s": rho[0, 0] * a1 * a1,
-        "a_x": 2.0 * rho[0, 1] * a1 * a2,
-        "a_y": rho[1, 1] * a2 * a2,
-        "b1": eval_coeff(spec.beta1, k, t, grid) + spec.rate * grid.s_nodes[:, None],
-        "b2": eval_coeff(spec.beta2, k, t, grid),
-        "g": eval_coeff(spec.gamma, k, t, grid) + spec.rate,
-    }
-
-
-def with_ratio(co: dict, ratio, root) -> dict:
-    """``co`` with the mixing ratio multiplied last into ``a_s`` and its
-    square root ``root`` into ``a_x``; scalars or per-S-node arrays."""
-    ratio, root = (np.asarray(r, dtype=float).reshape(-1, 1) if np.ndim(r) else float(r)
-                   for r in (ratio, root))
-    return dict(co, a_s=co["a_s"] * ratio, a_x=co["a_x"] * root)
-
-
-def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> float:
-    """Residual of the full operator on the boundary-adjacent ring at t = 0.
-
-    The continuous theory wants this to vanish exactly at the corner between
-    the initial and lateral boundaries; for generic initial data it does not,
-    so the discrete value is reported for diagnostics rather than enforced.
-    """
-    if np.any(psi <= 0):
-        raise ValueError("initial density must be strictly positive")
-    mix = mixing_ratio(psi, spec.b, grid)
-    coeffs = with_ratio(operator_coefficients(spec, grid, 0), mix.ratio, mix.sqrt_ratio)
-    op = divergence_apply(psi, grid=grid, **coeffs)
-    ring = np.zeros(psi.shape, dtype=bool)
-    ring[1, 1:-1] = ring[-2, 1:-1] = True
-    ring[1:-1, 1] = ring[1:-1, -2] = True
-    return float(np.max(np.abs(op[ring])))

@@ -27,13 +27,13 @@ from .fixed_point import (IterateBounds, iterate, shrink_horizon,
                           solve_lagged)
 from .fd import trapezoid_weights
 from .grids import GridSpec
+from .linpde import compatibility_residual
 from .market import (_bs_call, build_implied_surface, check_price_bounds,
                      dupire_forward_solve, dupire_local_vol,
                      implied_vol_from_price, load_quotes)
 from .mixing import b_values, leverage, marginal, mixing_ratio
-from .model import (ModelSpec, SpotAmplitude, compatibility_residual,
-                    convert_correlation, grid_mass, smoothed_dirac,
-                    validate_model)
+from .model import (ModelSpec, SpotAmplitude, convert_correlation, grid_mass,
+                    smoothed_dirac, validate_model)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +474,13 @@ def run_pipeline(config: RunConfig, log=None) -> int:
         snap_format = config.get("run.snapshot_format")
         if snap_format not in ("csv", "bin"):
             raise ValueError(f"unknown snapshot format {snap_format!r}")
+        # last, so that an input error leaves nothing on disk
+        out_dir = config.path("paths.output_dir")
+        os.makedirs(out_dir, exist_ok=True)
     except (CalibrationError, OSError, ValueError) as err:
         log(f"input error: {err}")
         return 1
 
-    out_dir = config.path("paths.output_dir")
-    os.makedirs(out_dir, exist_ok=True)
     if snap_every == 0:
         snap_every = max(1, grid.n_t // 10)
 

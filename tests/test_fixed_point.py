@@ -111,7 +111,7 @@ class TestApplyMap:
         spec = make_spec(grid, b=b_const)
         psi = make_psi(grid)
         v1, _ = apply_map(traj_of(psi, grid), spec, grid)
-        v2, _ = apply_map(v1, spec, grid, psi=psi)
+        v2, _ = apply_map(v1, spec, grid)
         assert np.array_equal(v1, v2)
 
     def test_deterministic(self):
@@ -166,7 +166,7 @@ class TestApplyMap:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            v, _ = apply_map(u, spec, grid, psi=psi, frozen=frozen)
+            v, _ = apply_map(u, spec, grid, frozen=frozen)
             fixed_point._sup_diff(v, u)
             check_membership(v, params, grid)
             peak = tracemalloc.get_traced_memory()[1] - held
@@ -235,6 +235,27 @@ class TestIterate:
         assert rep.converged and rep.iterations == 2
         traj, _ = solve_linear(assemble_frozen(spec, grid, b_ref=b_ref), psi, grid)
         assert np.array_equal(dens, traj)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_t=st.integers(1, 6), amp=st.floats(0.0, 0.5),
+           rho=st.floats(-0.9, 0.9))
+    def test_deterministic(self, n_t, amp, rho):
+        # the same inputs give the same trajectory and report bit for bit,
+        # whether the iteration converges or fails
+        grid = make_grid(n_s=10, n_y=10, n_t=n_t)
+        spec = make_spec(grid, b=b_perturbed(amp), rho=rho)
+        psi = make_psi(grid)
+
+        def run():
+            try:
+                p, rep = iterate(spec, grid, psi)
+            except (MembershipLost, NotConverged) as err:
+                p, rep = err.density, err.report
+            # repr: NaN entries compare equal, and -0.0 differs from 0.0
+            return p, repr(asdict(rep))
+        (p1, rep1), (p2, rep2) = run(), run()
+        assert np.array_equal(p1, p2)
+        assert rep1 == rep2
 
     def test_small_perturbation_contracts_geometrically(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from lsvcal import (BandwidthTooSmall, CorrelationMatrix, HypothesisViolation,
@@ -159,6 +161,16 @@ class TestCompatibilityResidual:
                          corr=convert_correlation(0.2), rate=0.0,
                          spot0=100.0, y0=0.0)
         psi = np.full((grid.n_s + 2, grid.n_y + 2), 0.25)
+        assert compatibility_residual(psi, spec, grid) == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(a1=st.floats(1e-3, 10.0), a2=st.floats(1e-3, 10.0),
+           rho=st.floats(-0.99, 0.99), b=st.floats(0.1, 10.0),
+           level=st.floats(1e-6, 1e3))
+    def test_any_constants_give_exact_zero(self, a1, a2, rho, b, level):
+        grid = make_grid(n_s=12, n_y=10, n_t=4)
+        spec = ModelSpec(b=b, alpha1=a1, alpha2=a2, corr=convert_correlation(rho))
+        psi = np.full((grid.n_s + 2, grid.n_y + 2), level)
         assert compatibility_residual(psi, spec, grid) == 0.0
 
     def test_generic_gaussian_positive(self):

@@ -275,6 +275,21 @@ class TestExitCodes:
         assert logged == ["input error: builtin 'const' does not have the form const:v"]
         assert not os.path.exists(tmp_path / "out")
 
+    def test_output_dir_under_a_file_exits_one_writing_nothing(self, tmp_path):
+        # the output directory is made last in stage 1: a path it cannot
+        # make is an input error like any other
+        path = write_config(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        before = sorted(os.listdir(tmp_path))
+        cfg = RunConfig.from_file(path)
+        cfg.values["paths.output_dir"] = "blocker/out"
+        logged = []
+        assert run_pipeline(cfg, log=logged.append) == 1
+        assert len(logged) == 1 and logged[0].startswith("input error: ")
+        assert main(["--config", str(path),
+                     "--output-dir", str(tmp_path / "blocker" / "out")]) == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_mean_anchor_reaches_the_operator(self, tmp_path, monkeypatch):
         # model.b_ref = mean travels only inside the assembled operator
         import lsvcal.fixed_point
