@@ -159,8 +159,7 @@ def _source(u: np.ndarray, spec: ModelSpec, frozen: CoefficientFields,
 
 
 def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
-              frozen: CoefficientFields | None = None,
-              cross_iterations: int = 1) -> tuple:
+              frozen: CoefficientFields | None = None) -> tuple:
     """One application of the calibration map: freeze, source, linear solve.
 
     ``u`` is a trajectory over the current horizon; the solve starts from
@@ -177,8 +176,7 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
     return solve_linear(frozen, u[0], grid, f=_source(u, spec, frozen, grid),
-                        n_steps=u.shape[0] - 1,
-                        cross_iterations=cross_iterations)
+                        n_steps=u.shape[0] - 1)
 
 
 def _sup_diff(v: np.ndarray, p: np.ndarray) -> float:
@@ -192,7 +190,6 @@ def _horizon_steps(t_star: float, grid: GridSpec) -> int:
 
 def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             params: IterateBounds | None = None, max_iter: int = 50,
-            cross_iterations: int = 1,
             frozen: CoefficientFields | None = None) -> tuple:
     """Run the fixed-point construction from the constant-in-time start.
 
@@ -231,8 +228,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
-        v, _ = apply_map(p, spec, grid, frozen=frozen,
-                         cross_iterations=cross_iterations)
+        v, _ = apply_map(p, spec, grid, frozen=frozen)
         resid = _sup_diff(v, p)
         mem = check_membership(v, params, grid)
         report.residuals.append(resid)
@@ -264,14 +260,15 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
 
 def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
                    params: IterateBounds, max_halvings: int = 6,
-                   max_iter: int = 50, **kwargs) -> IterateBounds:
+                   max_iter: int = 50,
+                   frozen: CoefficientFields | None = None) -> IterateBounds:
     """Halve the horizon until the iteration succeeds.
 
     Runs the construction at the current horizon first; a run that succeeds
     immediately returns the parameters unchanged.  Returns parameters whose
-    ``t_star`` produced a convergent run.  ``kwargs`` go to every
-    ``iterate`` attempt; one ``frozen`` operator, with its anchor, serves
-    them all, assembled here at ``spec.b_ref(grid)`` when none is among them.
+    ``t_star`` produced a convergent run.  One ``frozen`` operator, with its
+    anchor, serves every ``iterate`` attempt; without it, it is assembled
+    here at ``spec.b_ref(grid)``.
 
     Raises:
         ValueError: ``max_halvings`` < 0.
@@ -279,13 +276,13 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     """
     if max_halvings < 0:
         raise ValueError(f"max_halvings = {max_halvings} < 0")
-    if kwargs.get("frozen") is None:
-        kwargs["frozen"] = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+    if frozen is None:
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
     bounds = params
     last_err = None
     for _ in range(max_halvings + 1):
         try:
-            iterate(spec, grid, psi, params=bounds, max_iter=max_iter, **kwargs)
+            iterate(spec, grid, psi, params=bounds, max_iter=max_iter, frozen=frozen)
             return bounds
         except (MembershipLost, NotConverged) as err:
             last_err = err

@@ -6,7 +6,8 @@ term) by differentiating the coefficient products on the grid; its
 stencils serve the time steps and the corner residual alike.  Time
 stepping uses an alternating-direction scheme: implicit tridiagonal sweeps
 in S and in y, the mixed derivative and the source handled explicitly with
-a second corrector pass (Craig-Sneyd splitting).  All stages work on the
+one corrector pass (Craig-Sneyd splitting with theta = 1/2, which is
+unconditionally stable with a mixed term).  All stages work on the
 increment relative to the previous step, so constants and the Dirichlet
 boundary template are preserved exactly.
 """
@@ -244,7 +245,7 @@ def _sweep(factors: tuple, rhs: np.ndarray, axis: int) -> np.ndarray:
 
 
 def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
-                f0=None, f1=None, cross_iterations: int = 1) -> tuple:
+                f0=None, f1=None) -> tuple:
     """One Craig-Sneyd step from the stencils of the slices at t_k and t_{k+1}.
 
     The sources ``f0`` and ``f1`` at the two slices come together or not at
@@ -252,10 +253,8 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
     tridiagonal solves made.  Dirichlet values are enforced by keeping the
     boundary increment at zero, so the lateral trace of ``u`` carries
     through every stage unchanged.  Each axis's sweep matrix is factored
-    once and serves the predictor and every corrector pass.
-    ``cross_iterations`` > 1 repeats the mixed-derivative corrector against
-    the latest increment until it stabilizes, making the cross term
-    effectively implicit.
+    once and serves the predictor and the single corrector pass, which
+    re-evaluates the mixed term (and the source) at the predicted increment.
     """
     ds, dy, dt = grid.ds, grid.dy, grid.dt
     theta_dt = THETA * dt
@@ -281,29 +280,15 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
             d = _sweep(system, d + chi[axis], axis)
         return d
 
-    delta2 = sweeps(delta0)
-
-    df = None if f0 is None else 0.5 * dt * (f1 - f0)
-
-    prev = delta2
-    n_passes = 1
-    for n_left in reversed(range(cross_iterations)):
-        corr = 0.5 * dt * (_apply_mix(st1, u + prev, ds, dy) - am0)
-        if df is not None:
-            corr = corr + df
-        delta0h = _zero_ring(delta0 + _zero_ring(corr))
-        nxt = sweeps(delta0h)
-        n_passes += 1
-        done = n_left == 0 or (float(np.max(np.abs(nxt - prev)))
-                               <= 1e-13 * (float(np.max(np.abs(nxt))) + 1e-300))
-        prev = nxt
-        if done:
-            break
-
-    u_next = u + prev
+    predicted = sweeps(delta0)
+    corr = 0.5 * dt * (_apply_mix(st1, u + predicted, ds, dy) - am0)
+    if f0 is not None:
+        corr = corr + 0.5 * dt * (f1 - f0)
+    u_next = u + sweeps(_zero_ring(delta0 + _zero_ring(corr)))
     if np.isnan(u_next).any():
         raise StabilityFailure("time step produced NaNs")
-    return u_next, len(systems) * n_passes
+    # the predictor and the corrector each sweep every axis once
+    return u_next, 2 * len(systems)
 
 
 def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> float:
@@ -334,7 +319,7 @@ def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
 
 def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
                  f: np.ndarray | Callable[[int], np.ndarray] | None = None,
-                 n_steps: int | None = None, cross_iterations: int = 1) -> tuple:
+                 n_steps: int | None = None) -> tuple:
     """Solve the frozen equation over [0, n_steps * dt] from and with psi.
 
     ``psi`` provides both the initial slice and (through its boundary trace,
@@ -348,14 +333,11 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
         (trajectory (n_steps+1, n_s+2, n_y+2), LinearSolveReport)
 
     Raises:
-        ValueError: the step count is outside [1, n_t], or
-            ``cross_iterations`` < 1.
+        ValueError: the step count is outside [1, n_t].
     """
     n = grid.n_t if n_steps is None else int(n_steps)
     if not 1 <= n <= grid.n_t:
         raise ValueError(f"step count {n} outside [1, {grid.n_t}]")
-    if cross_iterations < 1:
-        raise ValueError(f"cross_iterations = {cross_iterations} < 1")
     source = f if f is None or callable(f) else f.__getitem__
     traj = np.empty((n + 1, grid.n_s + 2, grid.n_y + 2))
     traj[0] = psi
@@ -369,8 +351,7 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
         # step k+1
         st0, st1 = st1, stencil(fields.slice(k + 1), hs)
         f0, f1 = f1, None if source is None else source(k + 1)
-        u, n_k = step_slices(st0, st1, u, grid, f0=f0, f1=f1,
-                             cross_iterations=cross_iterations)
+        u, n_k = step_slices(st0, st1, u, grid, f0=f0, f1=f1)
         n_solves += n_k
         traj[k + 1] = u
 

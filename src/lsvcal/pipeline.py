@@ -41,7 +41,11 @@ from .model import (ModelSpec, SpotAmplitude, convert_correlation, grid_mass,
 # ---------------------------------------------------------------------------
 
 def _table_fn(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if (data.shape[0] < 2 or data.shape[1] < 2 or not np.all(np.isfinite(data[:, :2]))
+            or not np.all(np.diff(data[:, 0]) > 0)):
+        raise ValueError(f"table {path}: needs two or more finite x,value rows "
+                         f"with strictly increasing x")
     xs, vs = data[:, 0], data[:, 1]
 
     def fn(y):
@@ -123,7 +127,6 @@ _DEFAULTS = {
     "fp.cap_factor": "1.5",
     "fp.max_halvings": "6",
     "fp.auto_shrink": "true",
-    "fp.cross_iterations": "1",
     "run.verify": "true",
     "run.snapshot_every": "0",
     "run.snapshot_format": "csv",
@@ -442,6 +445,8 @@ def run_pipeline(config: RunConfig, log=None) -> int:
 
         bw_s = config.get("init.bandwidth_s", float)
         bw_y = config.get("init.bandwidth_y", float)
+        if bw_s <= 0 or bw_y <= 0:
+            raise ValueError(f"init bandwidths ({bw_s}, {bw_y}) must be positive")
         peak = 1.0 / (2.0 * math.pi * bw_s * bw_y)
         floor = config.get("init.floor_rel", float) * peak
         psi = smoothed_dirac(spot0, y0, bw_s, bw_y, floor, grid)
@@ -459,9 +464,7 @@ def run_pipeline(config: RunConfig, log=None) -> int:
                          "tol_factor": config.get("fp.tol_factor", float)}
         params = (IterateBounds.from_initial(psi, grid, **bound_factors)
                   if mode == "fixed-point" else None)
-        fp_kwargs = {"max_iter": config.get("fp.max_iter", int, minimum=1),
-                     "cross_iterations": config.get("fp.cross_iterations", int,
-                                                    minimum=1)}
+        fp_kwargs = {"max_iter": config.get("fp.max_iter", int, minimum=1)}
         b_ref = spec.b_ref(grid, mode=config.get("model.b_ref"), psi=psi)
         auto_shrink = config.get("fp.auto_shrink", bool)
         max_halvings = config.get("fp.max_halvings", int, minimum=0)

@@ -286,16 +286,16 @@ class TestIterate:
         assert rep.fixed_point_residual == rep.residuals[-1] <= rep.tol
 
     def test_fixed_point_residual_uses_the_iterated_map(self):
-        # the residual check applies the map the loop iterated, implicit
-        # cross term included
+        # the residual check applies the map the loop iterated, mixed term
+        # included, against an independent whole-trajectory source
         grid = make_grid(n_s=32, n_y=20, n_t=20)
         spec = make_spec(grid, b=b_perturbed(0.05), rho=-0.5)
         psi = make_psi(grid)
-        p, rep = iterate(spec, grid, psi, cross_iterations=2)
+        p, rep = iterate(spec, grid, psi)
         b_ref = spec.b_ref(grid)
         fields = assemble_frozen(spec, grid, b_ref=b_ref)
         v, _ = solve_linear(fields, psi, grid, f=build_rhs(p, spec, b_ref, grid),
-                            n_steps=p.shape[0] - 1, cross_iterations=2)
+                            n_steps=p.shape[0] - 1)
         assert rep.fixed_point_residual == float(np.max(np.abs(v - p)))
 
     def test_converged_run_applies_the_map_once_per_iteration(self, monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -303,6 +304,12 @@ def mms_error(n, n_t, horizon=0.25):
     return float(np.max(np.abs(traj[-1] - exact))), traj[-1], rep
 
 
+@functools.lru_cache(maxsize=None)
+def mms_reference():
+    """Final slice of the 48x48, n_t = 512 solve: the time ladder's reference."""
+    return mms_error(48, 512)[1]
+
+
 class TestManufacturedSolution:
     def test_spatial_order_two(self):
         errs = [mms_error(n, 2 * n)[0] for n in (16, 32, 64)]
@@ -310,33 +317,18 @@ class TestManufacturedSolution:
         assert 1.7 <= rate <= 2.3
 
     def test_temporal_order_at_least_one(self):
-        ref = mms_error(48, 512)[1]
+        ref = mms_reference()
         errs = []
         for n_t in (8, 16, 32):
             errs.append(float(np.max(np.abs(mms_error(48, n_t)[1] - ref))))
         rate = np.polyfit(np.log([1 / 8, 1 / 16, 1 / 32]), np.log(errs), 1)[0]
         assert rate >= 1.0
 
-    def test_iterated_cross_mode_matches_and_tightens(self):
-        # the implicit-cross variant agrees with the explicit corrector to
-        # the splitting order and removes the cross part of the step error
-        grid = GridSpec(s_min=0.0, s_max=1.0, y_min=0.0, y_max=1.0, n_s=32,
-                        n_y=32, horizon=0.25, n_t=16)
-        fields, fsrc, v_fn = mms_fields(grid)
-        psi = v_fn(0.0, grid.s_nodes[:, None], grid.y_nodes[None, :])
-        exact = v_fn(0.25, grid.s_nodes[:, None], grid.y_nodes[None, :])
-        t1, _ = solve_linear(fields, psi, grid, f=fsrc)
-        t2, _ = solve_linear(fields, psi, grid, f=fsrc, cross_iterations=8)
-        e1 = np.max(np.abs(t1[-1] - exact))
-        e2 = np.max(np.abs(t2[-1] - exact))
-        assert np.max(np.abs(t1[-1] - t2[-1])) < 5.0 * grid.dt ** 2
-        assert e2 < 1.5 * e1
-
-    @pytest.mark.parametrize("cross_iterations", [1, 3])
-    def test_tridiag_solve_count_is_the_solves_made(self, cross_iterations,
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_tridiag_solve_count_is_the_solves_made(self, n_steps,
                                                     monkeypatch):
-        # every corrector pass adds one batched solve per axis to the
-        # predictor's two
+        # the predictor and the corrector each make one batched solve per
+        # axis, so every step adds four
         grid = GridSpec(s_min=0.0, s_max=1.0, y_min=0.0, y_max=1.0, n_s=32,
                         n_y=32, horizon=0.25, n_t=16)
         fields, fsrc, v_fn = mms_fields(grid)
@@ -347,27 +339,24 @@ class TestManufacturedSolution:
             calls.append(1)
             return real(*args, **kwargs)
         monkeypatch.setattr(tridiag, "solve_batch", solve_spy)
-        _, rep = solve_linear(fields, psi, grid, f=fsrc,
-                              cross_iterations=cross_iterations)
-        assert rep.n_tridiag_solves == len(calls)
+        _, rep = solve_linear(fields, psi, grid, f=fsrc, n_steps=n_steps)
+        assert rep.n_steps == n_steps
+        assert rep.n_tridiag_solves == len(calls) == 4 * n_steps
 
     def test_cross_term_warning_is_harmless(self):
         # CrossTermCFL is the explicit-Euler bound on the mixed term; the
-        # Craig-Sneyd corrector with theta = 1/2 is stable past it.  At
-        # nu = 3, three corrector passes move the solution by a small
-        # fraction of the one-pass scheme's own error
-        grid = GridSpec(s_min=0.0, s_max=1.0, y_min=0.0, y_max=1.0, n_s=48,
-                        n_y=48, horizon=0.25, n_t=8)
-        fields, fsrc, v_fn = mms_fields(grid)
-        psi = v_fn(0.0, grid.s_nodes[:, None], grid.y_nodes[None, :])
-        exact = v_fn(0.25, grid.s_nodes[:, None], grid.y_nodes[None, :])
-        with pytest.warns(CrossTermCFL):
-            t1, rep = solve_linear(fields, psi, grid, f=fsrc)
-        with pytest.warns(CrossTermCFL):
-            t3, _ = solve_linear(fields, psi, grid, f=fsrc, cross_iterations=3)
-        assert rep.cross_cfl > 1.0
-        e1 = float(np.max(np.abs(t1[-1] - exact)))
-        assert float(np.max(np.abs(t1 - t3))) < 0.05 * e1
+        # Craig-Sneyd corrector with theta = 1/2 is stable past it.  From
+        # nu = 3.00 down to 0.75 the time ladder's error falls at second
+        # order, so it does not grow past the explicit bound
+        ref = mms_reference()
+        with pytest.warns(CrossTermCFL) as record:
+            runs = [mms_error(48, n_t)[1:] for n_t in (8, 16, 32)]
+        assert [str(w.message) for w in record] == [
+            "explicit cross-term estimate 3.00 > 1",
+            "explicit cross-term estimate 1.50 > 1"]
+        assert runs[-1][1].cross_cfl == pytest.approx(0.75, abs=5e-3)
+        errs = [float(np.max(np.abs(u - ref))) for u, _ in runs]
+        assert errs[0] >= 3.0 * errs[1] >= 9.0 * errs[2]
 
 
 class TestStepAndSolve:
@@ -393,13 +382,6 @@ class TestStepAndSolve:
         exact = np.exp(-(s * s + y * y) / (2 * var)) / (2 * np.pi * var)
         l1 = np.sum(np.abs(traj[-1] - exact)) * grid.ds * grid.dy
         assert l1 < 1e-3
-
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_cross_iterations_below_one_rejected(self, n):
-        grid = make_grid(n_s=24, n_y=16, n_t=10)
-        fields = assemble_frozen(make_spec(grid), grid, b_ref=1.0)
-        with pytest.raises(ValueError, match="cross_iterations"):
-            solve_linear(fields, make_psi(grid), grid, cross_iterations=n)
 
     def test_deterministic_repeat(self):
         grid = make_grid(n_s=24, n_y=16, n_t=10)

@@ -13,8 +13,8 @@ from lsvcal import (DegenerateDenominator, MembershipLost, NonEllipticAssembly,
                     StabilityFailure, dupire_forward_solve, iterate, marginal,
                     solve_lagged, verify_calibration)
 from lsvcal.cli import main
-from lsvcal.pipeline import (RunConfig, _write_csv, builtin_y_function,
-                             read_density_bin, run_pipeline)
+from lsvcal.pipeline import (_DEFAULTS, _REQUIRED, RunConfig, _write_csv,
+                             builtin_y_function, read_density_bin, run_pipeline)
 
 from conftest import (flat_sigma, make_grid, make_psi, make_spec,
                       verification_arrays, write_flat_quotes)
@@ -113,6 +113,21 @@ class TestBuiltins:
         f = builtin_y_function(f"table:{path.name}", base_dir=str(tmp_path))
         assert f(np.array([0.5]))[0] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("rows", ["0,1.0\n", "-1,0.5\n1,2.0\n0,1.0\n",
+                                      "-1,0.5\n0,nan\n1,2.0\n"],
+                             ids=["one_row", "x_not_increasing", "not_finite"])
+    def test_bad_table_rejected_naming_the_file(self, tmp_path, rows):
+        path = tmp_path / "b.csv"
+        path.write_text("y,value\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            builtin_y_function(f"table:{path.name}", base_dir=str(tmp_path))
+
+    def test_bad_table_exits_one_writing_nothing(self, tmp_path):
+        (tmp_path / "b.csv").write_text("y,value\n1,2.0\n0,1.0\n")
+        cfg = RunConfig.from_file(write_config(tmp_path, b="table:b.csv"))
+        assert run_pipeline(cfg, log=lambda m: None) == 1
+        assert not os.path.exists(tmp_path / "out")
+
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             builtin_y_function("warp:9")
@@ -172,24 +187,25 @@ class TestExitCodes:
         assert fp["converged"] is True
         assert fp["t_star"] < 1.0
 
-    def test_recovery_keeps_cross_iterations(self, tmp_path, monkeypatch):
-        # every iterate of the horizon search and the rerun gets the option
+    def test_recovery_keeps_max_iter(self, tmp_path, monkeypatch):
+        # the full-horizon attempt, every rung of the horizon search and the
+        # rerun all get the configured iteration budget
         import lsvcal.fixed_point
         import lsvcal.pipeline
         seen = []
 
         def spy(*args, real=lsvcal.fixed_point.iterate, **kwargs):
-            seen.append(kwargs.get("cross_iterations"))
+            seen.append(kwargs.get("max_iter"))
             return real(*args, **kwargs)
         monkeypatch.setattr(lsvcal.fixed_point, "iterate", spy)
         monkeypatch.setattr(lsvcal.pipeline, "iterate", spy)
         cfg = RunConfig.from_file(write_config(
             tmp_path, b="sqrt1p_sin:5.0", ns=48, ny=32, nt=32,
-            extra="fp.cross_iterations = 2"))
+            extra="fp.max_iter = 40"))
         assert run_pipeline(cfg, log=lambda m: None) == 0
         fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
         assert fp["t_star"] < 1.0
-        assert len(seen) > 2 and seen == [2] * len(seen)
+        assert len(seen) > 2 and seen == [40] * len(seen)
 
     def test_recovery_assembles_the_operator_once(self, tmp_path, monkeypatch):
         import lsvcal.fixed_point
@@ -246,7 +262,6 @@ class TestExitCodes:
                                        "fp.tol_factor = 0", "fp.cap_factor = 0",
                                        "fp.cap_factor = -1.5",
                                        "run.snapshot_every = -1",
-                                       "fp.cross_iterations = 0",
                                        "fp.max_iter = 0",
                                        "fp.max_halvings = -1",
                                        "fp.tol_factor = inf",
@@ -254,7 +269,9 @@ class TestExitCodes:
                                        "vol.cap = -1", "vol.floor = 5",
                                        "verify.l1_tol = nan",
                                        "verify.l1_tol = -1",
-                                       "verify.mass_tol = -1"])
+                                       "verify.mass_tol = -1",
+                                       "init.bandwidth_s = 0",
+                                       "init.bandwidth_y = 0"])
     def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra):
         cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
         assert run_pipeline(cfg, log=lambda m: None) == 1
@@ -485,7 +502,29 @@ def readme_keys(after: str, until: str) -> set:
     return set(re.findall(r"`(\w+)(?:\[\])?`", text[start:text.index(until, start)]))
 
 
+def readme_config_keys() -> set:
+    """The keys the README's configuration table names in its first column.
+
+    A cell lists keys as backquoted names; ``grid.s_min/s_max`` names
+    ``grid.s_min`` and ``grid.s_max``, ``init.bandwidth_s/_y`` names
+    ``init.bandwidth_s`` and ``init.bandwidth_y``."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("| key | meaning | default |")
+    keys = set()
+    for row in text[start:text.index("\n\n", start)].splitlines()[2:]:
+        for name in re.findall(r"`([\w./]+)`", row.split("|")[1]):
+            head, *rest = name.split("/")
+            section, stem = head.split(".")[0], head.rsplit("_", 1)[0]
+            keys |= {head} | {stem + p if p.startswith("_") else f"{section}.{p}"
+                              for p in rest}
+    return keys
+
+
 class TestArtifactKeys:
+    def test_config_table_lists_every_key(self):
+        assert readme_config_keys() == set(_DEFAULTS) | set(_REQUIRED)
+
     def test_json_keys_are_the_documented_ones(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path))
         assert run_pipeline(cfg, log=lambda m: None) == 0
