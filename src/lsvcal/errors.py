@@ -97,8 +97,9 @@ class NotConverged(CalibrationError):
 class HorizonExhausted(CalibrationError):
     """Horizon halving failed to produce a convergent run.
 
-    ``report`` and ``density`` are those of the last attempt, as carried by
-    its ``last_error``.
+    ``halvings`` counts the halvings made, which stops short of the allowed
+    number once the horizon is one time step.  ``report`` and ``density``
+    are those of the last attempt, as carried by its ``last_error``.
     """
 
     def __init__(self, halvings, last_error=None):

@@ -280,7 +280,7 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
     bounds = params
     last_err = None
-    for _ in range(max_halvings + 1):
+    for halvings in range(max_halvings + 1):    # halvings made before this attempt
         try:
             iterate(spec, grid, psi, params=bounds, max_iter=max_iter, frozen=frozen)
             return bounds
@@ -290,7 +290,7 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         if k_star == 1:
             break
         bounds = replace(bounds, t_star=(k_star // 2) * grid.dt)
-    raise HorizonExhausted(max_halvings, last_err)
+    raise HorizonExhausted(halvings, last_err)
 
 
 def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,

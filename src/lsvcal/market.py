@@ -159,8 +159,9 @@ class _Spline:
 
     It repeats the arithmetic of SciPy's ``CubicSpline(x, y, axis=0)``
     step for step and so gives its values bit for bit: the same
-    banded system for the knot slopes, solved by LAPACK ``gtsv`` as
-    `scipy.linalg.solve_banded` does; the same Hermite coefficients; and
+    banded system for the knot slopes, solved by `tridiag`'s LAPACK
+    ``gttrf``/``gttrs`` pair, which gives what ``gtsv`` (the solver of
+    `scipy.linalg.solve_banded`) gives; the same Hermite coefficients; and
     the interval rule and evaluation order of its piecewise polynomial.
 
     Raises:
@@ -186,11 +187,12 @@ class _Spline:
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
         b[-1] = (dxr[-1] ** 2 * slope[-2]
                  + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-        s = tridiag.solve_tridiag(
-            np.concatenate([dx[1:], [d1]]),
-            np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]]),
-            np.concatenate([[d0], dx[:-1]]),
-            b.reshape(n, -1)).reshape(y.shape)
+        # a batch of one system, every column of y a right-hand side
+        factors = tridiag.factor_batch(
+            np.concatenate([[0.0], dx[1:], [d1]])[None],
+            np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])[None],
+            np.concatenate([[d0], dx[:-1], [0.0]])[None])
+        s = tridiag.solve_batch(factors, b.reshape(1, n, -1)).reshape(y.shape)
         r = (s[:-1] + s[1:] - 2 * slope) / dxr
         self.x = x
         # coefficients of (t - x[i])^3, ^2, ^1, ^0 on interval i
@@ -268,7 +270,10 @@ def build_implied_surface(quotes, spot: float,
             short of the requested horizon.
         CalendarArbitrage: interpolated total variance decreases in T at a
             fixed strike.
+        ValueError: a spot that is not positive (log-moneyness needs one).
     """
+    if not spot > 0:
+        raise ValueError(f"spot {spot} must be positive")
     by_t = {}
     for q in quotes:
         if q.implied_vol is None:

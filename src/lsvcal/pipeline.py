@@ -41,7 +41,11 @@ from .model import (ModelSpec, SpotAmplitude, convert_correlation, grid_mass,
 # ---------------------------------------------------------------------------
 
 def _table_fn(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path, encoding="utf-8") as fh:
+        rows = [r for r in fh.readlines()[1:] if r.split("#", 1)[0].strip()]
+    # fewer than two rows fail the check below unparsed: loadtxt warns on none
+    data = (np.loadtxt(rows, delimiter=",", ndmin=2) if len(rows) > 1
+            else np.empty((0, 0)))
     if (data.shape[0] < 2 or data.shape[1] < 2 or not np.all(np.isfinite(data[:, :2]))
             or not np.all(np.diff(data[:, 0]) > 0)):
         raise ValueError(f"table {path}: needs two or more finite x,value rows "
@@ -126,7 +130,6 @@ _DEFAULTS = {
     "fp.tol_factor": "1e-8",
     "fp.cap_factor": "1.5",
     "fp.max_halvings": "6",
-    "fp.auto_shrink": "true",
     "run.verify": "true",
     "run.snapshot_every": "0",
     "run.snapshot_format": "csv",
@@ -466,7 +469,6 @@ def run_pipeline(config: RunConfig, log=None) -> int:
                   if mode == "fixed-point" else None)
         fp_kwargs = {"max_iter": config.get("fp.max_iter", int, minimum=1)}
         b_ref = spec.b_ref(grid, mode=config.get("model.b_ref"), psi=psi)
-        auto_shrink = config.get("fp.auto_shrink", bool)
         max_halvings = config.get("fp.max_halvings", int, minimum=0)
         do_verify = config.get("run.verify", bool)
         verify_tols = {"l1_tol": config.get("verify.l1_tol", float, minimum=0.0),
@@ -508,7 +510,7 @@ def run_pipeline(config: RunConfig, log=None) -> int:
                                              **fp_kwargs)
             except (MembershipLost, NotConverged) as err:
                 log(f"fixed point failed at full horizon: {err}")
-                if not auto_shrink:
+                if max_halvings == 0:        # no horizon search
                     raise
             if fp_report is None:  # outside the handler, which holds the attempt
                 params = shrink_horizon(spec, grid, psi, params,

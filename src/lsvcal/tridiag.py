@@ -1,17 +1,19 @@
-"""Batched tridiagonal solves.
+"""Batched tridiagonal solves: the package's one way to solve a
+tridiagonal system.
 
 A sweep of an alternating-direction step solves one small tridiagonal
-system per grid row.  All rows are concatenated into a single tridiagonal
-matrix (couplings between blocks are zero) and factored by LAPACK ``gttrf``
-once; ``gttrs`` then solves against that factorization for every right-hand
-side the step needs.  This is far faster than looping in Python and equally
-deterministic.
+system per grid row; the Dupire march solves one per time step, and the
+spline one for its knot slopes.  All systems of a batch are concatenated
+into a single tridiagonal matrix (couplings between blocks are zero) and
+factored by LAPACK ``gttrf`` once; ``gttrs`` then solves against that
+factorization for every right-hand side the caller needs.  This is far
+faster than looping in Python and equally deterministic.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 
 def factor_batch(lower: np.ndarray, diag: np.ndarray,
@@ -43,22 +45,8 @@ def factor_batch(lower: np.ndarray, diag: np.ndarray,
 
 
 def solve_batch(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored systems for an (m, n) right-hand side."""
-    x, _ = dgttrs(*factors, np.reshape(rhs, (-1, 1)).astype(float, copy=False))
+    """Solve the factored systems for an (m, n) right-hand side, or for an
+    (m, n, k) one that holds k right-hand sides per system."""
+    x, _ = dgttrs(*factors, np.reshape(rhs, (len(factors[1]), -1)).astype(
+        float, copy=False))
     return x.reshape(np.shape(rhs))
-
-
-def solve_tridiag(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve one tridiagonal system of size n for each column of an (n, k)
-    right-hand side by LAPACK ``gtsv`` (elimination with partial pivoting).
-
-    ``lower`` and ``upper`` hold the n-1 sub- and super-diagonal entries.
-
-    Raises:
-        LinAlgError: the system is singular.
-    """
-    *_, x, info = dgtsv(lower, diag, upper, rhs)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    return x
-

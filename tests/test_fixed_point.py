@@ -439,6 +439,29 @@ class TestShrinkHorizon:
         assert err.value.report is err.value.last_error.report is not None
         assert err.value.density is err.value.last_error.density is not None
 
+    @pytest.mark.parametrize("n_t,max_halvings,ladder", [
+        (20, 6, [20, 10, 5, 2, 1]), (1, 6, [1]), (40, 2, [40, 20, 10])],
+        ids=["one_step_reached", "one_step_grid", "allowance_spent"])
+    def test_exhaustion_counts_the_halvings_made(self, monkeypatch, n_t,
+                                                 max_halvings, ladder):
+        import lsvcal.fixed_point
+        grid = make_grid(n_s=16, n_y=12, n_t=n_t)
+        psi = make_psi(grid)
+        steps = []
+
+        def fail(*args, params, **kwargs):
+            steps.append(round(params.t_star / grid.dt))
+            raise NotConverged()
+        monkeypatch.setattr(lsvcal.fixed_point, "iterate", fail)
+        n = len(ladder) - 1
+        with pytest.raises(HorizonExhausted,
+                           match=f"after {n} horizon halvings$") as err:
+            shrink_horizon(make_spec(grid), grid, psi,
+                           IterateBounds.from_initial(psi, grid),
+                           max_halvings=max_halvings)
+        assert steps == ladder
+        assert err.value.halvings == n
+
     def test_ladder_starts_from_the_clamped_horizon(self, monkeypatch):
         # a horizon beyond the grid runs the same attempts as the grid's own
         import lsvcal.fixed_point

@@ -149,6 +149,14 @@ class TestImpliedSurface:
             build_implied_surface(quotes + [OptionQuote(t, k, implied_vol=vol)],
                                   spot=100.0)
 
+    @pytest.mark.parametrize("spot", [0.0, -5.0])
+    def test_nonpositive_spot_rejected_before_the_log(self, spot, recwarn):
+        quotes = [OptionQuote(t, k, implied_vol=0.2)
+                  for t in (0.25, 0.5, 1.0, 2.0) for k in (80, 90, 100, 110)]
+        with pytest.raises(ValueError, match=f"^spot {spot} must be positive$"):
+            build_implied_surface(quotes, spot=spot)
+        assert not recwarn.list
+
     def test_calendar_arbitrage_detected(self):
         quotes = [OptionQuote(t, k, implied_vol=v)
                   for t, v in ((0.25, 0.30), (0.5, 0.22), (1.0, 0.16), (2.0, 0.11))

@@ -80,6 +80,13 @@ class TestConfig:
         assert main(["--config", str(path)]) == 1
         assert not os.path.exists(tmp_path / "out")
 
+    def test_auto_shrink_key_exits_one(self, tmp_path, capsys):
+        # fp.max_halvings = 0 is the one way to turn the horizon search off
+        path = write_config(tmp_path, extra="fp.auto_shrink = false")
+        assert main(["--config", str(path)]) == 1
+        assert "unknown config key 'fp.auto_shrink'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg_path = write_config(tmp_path, extra="# a comment\n\nfp.max_iter = 7")
         cfg = RunConfig.from_file(cfg_path)
@@ -113,14 +120,16 @@ class TestBuiltins:
         f = builtin_y_function(f"table:{path.name}", base_dir=str(tmp_path))
         assert f(np.array([0.5]))[0] == pytest.approx(1.5)
 
-    @pytest.mark.parametrize("rows", ["0,1.0\n", "-1,0.5\n1,2.0\n0,1.0\n",
+    @pytest.mark.parametrize("rows", ["", "0,1.0\n", "-1,0.5\n1,2.0\n0,1.0\n",
                                       "-1,0.5\n0,nan\n1,2.0\n"],
-                             ids=["one_row", "x_not_increasing", "not_finite"])
-    def test_bad_table_rejected_naming_the_file(self, tmp_path, rows):
+                             ids=["header_only", "one_row", "x_not_increasing",
+                                  "not_finite"])
+    def test_bad_table_rejected_naming_the_file(self, tmp_path, rows, recwarn):
         path = tmp_path / "b.csv"
         path.write_text("y,value\n" + rows)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             builtin_y_function(f"table:{path.name}", base_dir=str(tmp_path))
+        assert not recwarn.list
 
     def test_bad_table_exits_one_writing_nothing(self, tmp_path):
         (tmp_path / "b.csv").write_text("y,value\n1,2.0\n0,1.0\n")
@@ -166,12 +175,22 @@ class TestExitCodes:
         assert rep["verification"]["gates"] == {
             "identity": True, "marginal_l1": True, "mass_drift": True}
 
-    def test_unconverged_exits_two_with_artifacts(self, tmp_path):
-        extra = "fp.max_iter = 1\nfp.auto_shrink = false"
+    def test_unconverged_exits_two_with_artifacts(self, tmp_path, monkeypatch):
+        # fp.max_halvings = 0: no horizon search, the first attempt's own error
+        import lsvcal.pipeline
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("shrink_horizon called")
+        monkeypatch.setattr(lsvcal.pipeline, "shrink_horizon", no_search)
+        extra = "fp.max_iter = 1\nfp.max_halvings = 0"
         cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.05",
                                                extra=extra))
-        rc = run_pipeline(cfg, log=lambda m: None)
+        logged = []
+        rc = run_pipeline(cfg, log=logged.append)
         assert rc == 2
+        assert logged[:2] == [
+            "fixed point failed at full horizon: no convergence after 1 iterations",
+            "fixed point not converged: no convergence after 1 iterations"]
         out = tmp_path / "out"
         assert (out / "fixed_point.json").exists()
         assert (out / "leverage.csv").exists()
@@ -271,11 +290,13 @@ class TestExitCodes:
                                        "verify.l1_tol = -1",
                                        "verify.mass_tol = -1",
                                        "init.bandwidth_s = 0",
-                                       "init.bandwidth_y = 0"])
-    def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra):
+                                       "init.bandwidth_y = 0",
+                                       "model.spot0 = 0", "model.spot0 = -5"])
+    def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra, recwarn):
         cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
         assert run_pipeline(cfg, log=lambda m: None) == 1
         assert not os.path.exists(tmp_path / "out")
+        assert not recwarn.list
 
     def test_nonfinite_quote_exits_one_writing_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path)

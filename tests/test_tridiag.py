@@ -155,3 +155,20 @@ class TestBatchProperties:
             assert np.array_equal(solve_factored(factors, b), x_ref)
         assert all(np.array_equal(a, b)
                    for a, b in zip(inputs, (lower, diag, upper, rhs)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dominant_batches(), st.integers(1, 5), st.booleans())
+    def test_stacked_rhs_equals_column_solves(self, batch, k, pivoting):
+        # k right-hand sides per system, as the spline solves its columns
+        lower, diag, upper, rhs = batch
+        if pivoting:
+            lower = 4.0 * lower
+        try:
+            factors = factor_batch(lower, diag, upper)
+        except LinAlgError:
+            return
+        cols = np.stack([(j + 1.0) * rhs - j for j in range(k)], axis=-1)
+        x = solve_factored(factors, cols)
+        assert x.shape == cols.shape
+        for j in range(k):
+            assert np.array_equal(x[..., j], solve_factored(factors, cols[..., j]))
