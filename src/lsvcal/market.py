@@ -324,7 +324,10 @@ def dupire_local_vol(surface: ImpliedSurface, rate: float, grid: GridSpec,
     Raises:
         DegenerateSurface: Dupire denominator below 1e-6 (pre-clamp) on more
         than 5% of the nodes.
+        ValueError: ``grid.s_min`` not positive (log-moneyness needs it).
     """
+    if not grid.s_min > 0:
+        raise ValueError(f"grid.s_min = {grid.s_min} must be positive")
     eps_t = eps_x = 1e-3
     x = np.log(grid.s_nodes / surface.spot)
     # one maturity spline per x array serves every time node: rows are

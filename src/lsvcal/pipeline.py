@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -101,8 +102,6 @@ def builtin_y_function(spec_str: str, base_dir: str = "."):
 
 def _as_txy(fn):
     """Lift a y-function to the (t, S, y) coefficient signature."""
-    if fn is None:
-        return None
     return lambda t, s, y: fn(y) + 0.0 * s
 
 
@@ -322,22 +321,29 @@ def verify_calibration(p: np.ndarray, sigma_d: np.ndarray,
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, write, mode: str = "w") -> None:
+    """Call ``write`` on the open ``<path>.tmp``, then rename it to ``path``;
+    a failed write removes the ``.tmp`` it opened (and only that)."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _json_default(o):
     if isinstance(o, np.generic):
         return o.item()
-    raise TypeError(f"not JSON serializable: {type(o)}")
+    return asdict(o)       # a solver's report; TypeError on anything else
 
 
 def _write_json(path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
-                                   default=_json_default) + "\n")
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def _write_csv(path, header: str, outer, inner, *columns) -> None:
@@ -350,28 +356,25 @@ def _write_csv(path, header: str, outer, inner, *columns) -> None:
     """
     fmt = "{:.17g}".format
     inner_cells = [fmt(v) + "," for v in np.asarray(inner).tolist()]
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+
+    def rows(fh):
         fh.write(header + "\n")
         for r, o in enumerate(np.asarray(outer).tolist()):
             head = fmt(o) + ","
             vals = map(",".join, zip(*(map(fmt, col[r].tolist()) for col in columns)))
             fh.write(head + ("\n" + head).join(map("".join, zip(inner_cells, vals)))
                      + "\n")
-    os.replace(tmp, path)
+    _atomic_write(path, rows)
 
 
 def _write_density_bin(path, p_slice, grid) -> None:
     """Flat binary: magic, dims (2 int64), origin+spacing (4 float64),
     then the row-major float64 payload."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"LSVD0001")
-        np.array(p_slice.shape, dtype=np.int64).tofile(fh)
-        np.array([grid.s_min, grid.ds, grid.y_min, grid.dy],
-                 dtype=np.float64).tofile(fh)
-        np.ascontiguousarray(p_slice, dtype=np.float64).tofile(fh)
-    os.replace(tmp, path)
+    data = b"".join([b"LSVD0001", np.array(p_slice.shape, dtype=np.int64).tobytes(),
+                     np.array([grid.s_min, grid.ds, grid.y_min, grid.dy],
+                              dtype=np.float64).tobytes(),
+                     np.ascontiguousarray(p_slice, dtype=np.float64).tobytes()])
+    _atomic_write(path, lambda fh: fh.write(data), "wb")
 
 
 def read_density_bin(path) -> tuple:
@@ -387,8 +390,149 @@ def read_density_bin(path) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# pipeline: three stages that raise; run_pipeline decides the exit status
 # ---------------------------------------------------------------------------
+
+def _inputs(config: RunConfig, log) -> SimpleNamespace:
+    """Stage 1: parse and check every input, then make the output directory."""
+    quotes_path = config.path("paths.quotes")
+    if not os.path.exists(quotes_path):
+        raise FileNotFoundError(f"quotes file not found: {quotes_path}")
+    grid = config.grid()
+    spot0 = config.get("model.spot0", float)
+    rate = config.get("model.rate", float)
+    y0 = config.get("model.y0", float)
+
+    quotes = load_quotes(quotes_path)
+    if any(q.price is not None for q in quotes):
+        check_price_bounds(quotes, spot0, rate)
+        quotes = [q if q.implied_vol is not None else
+                  type(q)(q.maturity, q.strike, implied_vol=implied_vol_from_price(
+                      q.price, spot0, q.strike, q.maturity, rate))
+                  for q in quotes]
+    surface = build_implied_surface(quotes, spot0, t_max=grid.horizon)
+    vol_floor = config.get("vol.floor", float)
+    vol_cap = config.get("vol.cap", float)
+    if not 0 < vol_floor <= vol_cap:
+        raise ValueError(f"vol.floor = {vol_floor} and vol.cap = {vol_cap} "
+                         f"do not satisfy 0 < vol.floor <= vol.cap")
+    sigma_d = dupire_local_vol(surface, rate, grid, floor=vol_floor, cap=vol_cap)
+
+    def y_fn(key):
+        return builtin_y_function(config.get(key), config.base_dir)
+
+    def optional(key):        # an empty key is no coefficient
+        return _as_txy(y_fn(key)) if config.get(key) else None
+    b_fn = y_fn("model.b")
+    spec = ModelSpec(
+        b=b_fn, alpha1=SpotAmplitude(sigma_d, b_fn, grid),
+        alpha2=_as_txy(y_fn("model.alpha2")), beta1=optional("model.beta1"),
+        beta2=optional("model.beta2"), gamma=optional("model.gamma"),
+        corr=convert_correlation(config.get("model.rho", float)),
+        rate=rate, spot0=spot0, y0=y0,
+        alpha_floor=config.get("model.alpha_floor", float))
+
+    bw_s = config.get("init.bandwidth_s", float)
+    bw_y = config.get("init.bandwidth_y", float)
+    if bw_s <= 0 or bw_y <= 0:
+        raise ValueError(f"init bandwidths ({bw_s}, {bw_y}) must be positive")
+    peak = 1.0 / (2.0 * math.pi * bw_s * bw_y)
+    floor = config.get("init.floor_rel", float) * peak
+    psi = smoothed_dirac(spot0, y0, bw_s, bw_y, floor, grid)
+    validation = validate_model(spec, grid)
+    corner_residual = compatibility_residual(psi, spec, grid)
+    if corner_residual > 1.0:
+        log(f"note: corner-compatibility residual {corner_residual:.3e} "
+            f"(accuracy is locally degraded near t = 0)")
+
+    # the remaining settings, parsed before anything is written
+    mode = config.get("fp.mode")
+    if mode not in ("fixed-point", "time-lagged"):
+        raise ValueError(f"unknown mode {mode!r}")
+    bound_factors = {"cap_factor": config.get("fp.cap_factor", float),
+                     "tol_factor": config.get("fp.tol_factor", float)}
+    snap_format = config.get("run.snapshot_format")
+    if snap_format not in ("csv", "bin"):
+        raise ValueError(f"unknown snapshot format {snap_format!r}")
+    run = SimpleNamespace(
+        grid=grid, quotes=quotes, sigma_d=sigma_d, spec=spec, psi=psi,
+        report={"validation": asdict(validation), "mode": mode,
+                "corner_residual": corner_residual},
+        mode=mode,
+        params=(IterateBounds.from_initial(psi, grid, **bound_factors)
+                if mode == "fixed-point" else None),
+        max_iter=config.get("fp.max_iter", int, minimum=1),
+        b_ref=spec.b_ref(grid, mode=config.get("model.b_ref"), psi=psi),
+        max_halvings=config.get("fp.max_halvings", int, minimum=0),
+        verify=config.get("run.verify", bool),
+        verify_tols={"l1_tol": config.get("verify.l1_tol", float, minimum=0.0),
+                     "mass_tol": config.get("verify.mass_tol", float, minimum=0.0),
+                     "identity_tol": config.get("verify.identity_tol", float,
+                                                minimum=0.0)},
+        snap_every=(config.get("run.snapshot_every", int, minimum=0)
+                    or max(1, grid.n_t // 10)),
+        snap_format=snap_format, out_dir=config.path("paths.output_dir"))
+    # last, so that an input error leaves nothing on disk
+    os.makedirs(run.out_dir, exist_ok=True)
+    return run
+
+
+def _solve(run: SimpleNamespace, log) -> tuple:
+    """Stage 2: the density trajectory and the solver's report; a fixed point
+    that fails at every horizon it may try raises with its last attempt."""
+    if run.mode == "time-lagged":
+        return solve_lagged(run.spec, run.grid, run.psi)
+    # one operator, carrying the anchor, serves every attempt; built
+    # through iterate's binding
+    kwargs = {"max_iter": run.max_iter, "frozen": fixed_point.assemble_frozen(
+        run.spec, run.grid, b_ref=run.b_ref)}
+    try:
+        return iterate(run.spec, run.grid, run.psi, params=run.params, **kwargs)
+    except (MembershipLost, NotConverged) as err:
+        log(f"fixed point failed at full horizon: {err}")
+        if run.max_halvings == 0:        # no horizon search
+            raise
+    # outside the handler, which holds the attempt
+    params = shrink_horizon(run.spec, run.grid, run.psi, run.params,
+                            max_halvings=run.max_halvings, **kwargs)
+    density, report = iterate(run.spec, run.grid, run.psi, params=params, **kwargs)
+    log(f"recovered at t_star = {report.t_star:.6g}")
+    return density, report
+
+
+def _artifacts(run: SimpleNamespace, density, fp_report, verify: bool):
+    """Stage 3: write the solver's report and, given a density, its arrays;
+    returns their verification if ``verify``, else None."""
+    grid, path = run.grid, lambda name: os.path.join(run.out_dir, name)
+    if fp_report is not None:
+        _write_json(path("fixed_point.json"), fp_report)
+    if density is None:
+        return None
+    n_k = density.shape[0] - 1
+    ks = [*range(0, n_k, run.snap_every), n_k]
+
+    _write_csv(path("local_vol.csv"), "t,S,sigma_D",
+               grid.t_nodes, grid.s_nodes, run.sigma_d)
+
+    q_p = marginal(density, grid)
+    q_d = dupire_forward_solve(run.sigma_d, run.spec.rate, grid, q_p[0], n_steps=n_k)
+    _write_csv(path("marginals.csv"), "t,S,q_p,q_D",
+               grid.t_nodes[ks], grid.s_nodes, q_p[ks], q_d[ks])
+
+    for k in ks:
+        name = path(f"density_{k}.{run.snap_format}")
+        if run.snap_format == "bin":
+            _write_density_bin(name, density[k], grid)
+        else:
+            _write_csv(name, "S,y,p", grid.s_nodes, grid.y_nodes, density[k])
+
+    # last, as the mixing ratio of an escaped iterate can fail
+    lev = leverage(run.sigma_d[:n_k + 1], mixing_ratio(density, run.spec.b, grid))
+    _write_csv(path("leverage.csv"), "t,S,a", grid.t_nodes[:n_k + 1], grid.s_nodes, lev)
+    return verify_calibration(
+        density, run.sigma_d, q_p, q_d, lev, run.spec, grid, ks[1:] or [n_k],
+        quotes=run.quotes, **run.verify_tols) if verify else None
+
 
 def run_pipeline(config: RunConfig, log=None) -> int:
     """Execute the full calibration; returns the process exit status.
@@ -399,189 +543,42 @@ def run_pipeline(config: RunConfig, log=None) -> int:
     0: converged and every enabled verification within tolerance.
     1: input/configuration error (no artifacts written).
     2: no convergence at any horizon, verification out of tolerance, or
-       another calibration failure once the inputs are accepted (artifacts
-       still written; report.json then names the failure under ``error``).
+       another failure once the inputs are accepted, such as an artifact
+       that cannot be written (the artifacts before it are still written;
+       report.json then names the failure under ``error``).
     """
     log = log or (lambda msg: print(msg, file=sys.stderr))
     t_start = time.time()
-
-    # ---- stage 1: inputs (any failure leaves no artifacts behind) ----
     try:
-        quotes_path = config.path("paths.quotes")
-        if not os.path.exists(quotes_path):
-            raise FileNotFoundError(f"quotes file not found: {quotes_path}")
-        grid = config.grid()
-        spot0 = config.get("model.spot0", float)
-        rate = config.get("model.rate", float)
-        y0 = config.get("model.y0", float)
-
-        quotes = load_quotes(quotes_path)
-        if any(q.price is not None for q in quotes):
-            check_price_bounds(quotes, spot0, rate)
-            quotes = [q if q.implied_vol is not None else
-                      type(q)(q.maturity, q.strike, implied_vol=implied_vol_from_price(
-                          q.price, spot0, q.strike, q.maturity, rate))
-                      for q in quotes]
-        surface = build_implied_surface(quotes, spot0, t_max=grid.horizon)
-        vol_floor = config.get("vol.floor", float)
-        vol_cap = config.get("vol.cap", float)
-        if not 0 < vol_floor <= vol_cap:
-            raise ValueError(f"vol.floor = {vol_floor} and vol.cap = {vol_cap} "
-                             f"do not satisfy 0 < vol.floor <= vol.cap")
-        sigma_d = dupire_local_vol(surface, rate, grid, floor=vol_floor, cap=vol_cap)
-
-        b_fn = builtin_y_function(config.get("model.b"), config.base_dir)
-        alpha2 = _as_txy(builtin_y_function(config.get("model.alpha2"), config.base_dir))
-        beta1 = config.get("model.beta1")
-        beta2 = config.get("model.beta2")
-        gamma = config.get("model.gamma")
-        spec = ModelSpec(
-            b=b_fn,
-            alpha1=SpotAmplitude(sigma_d, b_fn, grid),
-            alpha2=alpha2,
-            beta1=_as_txy(builtin_y_function(beta1, config.base_dir)) if beta1 else None,
-            beta2=_as_txy(builtin_y_function(beta2, config.base_dir)) if beta2 else None,
-            gamma=_as_txy(builtin_y_function(gamma, config.base_dir)) if gamma else None,
-            corr=convert_correlation(config.get("model.rho", float)),
-            rate=rate, spot0=spot0, y0=y0,
-            alpha_floor=config.get("model.alpha_floor", float))
-
-        bw_s = config.get("init.bandwidth_s", float)
-        bw_y = config.get("init.bandwidth_y", float)
-        if bw_s <= 0 or bw_y <= 0:
-            raise ValueError(f"init bandwidths ({bw_s}, {bw_y}) must be positive")
-        peak = 1.0 / (2.0 * math.pi * bw_s * bw_y)
-        floor = config.get("init.floor_rel", float) * peak
-        psi = smoothed_dirac(spot0, y0, bw_s, bw_y, floor, grid)
-        validation = validate_model(spec, grid)
-        corner_residual = compatibility_residual(psi, spec, grid)
-        if corner_residual > 1.0:
-            log(f"note: corner-compatibility residual {corner_residual:.3e} "
-                f"(accuracy is locally degraded near t = 0)")
-
-        # the remaining settings, parsed before anything is written
-        mode = config.get("fp.mode")
-        if mode not in ("fixed-point", "time-lagged"):
-            raise ValueError(f"unknown mode {mode!r}")
-        bound_factors = {"cap_factor": config.get("fp.cap_factor", float),
-                         "tol_factor": config.get("fp.tol_factor", float)}
-        params = (IterateBounds.from_initial(psi, grid, **bound_factors)
-                  if mode == "fixed-point" else None)
-        fp_kwargs = {"max_iter": config.get("fp.max_iter", int, minimum=1)}
-        b_ref = spec.b_ref(grid, mode=config.get("model.b_ref"), psi=psi)
-        max_halvings = config.get("fp.max_halvings", int, minimum=0)
-        do_verify = config.get("run.verify", bool)
-        verify_tols = {"l1_tol": config.get("verify.l1_tol", float, minimum=0.0),
-                       "mass_tol": config.get("verify.mass_tol", float, minimum=0.0),
-                       "identity_tol": config.get("verify.identity_tol", float,
-                                                  minimum=0.0)}
-        snap_every = config.get("run.snapshot_every", int, minimum=0)
-        snap_format = config.get("run.snapshot_format")
-        if snap_format not in ("csv", "bin"):
-            raise ValueError(f"unknown snapshot format {snap_format!r}")
-        # last, so that an input error leaves nothing on disk
-        out_dir = config.path("paths.output_dir")
-        os.makedirs(out_dir, exist_ok=True)
+        run = _inputs(config, log)
     except (CalibrationError, OSError, ValueError) as err:
         log(f"input error: {err}")
         return 1
 
-    if snap_every == 0:
-        snap_every = max(1, grid.n_t // 10)
-
-    # ---- stage 2: solve ----
-    # from here on every calibration failure ends in status 2 with a
-    # report.json that names it
-    status = 0
-    error = None
-    fp_json = None
-    fp_report = None
-    density = None
+    report, status = run.report, 0
     try:
-        if mode == "time-lagged":
-            density, lag_report = solve_lagged(spec, grid, psi)
-            fp_json = dict(lag_report)
-        else:
-            # one operator, carrying the anchor, serves every attempt; built
-            # through iterate's binding
-            fp_kwargs["frozen"] = fixed_point.assemble_frozen(spec, grid, b_ref=b_ref)
-            try:
-                density, fp_report = iterate(spec, grid, psi, params=params,
-                                             **fp_kwargs)
-            except (MembershipLost, NotConverged) as err:
-                log(f"fixed point failed at full horizon: {err}")
-                if max_halvings == 0:        # no horizon search
-                    raise
-            if fp_report is None:  # outside the handler, which holds the attempt
-                params = shrink_horizon(spec, grid, psi, params,
-                                        max_halvings=max_halvings, **fp_kwargs)
-                density, fp_report = iterate(spec, grid, psi, params=params,
-                                             **fp_kwargs)
-                log(f"recovered at t_star = {fp_report.t_star:.6g}")
-    except (MembershipLost, NotConverged, HorizonExhausted) as err:
-        # artifacts of the last attempt are still written
-        log(f"fixed point not converged: {err}")
-        status, fp_report, density = 2, err.report, err.density
-    except (CalibrationError, ValueError) as err:
-        log(f"solve failed: {err}")
-        status, error = 2, f"{type(err).__name__}: {err}"
-    if fp_report is not None and fp_json is None:
-        fp_json = asdict(fp_report)
-
-    # ---- stage 3: artifacts ----
-    if fp_json is not None:
-        _write_json(os.path.join(out_dir, "fixed_point.json"), fp_json)
-
-    report_obj = {"validation": asdict(validation), "mode": mode,
-                  "corner_residual": corner_residual}
-    if density is not None:
         try:
-            n_k = density.shape[0] - 1
-            ks = list(range(0, n_k + 1, snap_every))
-            if ks[-1] != n_k:
-                ks.append(n_k)
-
-            _write_csv(os.path.join(out_dir, "local_vol.csv"), "t,S,sigma_D",
-                       grid.t_nodes, grid.s_nodes, sigma_d)
-
-            q_p = marginal(density, grid)
-            q_d = dupire_forward_solve(sigma_d, rate, grid, q_p[0], n_steps=n_k)
-            _write_csv(os.path.join(out_dir, "marginals.csv"), "t,S,q_p,q_D",
-                       grid.t_nodes[ks], grid.s_nodes, q_p[ks], q_d[ks])
-
-            for k in ks:
-                name = os.path.join(out_dir, f"density_{k}.{snap_format}")
-                if snap_format == "bin":
-                    _write_density_bin(name, density[k], grid)
-                else:
-                    _write_csv(name, "S,y,p", grid.s_nodes, grid.y_nodes,
-                               density[k])
-
-            # last, as the mixing ratio of an escaped iterate can fail
-            mix = mixing_ratio(density, spec.b, grid)
-            lev = leverage(sigma_d[:n_k + 1], mix)
-            _write_csv(os.path.join(out_dir, "leverage.csv"), "t,S,a",
-                       grid.t_nodes[:n_k + 1], grid.s_nodes, lev)
-
-            if do_verify and status == 0:
-                ver = verify_calibration(
-                    density, sigma_d, q_p, q_d, lev, spec, grid,
-                    ks[1:] or [n_k], quotes=quotes, **verify_tols)
-                report_obj["verification"] = ver.as_json_dict()
-                if not ver.all_within_tolerance:
-                    log(f"verification out of tolerance: {ver.gates}")
-                    status = 2
-        except (CalibrationError, ValueError) as err:
-            log(f"artifact stage failed: {err}")
-            status, error = 2, f"{type(err).__name__}: {err}"
-    if error is not None:
-        report_obj["error"] = error
-    report_obj["status_hint"] = status
-
-    _write_json(os.path.join(out_dir, "report.json"), report_obj)
-    _write_json(os.path.join(out_dir, "run_meta.json"), {
-        "wall_seconds": time.time() - t_start,
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "version": __version__,
-    })
+            density, fp_report = _solve(run, log)
+        except (MembershipLost, NotConverged, HorizonExhausted) as err:
+            # artifacts of the last attempt are still written
+            log(f"fixed point not converged: {err}")
+            status, density, fp_report = 2, err.density, err.report
+        ver = _artifacts(run, density, fp_report, verify=run.verify and status == 0)
+        if ver is not None:
+            report["verification"] = ver.as_json_dict()
+            if not ver.all_within_tolerance:
+                log(f"verification out of tolerance: {ver.gates}")
+                status = 2
+    except (CalibrationError, OSError, ValueError) as err:
+        log(f"run failed: {err}")
+        status, report["error"] = 2, f"{type(err).__name__}: {err}"
+    report["status_hint"] = status
+    try:
+        _write_json(os.path.join(run.out_dir, "report.json"), report)
+        _write_json(os.path.join(run.out_dir, "run_meta.json"), {
+            "wall_seconds": time.time() - t_start, "version": __version__,
+            "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())})
+    except OSError as err:
+        log(f"report not written: {err}")
+        return 2
     return status

@@ -286,6 +286,17 @@ class TestDupireLocalVol:
         assert lv.min() >= 0.05 - 1e-12
         assert lv.max() <= 0.5 + 1e-12
 
+    @pytest.mark.parametrize("s_min", [0.0, -1.0])
+    def test_nonpositive_s_min_rejected_before_the_log(self, tmp_path, s_min,
+                                                         recwarn):
+        surf = build_implied_surface(
+            load_quotes(write_flat_quotes(tmp_path / "q.csv")), spot=100.0)
+        grid = make_grid(n_s=48, n_y=24, n_t=20, s_span=(s_min, 330.0))
+        with pytest.raises(ValueError,
+                           match=f"^grid.s_min = {s_min} must be positive$"):
+            dupire_local_vol(surf, 0.0, grid)
+        assert not recwarn.list
+
     def test_vectorized_equals_per_node(self):
         grid = make_grid(n_s=60, n_y=24, n_t=40)
         quotes = [OptionQuote(t, k, implied_vol=math.sqrt(0.04 + 0.01 * t)

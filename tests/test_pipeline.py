@@ -2,10 +2,12 @@ import json
 import os
 import re
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -291,7 +293,8 @@ class TestExitCodes:
                                        "verify.mass_tol = -1",
                                        "init.bandwidth_s = 0",
                                        "init.bandwidth_y = 0",
-                                       "model.spot0 = 0", "model.spot0 = -5"])
+                                       "model.spot0 = 0", "model.spot0 = -5",
+                                       "grid.s_min = 0", "grid.s_min = -1"])
     def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra, recwarn):
         cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
         assert run_pipeline(cfg, log=lambda m: None) == 1
@@ -409,6 +412,48 @@ class TestExitCodes:
             {"fixed_point.json", "report.json", "run_meta.json", "local_vol.csv",
              "marginals.csv"} | {f"density_{k}.csv" for k in (*range(0, 32, 3), 32)})
 
+    @pytest.mark.parametrize("name", ["fixed_point.json", "local_vol.csv",
+                                      "marginals.csv", "density_12.csv",
+                                      "leverage.csv", "report.json",
+                                      "run_meta.json"])
+    @pytest.mark.parametrize("how", ["rename", "blocked"])
+    def test_failed_write_exits_two(self, tmp_path, monkeypatch, name, how):
+        # "rename": the rename of name's .tmp fails, the writer removes it;
+        # "blocked": a directory the writer did not make sits at the .tmp
+        # path and is left alone
+        import lsvcal.pipeline
+        out = tmp_path / "out"
+        if how == "blocked":
+            (out / f"{name}.tmp").mkdir(parents=True)
+        else:
+            def replace(src, dst, real=os.replace):
+                if os.path.basename(dst) == name:
+                    raise OSError(f"cannot rename onto {name}")
+                real(src, dst)
+            monkeypatch.setattr(lsvcal.pipeline.os, "replace", replace)
+        cfg = RunConfig.from_file(write_config(tmp_path))
+        logged = []
+        assert run_pipeline(cfg, log=logged.append) == 2
+        left = set(os.listdir(out))
+        if how == "blocked":
+            assert (out / f"{name}.tmp").is_dir()
+            left.remove(f"{name}.tmp")
+        assert not [n for n in left if n.endswith(".tmp")]
+        # written in this order; a failed write stops the ones after it
+        order = ["fixed_point.json", "local_vol.csv", "marginals.csv",
+                 *(f"density_{k}.csv" for k in range(0, 25, 2)), "leverage.csv",
+                 "report.json", "run_meta.json"]
+        if name in ("report.json", "run_meta.json"):
+            assert left == set(order[:order.index(name)])
+            assert len(logged) == 1 and logged[0].startswith("report not written: ")
+            return
+        assert left == set(order[:order.index(name)]) | {"report.json",
+                                                         "run_meta.json"}
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["status_hint"] == 2 and name in rep["error"]
+        assert rep["error"].startswith("OSError: " if how == "rename"
+                                       else "IsADirectoryError: ")
+
     def test_time_lagged_mode(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.05",
                                                extra="fp.mode = time-lagged"))
@@ -416,6 +461,34 @@ class TestExitCodes:
         assert rc == 0
         fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
         assert fp["mode"] == "time-lagged"
+
+
+# values that each break some config key
+HOSTILE_VALUES = ["", "nan", "inf", "-1", "0", "bogus", "const", "exp_clamped:1",
+                  "table:missing.csv", "1e308"]
+
+
+class TestHostileConfig:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted({*_DEFAULTS, *_REQUIRED})),
+           st.sampled_from(HOSTILE_VALUES))
+    @example("grid.s_min", "0")
+    @example("grid.s_min", "-1")
+    def test_exit_code_contract(self, key, value):
+        # one key set to one hostile value: exit 0, 1 or 2, nothing raised,
+        # and an exit 1 writes nothing and warns nothing; a fresh directory
+        # per example, as tmp_path is made once per test
+        with tempfile.TemporaryDirectory() as tmp, \
+                warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            cfg = RunConfig.from_file(write_config(Path(tmp)))
+            cfg.values[key] = value
+            before = sorted(os.listdir(tmp))
+            status = run_pipeline(cfg, log=lambda m: None)
+            assert status in (0, 1, 2)
+            if status == 1:
+                assert sorted(os.listdir(tmp)) == before
+                assert not [str(w.message) for w in seen]
 
 
 class TestCli:
