@@ -34,8 +34,9 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     # the flags replace their config keys; a relative output directory is
-    # taken from the working directory, not from the config's
-    out_dir = os.path.abspath(args.output_dir) if args.output_dir else None
+    # taken from the working directory, not from the config's, and an empty
+    # one stays empty for stage 1 to reject
+    out_dir = args.output_dir and os.path.abspath(args.output_dir)
     flags = {"paths.output_dir": out_dir, "fp.mode": args.mode,
              "run.verify": args.verify, "run.snapshot_every": args.snapshot_every}
     for key, val in flags.items():

@@ -222,7 +222,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     elif frozen.grid != grid:
         raise ValueError("frozen operator does not match this grid")
     k_star = _horizon_steps(params.t_star, grid)
-    bsq_slope = measured_bsq_slope(spec, grid)
+    bsq_slope = measured_bsq_slope(spec.b, grid)
 
     report = FixedPointReport(t_star=k_star * grid.dt, tol=params.tol)
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
@@ -293,14 +293,11 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     raise HorizonExhausted(halvings, last_err)
 
 
-def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
-                 mixing_override: float | None = None) -> tuple:
+def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray) -> tuple:
     """Single forward sweep with the mixing ratio lagged one time step.
 
     The full nonlinear coefficients are rebuilt each step from the current
-    density slice, so no outer iteration is needed.  ``mixing_override``
-    pins the ratio to a constant (1.0 reproduces the plain local-volatility
-    evolution and serves as the uncorrected baseline).
+    density slice, so no outer iteration is needed.
 
     Returns (trajectory, report dict); the trajectory has shape
     (n_t+1, n_s+2, n_y+2).
@@ -313,14 +310,9 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     den_min = math.inf
     hs = (grid.ds, grid.dy)
     for k in range(n):
-        if mixing_override is None:
-            mix = mixing_ratio(u, spec.b, grid)
-            ratio, root = mix.ratio, mix.sqrt_ratio
-            den_min = min(den_min, mix.denominator_min)
-        else:
-            ratio = float(mixing_override)
-            root = math.sqrt(ratio)
-        st0, st1 = (stencil(assemble_slice(spec, grid, j, ratio, root), hs)
+        mix = mixing_ratio(u, spec.b, grid)
+        den_min = min(den_min, mix.denominator_min)
+        st0, st1 = (stencil(assemble_slice(spec, grid, j, mix.ratio, mix.sqrt_ratio), hs)
                     for j in (k, k + 1))
         u, _ = step_slices(st0, st1, u, grid)
         traj[k + 1] = u

@@ -172,7 +172,7 @@ def operator_coefficients(spec: ModelSpec, grid: GridSpec, k: int) -> dict:
 
 @dataclass
 class ValidationReport:
-    """Measured hypothesis constants and per-check flags."""
+    """Measured hypothesis constants of a model that satisfies them."""
 
     b_inf: float
     b_sup: float
@@ -180,64 +180,56 @@ class ValidationReport:
     alpha1_min: float
     alpha2_min: float
     corr_min_eig: float
-    checks: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.checks.values())
 
 
-def measured_bsq_slope(spec_or_b, grid: GridSpec) -> float:
+def measured_bsq_slope(b, grid: GridSpec) -> float:
     """sup |d(b^2)/dy| by second-order differences on the y-nodes."""
-    b = spec_or_b.b if isinstance(spec_or_b, ModelSpec) else spec_or_b
     b2 = b_values(b, grid) ** 2
     if np.all(b2 == b2[0]):
         return 0.0
     return float(np.max(np.abs(fd.d1(b2, grid.dy, axis=0))))
 
 
-def _alpha_min(alpha, grid: GridSpec) -> float:
-    """Smallest value of a diffusion amplitude over nine sampled times."""
+def _alpha_min(name: str, alpha, floor: float, grid: GridSpec) -> float:
+    """Smallest value of a diffusion amplitude over nine sampled times;
+    raises unless every sampled value is finite and at least ``floor``."""
     ks = np.unique(np.linspace(0, grid.n_t, 9).astype(int))
-    lo = math.inf
-    for k in ks:
-        lo = min(lo, float(eval_coeff(alpha, int(k), grid.t_nodes[int(k)], grid).min()))
+    vals = np.array([eval_coeff(alpha, int(k), grid.t_nodes[k], grid) for k in ks])
+    lo = float(np.min(vals))          # NaN if any value is
+    if not np.all(np.isfinite(vals) & (vals >= floor)):
+        raise HypothesisViolation(
+            "alpha-floor", f"{name} must be finite and >= floor {floor:.3e} "
+                           f"(min {lo:.3e}, max {float(np.max(vals)):.3e})")
     return lo
 
 
 def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
-    """Check the structural hypotheses on the grid and report the constants.
+    """Check the structural hypotheses on the grid and measure the constants.
 
-    Hard failures (b not strictly positive, a diffusion amplitude below the
-    ellipticity floor, initial point outside the domain) raise
-    HypothesisViolation; ``CorrelationMatrix`` rejects a bad correlation
-    matrix when it is built.  Everything else is reported.
+    Each failure raises HypothesisViolation, and a NaN or inf fails every
+    check: b finite and strictly positive on the y-nodes and at ``y0``
+    (which the ``center`` anchor divides by), a positive ellipticity floor,
+    each diffusion amplitude finite and at least that floor, and the
+    initial point inside the domain.  ``CorrelationMatrix`` rejects a bad
+    correlation matrix when it is built.
     """
     bv = b_values(spec.b, grid)
-    if np.any(bv <= 0):
-        raise HypothesisViolation("b-positivity", "b must be strictly positive")
-    a1_min = _alpha_min(spec.alpha1, grid)
-    a2_min = _alpha_min(spec.alpha2, grid)
-    if a1_min < spec.alpha_floor or a2_min < spec.alpha_floor:
+    b_all = np.append(bv, spec.b_ref(grid))        # y0 need not be a node
+    if not np.all(np.isfinite(b_all) & (b_all > 0)):
         raise HypothesisViolation(
-            "alpha-floor",
-            f"min alpha = {min(a1_min, a2_min):.3e} < floor {spec.alpha_floor:.3e}")
+            "b-positivity", f"b must be finite and > 0 on the y-nodes and at y0 "
+                            f"(min {float(np.min(b_all)):.3e})")
+    if not spec.alpha_floor > 0:
+        raise HypothesisViolation("alpha-floor", f"floor {spec.alpha_floor} must be > 0")
+    a1_min = _alpha_min("alpha1", spec.alpha1, spec.alpha_floor, grid)
+    a2_min = _alpha_min("alpha2", spec.alpha2, spec.alpha_floor, grid)
     if not grid.contains_interior(spec.spot0, spec.y0):
         raise HypothesisViolation(
             "domain", f"initial point ({spec.spot0}, {spec.y0}) not strictly interior")
-
-    slope = measured_bsq_slope(spec, grid)
-    checks = {
-        "b_positive": True,
-        "alpha_floor": True,
-        "correlation_pd": True,
-        "domain_contains_start": True,
-        "b_smooth_slope_finite": bool(np.isfinite(slope)),
-    }
     return ValidationReport(
-        b_inf=float(bv.min()), b_sup=float(bv.max()), bsq_slope=slope,
-        alpha1_min=a1_min, alpha2_min=a2_min,
-        corr_min_eig=spec.corr.min_eig, checks=checks)
+        b_inf=float(bv.min()), b_sup=float(bv.max()),
+        bsq_slope=measured_bsq_slope(spec.b, grid), alpha1_min=a1_min,
+        alpha2_min=a2_min, corr_min_eig=spec.corr.min_eig)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,9 @@ def builtin_y_function(spec_str: str, base_dir: str = "."):
     """Resolve a named y-function written in one of the ``_BUILTIN_FORMS``.
 
     Raises:
-        ValueError: unknown name, or an argument count the form rejects.
+        ValueError: unknown name, an argument count the form rejects, an
+            argument that is not a finite number, a negative floor, or
+            ``exp_clamped`` with lo > hi.
     """
     name, *args = spec_str.strip().split(":")
     form = _BUILTIN_FORMS.get(name)
@@ -79,25 +81,34 @@ def builtin_y_function(spec_str: str, base_dir: str = "."):
     n_max = form.count(":")
     if not n_max - form.count("[") <= len(args) <= n_max:
         raise ValueError(f"builtin {spec_str!r} does not have the form {form}")
+    if name == "table":
+        return _table_fn(os.path.join(base_dir, args[0]))
+    try:
+        v = [float(a) for a in args]
+    except ValueError:        # a word that is no number fails as NaN does
+        v = [math.nan]
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"builtin {spec_str!r} needs finite numbers for {form}")
+    # the floor keeps the square root's argument at 0 or above
+    if name in ("sqrt1p_sin", "cir") and len(v) == 2 and v[1] < 0:
+        raise ValueError(f"builtin {spec_str!r} has a floor below 0")
     if name == "const":
-        v = float(args[0])
-        return lambda y: np.full_like(np.asarray(y, dtype=float), v)
+        return lambda y: np.full_like(np.asarray(y, dtype=float), v[0])
     if name == "exp":
         return lambda y: np.exp(np.asarray(y, dtype=float))
     if name == "exp_clamped":
-        lo, hi = float(args[0]), float(args[1])
+        lo, hi = v
+        if lo > hi:            # np.clip would return hi everywhere
+            raise ValueError(f"builtin {spec_str!r} has lo > hi")
         return lambda y: np.clip(np.exp(np.asarray(y, dtype=float)), lo, hi)
     if name == "sqrt1p_sin":
-        s = float(args[0])
-        floor = float(args[1]) if len(args) > 1 else 0.04
+        s, floor = v[0], (v[1] if len(v) > 1 else 0.04)
         return lambda y: np.sqrt(np.maximum(1.0 + s * np.sin(np.asarray(y, dtype=float)), floor))
     if name == "cir":
-        nu, floor = float(args[0]), float(args[1])
+        nu, floor = v
         return lambda y: nu * np.sqrt(np.maximum(np.asarray(y, dtype=float), floor))
-    if name == "mean_revert":
-        kappa, theta = float(args[0]), float(args[1])
-        return lambda y: kappa * (theta - np.asarray(y, dtype=float))
-    return _table_fn(os.path.join(base_dir, args[0]))      # table:file.csv
+    kappa, theta = v                                     # mean_revert:kappa:theta
+    return lambda y: kappa * (theta - np.asarray(y, dtype=float))
 
 
 def _as_txy(fn):
@@ -454,6 +465,8 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
     snap_format = config.get("run.snapshot_format")
     if snap_format not in ("csv", "bin"):
         raise ValueError(f"unknown snapshot format {snap_format!r}")
+    if not config.get("paths.output_dir"):      # would write beside the config
+        raise ValueError("paths.output_dir is empty")
     run = SimpleNamespace(
         grid=grid, quotes=quotes, sigma_d=sigma_d, spec=spec, psi=psi,
         report={"validation": asdict(validation), "mode": mode,

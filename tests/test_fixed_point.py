@@ -531,11 +531,12 @@ class TestTimeLagged:
         gap = np.max(np.abs(dens_fp - dens_lag))
         assert gap < 1e-3 * psi.max()
 
-    def test_override_reproduces_frozen_solver(self):
+    def test_constant_b_reproduces_frozen_solver(self):
+        # a constant b makes the lagged ratio the exact constant 1/b^2
         grid = make_grid(n_s=24, n_y=16, n_t=10)
         spec = make_spec(grid, b=b_const)
         psi = make_psi(grid)
-        dens, _ = solve_lagged(spec, grid, psi, mixing_override=1.0)
+        dens, _ = solve_lagged(spec, grid, psi)
         fields = assemble_frozen(spec, grid, b_ref=1.0)
         traj, _ = solve_linear(fields, psi, grid)
         assert np.array_equal(dens, traj)

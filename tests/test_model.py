@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lsvcal import (BandwidthTooSmall, CorrelationMatrix, HypothesisViolation,
                     convert_correlation, grid_mass, measured_bsq_slope,
                     smoothed_dirac, validate_model)
 from lsvcal.mixing import b_values
-from conftest import b_const, make_grid, make_psi, make_spec
+from conftest import b_const, flat_sigma, make_grid, make_psi, make_spec
 
 
 class TestCorrelation:
@@ -55,7 +56,9 @@ class TestValidateModel:
         grid = make_grid(n_s=40, n_y=24, n_t=20)
         spec = make_spec(grid, b=b_const, alpha2=0.3)
         rep = validate_model(spec, grid)
-        assert rep.all_ok
+        assert set(asdict(rep)) == {"b_inf", "b_sup", "bsq_slope", "alpha1_min",
+                                    "alpha2_min", "corr_min_eig"}
+        assert rep.alpha2_min == 0.3
         assert rep.bsq_slope == 0.0
         assert rep.b_inf == rep.b_sup == 1.0
 
@@ -83,9 +86,49 @@ class TestValidateModel:
         with pytest.raises(HypothesisViolation, match="b-positivity"):
             validate_model(spec, grid)
 
+    @pytest.mark.parametrize("b", [
+        lambda y: np.where(np.asarray(y) > 0.5, np.nan, 1.0),
+        lambda y: np.where(np.asarray(y) < -0.5, np.inf, 1.0),
+        lambda y: np.full_like(np.asarray(y, dtype=float), np.nan)],
+        ids=["nan_on_some_nodes", "inf_on_some_nodes", "nan_everywhere"])
+    def test_nonfinite_b_rejected(self, b):
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        with pytest.raises(HypothesisViolation, match="b-positivity"):
+            validate_model(make_spec(grid, b=b), grid)
+
+    def test_zero_b_at_start_rejected(self):
+        # y0 = 0 is not a y-node, so b = |y| is positive on every node, but
+        # the center anchor divides by b(y0) = 0
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        b = lambda y: np.abs(np.asarray(y, dtype=float))
+        assert 0.0 not in grid.y_nodes and b_values(b, grid).min() > 0
+        with pytest.raises(HypothesisViolation, match="b-positivity"):
+            validate_model(make_spec(grid, b=b), grid)
+
     def test_alpha_floor_rejected(self):
         grid = make_grid(n_s=40, n_y=24, n_t=20)
         spec = make_spec(grid, alpha2=1e-6)
+        with pytest.raises(HypothesisViolation, match="alpha-floor"):
+            validate_model(spec, grid)
+
+    @pytest.mark.parametrize("alpha2", [math.nan, math.inf])
+    def test_nonfinite_amplitude_rejected(self, alpha2):
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        with pytest.raises(HypothesisViolation, match="alpha-floor"):
+            validate_model(make_spec(grid, alpha2=alpha2), grid)
+
+    def test_nan_spot_amplitude_rejected(self):
+        # one NaN local-vol node at a sampled time (the last) reaches alpha1
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        sigma = flat_sigma(grid)
+        sigma[-1, 7] = np.nan
+        with pytest.raises(HypothesisViolation, match="alpha1"):
+            validate_model(make_spec(grid, sigma=sigma), grid)
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])
+    def test_nonpositive_floor_rejected(self, floor):
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        spec = replace(make_spec(grid), alpha_floor=floor)
         with pytest.raises(HypothesisViolation, match="alpha-floor"):
             validate_model(spec, grid)
 

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lsvcal import (DegenerateDenominator, MembershipLost, NonEllipticAssembly,
-                    StabilityFailure, dupire_forward_solve, iterate, marginal,
-                    solve_lagged, verify_calibration)
+                    StabilityFailure, assemble_frozen, dupire_forward_solve,
+                    iterate, marginal, solve_lagged, solve_linear,
+                    verify_calibration)
 from lsvcal.cli import main
 from lsvcal.pipeline import (_DEFAULTS, _REQUIRED, RunConfig, _write_csv,
                              builtin_y_function, read_density_bin, run_pipeline)
@@ -142,6 +143,22 @@ class TestBuiltins:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             builtin_y_function("warp:9")
+
+    @pytest.mark.parametrize("spec_str,fault", [
+        ("const:nan", "needs finite numbers"), ("const:inf", "needs finite numbers"),
+        ("const:abc", "needs finite numbers"),
+        ("mean_revert:inf:0", "needs finite numbers"),
+        ("exp_clamped:0.5:nan", "needs finite numbers"),
+        ("cir:1:-1", "has a floor below 0"), ("sqrt1p_sin:5:-1", "has a floor below 0"),
+        ("exp_clamped:2:1", "has lo > hi")])
+    def test_bad_argument_rejected_naming_the_builtin(self, spec_str, fault, recwarn):
+        with pytest.raises(ValueError, match=f"^builtin {re.escape(repr(spec_str))} {fault}"):
+            builtin_y_function(spec_str)
+        assert not recwarn.list
+
+    def test_zero_floor_accepted(self):
+        assert builtin_y_function("cir:1:0")(np.array([-1.0]))[0] == 0.0
+        assert builtin_y_function("sqrt1p_sin:5:0")(np.array([-1.0]))[0] == 0.0
 
     @pytest.mark.parametrize("spec_str,form", [
         ("const", "const:v"), ("exp_clamped:0.5", "exp_clamped:lo:hi"),
@@ -294,12 +311,38 @@ class TestExitCodes:
                                        "init.bandwidth_s = 0",
                                        "init.bandwidth_y = 0",
                                        "model.spot0 = 0", "model.spot0 = -5",
-                                       "grid.s_min = 0", "grid.s_min = -1"])
+                                       "grid.s_min = 0", "grid.s_min = -1",
+                                       "grid.s_min = 330", "grid.s_min = 400",
+                                       "grid.y_min = 1", "grid.y_max = -2",
+                                       "model.b = cir:1:-1",
+                                       "model.b = cir:1:0",
+                                       "model.b = sqrt1p_sin:5:-1",
+                                       "model.b = const:nan",
+                                       "model.alpha2 = const:nan",
+                                       "model.beta2 = const:inf",
+                                       "model.beta1 = mean_revert:inf:0",
+                                       "model.b = exp_clamped:2:1",
+                                       "model.alpha_floor = 0",
+                                       "model.alpha_floor = -1",
+                                       "paths.output_dir ="])
     def test_bad_setting_exits_one_writing_nothing(self, tmp_path, extra, recwarn):
         cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
+        before = sorted(os.listdir(tmp_path))
         assert run_pipeline(cfg, log=lambda m: None) == 1
-        assert not os.path.exists(tmp_path / "out")
+        assert sorted(os.listdir(tmp_path)) == before
         assert not recwarn.list
+
+    @pytest.mark.parametrize("extra,message", [
+        ("model.b = cir:1:0", "b-positivity"),
+        ("model.alpha_floor = 0", "alpha-floor"),
+        ("paths.output_dir =", "paths.output_dir is empty"),
+        ("grid.y_max = -2", "empty spatial domain")])
+    def test_bad_setting_names_its_fault(self, tmp_path, extra, message):
+        cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
+        logged = []
+        assert run_pipeline(cfg, log=logged.append) == 1
+        assert len(logged) == 1 and logged[0].startswith("input error: ")
+        assert message in logged[0]
 
     def test_nonfinite_quote_exits_one_writing_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -329,6 +372,14 @@ class TestExitCodes:
         assert len(logged) == 1 and logged[0].startswith("input error: ")
         assert main(["--config", str(path),
                      "--output-dir", str(tmp_path / "blocker" / "out")]) == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_empty_output_dir_flag_exits_one(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["--config", str(path), "--output-dir", ""]) == 1
+        assert "input error: paths.output_dir is empty" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_mean_anchor_reaches_the_operator(self, tmp_path, monkeypatch):
@@ -461,15 +512,18 @@ class TestExitCodes:
         assert rc == 0
         fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
         assert fp["mode"] == "time-lagged"
+        assert set(fp) == readme_keys("in time-lagged mode the keys are", ".")
 
 
 # values that each break some config key
 HOSTILE_VALUES = ["", "nan", "inf", "-1", "0", "bogus", "const", "exp_clamped:1",
-                  "table:missing.csv", "1e308"]
+                  "table:missing.csv", "1e308", "const:nan", "const:inf",
+                  "cir:1:-1", "sqrt1p_sin:5:-1"]
 
 
 class TestHostileConfig:
-    @settings(max_examples=400, deadline=None)
+    # as many examples as (key, value) pairs: 38 keys x 14 values
+    @settings(max_examples=532, deadline=None)
     @given(st.sampled_from(sorted({*_DEFAULTS, *_REQUIRED})),
            st.sampled_from(HOSTILE_VALUES))
     @example("grid.s_min", "0")
@@ -624,9 +678,10 @@ class TestArtifactKeys:
         assert run_pipeline(cfg, log=lambda m: None) == 0
         out = tmp_path / "out"
         fp = json.loads((out / "fixed_point.json").read_text())
-        ver = json.loads((out / "report.json").read_text())["verification"]
+        report = json.loads((out / "report.json").read_text())
         assert set(fp) == readme_keys("`fixed_point.json`: keys", ".")
-        assert set(ver) == readme_keys("verification\n  block (", ")")
+        assert set(report["verification"]) == readme_keys("verification\n  block (", ")")
+        assert set(report["validation"]) == readme_keys("`validation` block (", ")")
 
 
 class TestVerification:
@@ -691,7 +746,7 @@ class TestVerification:
         sigma = flat_sigma(grid)
 
         dens, _ = solve_lagged(spec, grid, psi)
-        dens_off, _ = solve_lagged(spec, grid, psi, mixing_override=1.0)
+        dens_off, _ = solve_linear(assemble_frozen(spec, grid, b_ref=1.0), psi, grid)
         q0 = marginal(psi, grid)
         q_d = dupire_forward_solve(sigma, 0.0, grid, q0)
 
