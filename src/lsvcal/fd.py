@@ -51,12 +51,14 @@ def d2_cross(u: np.ndarray, hx: float, hy: float) -> np.ndarray:
 def cross_diff_interior(u: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """Centered mixed difference on interior nodes, zero on the edge ring.
 
-    Written as nested differences so constant fields map to exact zeros.
+    Written as nested differences so constant fields map to exact zeros:
+    the S-difference of the y-differences, summed over the two y-cells at
+    each node.  Each y-difference is taken once.
     """
     out = np.zeros_like(u)
-    dxp = u[..., 2:, 1:-1] - u[..., 2:, :-2] - (u[..., :-2, 1:-1] - u[..., :-2, :-2])
-    dxm = u[..., 2:, 2:] - u[..., 2:, 1:-1] - (u[..., :-2, 2:] - u[..., :-2, 1:-1])
-    out[..., 1:-1, 1:-1] = (dxp + dxm) / (4.0 * hx * hy)
+    e = u[..., 1:] - u[..., :-1]
+    d = e[..., 2:, :] - e[..., :-2, :]
+    out[..., 1:-1, 1:-1] = (d[..., :-1] + d[..., 1:]) / (4.0 * hx * hy)
     return out
 
 
@@ -64,7 +66,8 @@ def second_diff_interior(u: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Centered second difference on interior nodes, zero on the edge ring."""
     u = np.moveaxis(u, axis, 0)
     out = np.zeros_like(u)
-    out[1:-1] = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / (h * h)
+    g = u[1:] - u[:-1]
+    out[1:-1] = (g[1:] - g[:-1]) / (h * h)
     return np.moveaxis(out, 0, axis)
 
 

@@ -230,6 +230,9 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     for n in range(1, max_iter + 1):
         v, _ = apply_map(p, spec, grid, frozen=frozen)
         resid = _sup_diff(v, p)
+        if resid > params.tol:
+            # p is not the answer: the loop goes on from v or raises with v
+            del p
         mem = check_membership(v, params, grid)
         report.residuals.append(resid)
         report.norms.append(mem.norm)
@@ -279,8 +282,10 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
     bounds = params
-    last_err = None
     for halvings in range(max_halvings + 1):    # halvings made before this attempt
+        # the previous rung's failure pins its attempt's trajectories through
+        # its traceback; only the last one is kept, for HorizonExhausted
+        last_err = None
         try:
             iterate(spec, grid, psi, params=bounds, max_iter=max_iter, frozen=frozen)
             return bounds

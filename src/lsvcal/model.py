@@ -77,12 +77,24 @@ def convert_correlation(rho_market: float) -> CorrelationMatrix:
 # ---------------------------------------------------------------------------
 
 class SpotAmplitude:
-    """Spot diffusion amplitude sigma_D(t, S) * S * b(y) on the grid."""
+    """Spot diffusion amplitude sigma_D(t, S) * S * b(y) on the grid.
+
+    Raises HypothesisViolation when ``max|sigma_D| max|S| max|b|``, a bound
+    of the amplitude taken in Python floats, overflows on finite factors: b
+    is then too large for a finite amplitude, and no product array is
+    formed.  A non-finite b is left to ``validate_model``'s b-positivity.
+    """
 
     def __init__(self, sigma_d: np.ndarray, b, grid: GridSpec):
         self.sigma_d = np.asarray(sigma_d, dtype=float)
         self.b_vals = b_values(b, grid)
         self._s = grid.s_nodes
+        sd_sup = float(np.max(np.abs(self.sigma_d))) * max(abs(grid.s_min), abs(grid.s_max))
+        b_sup = float(np.max(np.abs(self.b_vals)))
+        if math.isfinite(sd_sup) and math.isfinite(b_sup) and sd_sup * b_sup == math.inf:
+            raise HypothesisViolation(
+                "alpha-floor", f"alpha1 = sigma_D S b overflows: max|sigma_D S| <= "
+                               f"{sd_sup:.3e} and max|b| = {b_sup:.3e} (model.b too large)")
 
     def eval_slice(self, k: int, grid: GridSpec) -> np.ndarray:
         return (self.sigma_d[k] * self._s)[:, None] * self.b_vals[None, :]

@@ -361,20 +361,20 @@ def _write_csv(path, header: str, outer, inner, *columns) -> None:
     """Write rows ``o,i,v1,...`` for every (outer, inner) coordinate pair,
     atomically; each column is an array of shape (len(outer), len(inner)).
 
-    Every coordinate and value is formatted once, with ``{:.17g}``, and one
-    outer row goes to the file per write.  Both coordinate arrays must be
-    nonempty.
+    Every coordinate and value is formatted once, with ``%.17g`` (the same
+    text as ``{:.17g}``), and one outer row goes to the file per write: its
+    template, the outer cell ahead of each inner line, takes all of the
+    row's values in one ``%``.  Both coordinate arrays must be nonempty.
     """
-    fmt = "{:.17g}".format
-    inner_cells = [fmt(v) + "," for v in np.asarray(inner).tolist()]
+    fields = ",".join(["%.17g"] * len(columns))
+    lines = ["%.17g," % x + fields + "\n" for x in np.asarray(inner).tolist()]
 
     def rows(fh):
         fh.write(header + "\n")
         for r, o in enumerate(np.asarray(outer).tolist()):
-            head = fmt(o) + ","
-            vals = map(",".join, zip(*(map(fmt, col[r].tolist()) for col in columns)))
-            fh.write(head + ("\n" + head).join(map("".join, zip(inner_cells, vals)))
-                     + "\n")
+            head = "%.17g," % o
+            vals = np.stack([col[r] for col in columns], axis=-1).ravel().tolist()
+            fh.write((head + head.join(lines)) % tuple(vals))
     _atomic_write(path, rows)
 
 

@@ -1,9 +1,12 @@
+import warnings
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from lsvcal import (HorizonExhausted, IterateBounds, MembershipLost,
                     NotConverged, apply_map, assemble_frozen, check_membership,
@@ -103,6 +106,58 @@ class TestBuildRhs:
             sup[s] = np.max(np.abs(f))
         ratio = (sup[1e-2] / 1e-2) / (sup[1e-3] / 1e-3)
         assert abs(ratio - 1.0) < 0.2
+
+
+def cross_diff_nested(u, hx, hy):
+    """Oracle of ``fd.cross_diff_interior``: each node's two y-cells
+    differenced in full, the y-differences taken twice."""
+    out = np.zeros_like(u)
+    dxp = u[..., 2:, 1:-1] - u[..., 2:, :-2] - (u[..., :-2, 1:-1] - u[..., :-2, :-2])
+    dxm = u[..., 2:, 2:] - u[..., 2:, 1:-1] - (u[..., :-2, 2:] - u[..., :-2, 1:-1])
+    out[..., 1:-1, 1:-1] = (dxp + dxm) / (4.0 * hx * hy)
+    return out
+
+
+def second_diff_nested(u, h, axis):
+    """Oracle of ``fd.second_diff_interior``: both first differences of a
+    node taken afresh."""
+    u = np.moveaxis(u, axis, 0)
+    out = np.zeros_like(u)
+    out[1:-1] = ((u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])) / (h * h)
+    return np.moveaxis(out, 0, axis)
+
+
+class TestInteriorStencils:
+    # every element goes through the same IEEE operations as in the
+    # nested forms, so the bits agree, NaN and inf included
+    fields = arrays(np.float64, array_shapes(min_dims=2, max_dims=3, max_side=7),
+                    elements=st.one_of(st.floats(-1e6, 1e6),
+                                       st.sampled_from([np.nan, np.inf, -np.inf])))
+    spacings = st.floats(1e-3, 1e3)
+
+    @staticmethod
+    def assert_bit_equal(stencil, oracle, u):
+        # inf - inf is the one invalid operation these fields allow: its
+        # warnings are recorded and checked here, not printed per example
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got, want = stencil(u), oracle(u)
+        assert got.tobytes() == want.tobytes()
+        assert all(w.category is RuntimeWarning
+                   and str(w.message).startswith("invalid value") for w in seen)
+        assert not seen or np.isinf(u).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields, spacings, spacings)
+    def test_cross_diff_bit_equal_to_nested_form(self, u, hx, hy):
+        self.assert_bit_equal(lambda v: fd.cross_diff_interior(v, hx, hy),
+                              lambda v: cross_diff_nested(v, hx, hy), u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields, spacings, st.sampled_from([-2, -1]))
+    def test_second_diff_bit_equal_to_nested_form(self, u, h, axis):
+        self.assert_bit_equal(lambda v: fd.second_diff_interior(v, h, axis=axis),
+                              lambda v: second_diff_nested(v, h, axis), u)
 
 
 class TestApplyMap:
@@ -316,6 +371,26 @@ class TestIterate:
         assert np.array_equal(inputs[-1], p)
         assert rep.fixed_point_residual == rep.residuals[-1] <= rep.tol
 
+    def test_spent_input_released_before_the_membership_check(self, monkeypatch):
+        # once the residual shows p is not the answer, iterate holds only v
+        import lsvcal.fixed_point
+        grid = make_grid(n_s=32, n_y=20, n_t=20)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        inputs, alive = [], []
+
+        def map_spy(u, *args, real=lsvcal.fixed_point.apply_map, **kwargs):
+            inputs.append(weakref.ref(u))
+            return real(u, *args, **kwargs)
+
+        def membership_spy(*args, real=lsvcal.fixed_point.check_membership, **kwargs):
+            alive.append(inputs[-1]() is not None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lsvcal.fixed_point, "apply_map", map_spy)
+        monkeypatch.setattr(lsvcal.fixed_point, "check_membership", membership_spy)
+        _, rep = iterate(spec, grid, make_psi(grid))
+        assert rep.converged and rep.iterations >= 3
+        assert alive == [r <= rep.tol for r in rep.residuals]
+
     def test_boundary_preserved_exactly(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)
         spec = make_spec(grid, b=b_perturbed(0.05))
@@ -485,6 +560,26 @@ class TestShrinkHorizon:
             shrink_horizon(spec, grid, psi, replace(params, t_star=t_star))
         assert steps[0] == steps[1]
         assert steps[0][0] == grid.n_t and steps[0][-1] < grid.n_t
+
+    def test_ladder_holds_one_failed_attempt_at_a_time(self, monkeypatch):
+        # each rung's failure, and the trajectories its traceback pins, is
+        # released before the next rung runs
+        import lsvcal.fixed_point
+        grid = make_grid(n_s=48, n_y=32, n_t=32)
+        spec = make_spec(grid, b=b_perturbed(5.0))
+        psi = make_psi(grid)
+        failed = []
+
+        def spy(*args, real=lsvcal.fixed_point.iterate, **kwargs):
+            assert all(ref() is None for ref in failed)
+            try:
+                return real(*args, **kwargs)
+            except (MembershipLost, NotConverged) as err:
+                failed.append(weakref.ref(err.density))
+                raise
+        monkeypatch.setattr(lsvcal.fixed_point, "iterate", spy)
+        out = shrink_horizon(spec, grid, psi, IterateBounds.from_initial(psi, grid))
+        assert out.t_star < grid.horizon and len(failed) >= 2
 
     def test_ladder_assembles_the_operator_once(self, monkeypatch):
         import lsvcal.fixed_point

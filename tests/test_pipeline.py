@@ -318,6 +318,7 @@ class TestExitCodes:
                                        "model.b = cir:1:0",
                                        "model.b = sqrt1p_sin:5:-1",
                                        "model.b = const:nan",
+                                       "model.b = const:1e308",
                                        "model.alpha2 = const:nan",
                                        "model.beta2 = const:inf",
                                        "model.beta1 = mean_revert:inf:0",
@@ -335,6 +336,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra,message", [
         ("model.b = cir:1:0", "b-positivity"),
         ("model.alpha_floor = 0", "alpha-floor"),
+        ("model.b = const:1e308", "model.b too large"),
         ("paths.output_dir =", "paths.output_dir is empty"),
         ("grid.y_max = -2", "empty spatial domain")])
     def test_bad_setting_names_its_fault(self, tmp_path, extra, message):
