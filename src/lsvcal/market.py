@@ -126,22 +126,35 @@ def check_price_bounds(quotes, spot: float, rate: float) -> None:
                 f"at (T={q.maturity}, K={q.strike})")
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at a float, in the branch form of cephes's
+    ``ndtr`` on `math.erf`/`math.erfc`: ``erf`` near 0 and ``erfc`` of |x|
+    in the tails, so that the lower tail keeps its relative accuracy."""
+    x = a * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
 def _bs_call(spot, strike, t, rate, vol):
-    """Black-Scholes call price; only this call loads `scipy.special`."""
-    from scipy.special import ndtr
+    """Black-Scholes call price, with the normal CDF of `_ndtr`."""
     if t <= 0 or vol <= 0:
         return max(spot - strike * math.exp(-rate * t), 0.0)
     sq = vol * math.sqrt(t)
     d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * t) / sq
     d2 = d1 - sq
-    return spot * ndtr(d1) - strike * math.exp(-rate * t) * ndtr(d2)
+    return spot * _ndtr(d1) - strike * math.exp(-rate * t) * _ndtr(d2)
 
 
 def implied_vol_from_price(price, spot, strike, t, rate) -> float:
     """Invert the Black-Scholes call price by Brent's method.
 
-    Only price quotes come here.  This call loads `scipy.optimize`, and its
-    `_bs_call` prices load `scipy.special`.
+    Only price quotes come here, and this call alone loads a SciPy
+    subpackage, `scipy.optimize`.
     """
     from scipy.optimize import brentq
     lo_price = _bs_call(spot, strike, t, rate, 1e-6)

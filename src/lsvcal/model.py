@@ -80,9 +80,10 @@ class SpotAmplitude:
     """Spot diffusion amplitude sigma_D(t, S) * S * b(y) on the grid.
 
     Raises HypothesisViolation when ``max|sigma_D| max|S| max|b|``, a bound
-    of the amplitude taken in Python floats, overflows on finite factors: b
-    is then too large for a finite amplitude, and no product array is
-    formed.  A non-finite b is left to ``validate_model``'s b-positivity.
+    of the amplitude taken in Python floats, or its square overflows on
+    finite factors: b is then too large for a finite amplitude and operator
+    coefficient, and no product array is formed.  A non-finite b is left to
+    ``validate_model``'s b-positivity.
     """
 
     def __init__(self, sigma_d: np.ndarray, b, grid: GridSpec):
@@ -91,9 +92,10 @@ class SpotAmplitude:
         self._s = grid.s_nodes
         sd_sup = float(np.max(np.abs(self.sigma_d))) * max(abs(grid.s_min), abs(grid.s_max))
         b_sup = float(np.max(np.abs(self.b_vals)))
-        if math.isfinite(sd_sup) and math.isfinite(b_sup) and sd_sup * b_sup == math.inf:
+        bound = sd_sup * b_sup
+        if math.isfinite(sd_sup) and math.isfinite(b_sup) and bound * bound == math.inf:
             raise HypothesisViolation(
-                "alpha-floor", f"alpha1 = sigma_D S b overflows: max|sigma_D S| <= "
+                "alpha-floor", f"alpha1^2 = (sigma_D S b)^2 overflows: max|sigma_D S| <= "
                                f"{sd_sup:.3e} and max|b| = {b_sup:.3e} (model.b too large)")
 
     def eval_slice(self, k: int, grid: GridSpec) -> np.ndarray:
@@ -204,14 +206,18 @@ def measured_bsq_slope(b, grid: GridSpec) -> float:
 
 def _alpha_min(name: str, alpha, floor: float, grid: GridSpec) -> float:
     """Smallest value of a diffusion amplitude over nine sampled times;
-    raises unless every sampled value is finite and at least ``floor``."""
+    raises unless every sampled value is finite and at least ``floor`` and
+    the square of the largest is finite."""
     ks = np.unique(np.linspace(0, grid.n_t, 9).astype(int))
     vals = np.array([eval_coeff(alpha, int(k), grid.t_nodes[k], grid) for k in ks])
-    lo = float(np.min(vals))          # NaN if any value is
+    lo, hi = float(np.min(vals)), float(np.max(vals))    # NaN if any value is
     if not np.all(np.isfinite(vals) & (vals >= floor)):
         raise HypothesisViolation(
             "alpha-floor", f"{name} must be finite and >= floor {floor:.3e} "
-                           f"(min {lo:.3e}, max {float(np.max(vals)):.3e})")
+                           f"(min {lo:.3e}, max {hi:.3e})")
+    if hi * hi == math.inf:
+        raise HypothesisViolation(
+            "alpha-floor", f"{name} too large: its square overflows (max {hi:.3e})")
     return lo
 
 
@@ -222,8 +228,11 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
     check: b finite and strictly positive on the y-nodes and at ``y0``
     (which the ``center`` anchor divides by), a positive ellipticity floor,
     each diffusion amplitude finite and at least that floor, and the
-    initial point inside the domain.  ``CorrelationMatrix`` rejects a bad
-    correlation matrix when it is built.
+    initial point inside the domain.  The squares of b and of each
+    amplitude, which the mixing ratio and the operator form, must be
+    finite; their bounds are squared in Python floats, before any array
+    squares them.  ``CorrelationMatrix`` rejects a bad correlation matrix
+    when it is built.
     """
     bv = b_values(spec.b, grid)
     b_all = np.append(bv, spec.b_ref(grid))        # y0 need not be a node
@@ -231,6 +240,10 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
         raise HypothesisViolation(
             "b-positivity", f"b must be finite and > 0 on the y-nodes and at y0 "
                             f"(min {float(np.min(b_all)):.3e})")
+    b_sup = float(np.max(b_all))
+    if b_sup * b_sup == math.inf:
+        raise HypothesisViolation(
+            "b-positivity", f"b^2 overflows (max b = {b_sup:.3e}, model.b too large)")
     if not spec.alpha_floor > 0:
         raise HypothesisViolation("alpha-floor", f"floor {spec.alpha_floor} must be > 0")
     a1_min = _alpha_min("alpha1", spec.alpha1, spec.alpha_floor, grid)

@@ -8,12 +8,48 @@ into a single tridiagonal matrix (couplings between blocks are zero) and
 factored by LAPACK ``gttrf`` once; ``gttrs`` then solves against that
 factorization for every right-hand side the caller needs.  This is far
 faster than looping in Python and equally deterministic.
+
+The two routines come from SciPy's LAPACK extension module,
+``scipy.linalg._flapack``, loaded by itself: ``scipy.linalg.lapack``
+would first run the ``scipy.linalg`` package, whose start-up loads some
+300 modules (SciPy's array-API layer, ``numpy.f2py``, ``numpy.testing``,
+...) that no solve uses.  The extension is registered under its own name,
+so whichever of this module and ``scipy.linalg`` comes first, both hold
+the same routines.
 """
 from __future__ import annotations
 
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+
+
+def _flapack():
+    """``scipy.linalg._flapack``: the loaded module, or the extension file
+    in SciPy's ``linalg`` directory, loaded and registered under that name.
+
+    Raises:
+        ImportError: no such extension file in that directory.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        where = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"SciPy's LAPACK extension {name} not found in {where}",
+                              name=name, path=where)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+dgttrf, dgttrs = _flapack().dgttrf, _flapack().dgttrs
 
 
 def factor_batch(lower: np.ndarray, diag: np.ndarray,

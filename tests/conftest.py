@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,3 +78,13 @@ def write_flat_quotes(path, vol=0.2, maturities=(0.25, 0.5, 1.0, 1.5, 2.0),
             for k in strikes:
                 fh.write(f"{t},{k},{vol}\n")
     return path
+
+
+def run_fresh(code, *args):
+    """Stdout of ``code`` run in a fresh, isolated interpreter with this
+    checkout's ``src`` first on the path and ``args`` in ``sys.argv[1:]``;
+    this interpreter may already hold the modules a test looks for."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    prelude = "import sys; sys.path.insert(0, {!r}); ".format(str(src))
+    return subprocess.run([sys.executable, "-I", "-c", prelude + code, *map(str, args)],
+                          capture_output=True, text=True, check=True).stdout

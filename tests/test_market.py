@@ -1,7 +1,4 @@
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from lsvcal import (ArbitrageWarning, CalendarArbitrage, DegenerateSurface,
@@ -16,9 +14,9 @@ from lsvcal import (ArbitrageWarning, CalendarArbitrage, DegenerateSurface,
                     OptionQuote, ParseError, StabilityFailure,
                     build_implied_surface, dupire_forward_solve,
                     dupire_local_vol, fv_mass, load_quotes, reprice_calls)
-from lsvcal.market import _Spline, implied_vol_from_price
+from lsvcal.market import _bs_call, _ndtr, _Spline, implied_vol_from_price
 
-from conftest import make_grid, write_flat_quotes
+from conftest import make_grid, run_fresh, write_flat_quotes
 
 
 def grid_1d(n_s=400, n_t=800, s_span=(20.0, 450.0), horizon=1.0):
@@ -194,19 +192,61 @@ class TestSpline:
         assert got.tobytes() == ref.tobytes()
 
 
+def ndtr_err_bound(a):
+    """How far `_ndtr(a)` may lie from `scipy.special.ndtr(a)`: 1e-14
+    relative, or x^2 eps with x = a / sqrt(2) where that is larger, and
+    never less than the smallest normal number.  The oracle's erfc takes
+    exp(-x^2) of a rounded x^2, so its own relative error grows like
+    x^2 eps in the lower tail (up to 2.4e-13 against a 50-digit reference
+    on [-38, -5]), and it returns 0 where the true value is subnormal
+    (-38.5 < a < -37.6)."""
+    a2 = min(a * a, 1600.0)             # both sides are exactly 0 or 1 beyond
+    return max(max(1e-14, 0.5 * a2 * np.finfo(float).eps) * float(ndtr(a)),
+               np.finfo(float).tiny)
+
+
+class TestNormalCdf:
+    def test_dense_grid_matches_ndtr(self):
+        for a in np.linspace(-40.0, 40.0, 400_001).tolist():
+            assert abs(_ndtr(a) - float(ndtr(a))) <= ndtr_err_bound(a), a
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False))
+    def test_matches_ndtr(self, a):
+        assert abs(_ndtr(a) - float(ndtr(a))) <= ndtr_err_bound(a)
+
+    def test_exact_values(self):
+        assert _ndtr(0.0) == _ndtr(-0.0) == 0.5
+        assert _ndtr(math.inf) == 1.0
+        assert _ndtr(-math.inf) == 0.0
+        assert math.isnan(_ndtr(math.nan))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.0, 1000.0), st.floats(1.0, 1000.0), st.floats(1e-3, 10.0),
+           st.floats(-0.05, 0.2), st.floats(1e-6, 5.0))
+    def test_call_price_matches_the_ndtr_formula(self, spot, strike, t, rate, vol):
+        sq = vol * math.sqrt(t)
+        d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * t) / sq
+        d2 = d1 - sq
+        disc = strike * math.exp(-rate * t)
+        ref = spot * float(ndtr(d1)) - disc * float(ndtr(d2))
+        bound = spot * ndtr_err_bound(d1) + disc * ndtr_err_bound(d2)
+        assert abs(_bs_call(spot, strike, t, rate, vol) - ref) <= bound
+
+
 def test_cli_import_loads_no_heavy_scipy_subpackage():
-    # a fresh interpreter: this one may already hold the modules
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import lsvcal, lsvcal.cli; print(*sys.modules)")
-    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
-                         capture_output=True, text=True, check=True).stdout
-    mods = out.split()
+    mods = run_fresh("import lsvcal, lsvcal.cli; print(*sys.modules)").split()
     heavy = {f"scipy.{p}" for p in
-             ("interpolate", "optimize", "sparse", "spatial", "fft",
+             ("interpolate", "linalg", "optimize", "sparse", "spatial", "fft",
               "special", "stats")}
     assert "lsvcal.cli" in mods
-    assert [m for m in mods if ".".join(m.split(".")[:2]) in heavy] == []
+    # the one SciPy module a run needs: the LAPACK extension, loaded by itself
+    assert "scipy.linalg._flapack" in mods
+    assert [m for m in mods if ".".join(m.split(".")[:2]) in heavy
+            and m != "scipy.linalg._flapack"] == []
+    # what the scipy.linalg package would pull in
+    for name in ("scipy._lib._array_api", "numpy.f2py", "numpy.testing"):
+        assert [m for m in mods if m == name or m.startswith(name + ".")] == []
 
 
 def dupire_per_node(surface, rate, grid, floor=1e-2, cap=3.0):

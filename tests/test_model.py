@@ -117,6 +117,26 @@ class TestValidateModel:
         with pytest.raises(HypothesisViolation, match="alpha-floor"):
             validate_model(make_spec(grid, alpha2=alpha2), grid)
 
+    def test_b_whose_square_overflows_rejected(self):
+        # a constant alpha1, so that only b's own check can see b = 1e200
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        spec = ModelSpec(b=1e200, alpha1=0.2, alpha2=0.2,
+                         corr=convert_correlation(0.0))
+        with pytest.raises(HypothesisViolation, match=r"b\^2 overflows"):
+            validate_model(spec, grid)
+
+    @pytest.mark.parametrize("b", [1e154, 1e200])
+    def test_spot_amplitude_whose_square_overflows_rejected(self, b):
+        # the amplitude bound 0.2 * 330 * b is finite, its square is not
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        with pytest.raises(HypothesisViolation, match="model.b too large"):
+            make_spec(grid, b=b)
+
+    def test_amplitude_whose_square_overflows_rejected(self):
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        with pytest.raises(HypothesisViolation, match="alpha2 too large"):
+            validate_model(make_spec(grid, alpha2=1e308), grid)
+
     def test_nan_spot_amplitude_rejected(self):
         # one NaN local-vol node at a sampled time (the last) reaches alpha1
         grid = make_grid(n_s=40, n_y=24, n_t=20)

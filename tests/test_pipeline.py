@@ -19,7 +19,7 @@ from lsvcal.cli import main
 from lsvcal.pipeline import (_DEFAULTS, _REQUIRED, RunConfig, _write_csv,
                              builtin_y_function, read_density_bin, run_pipeline)
 
-from conftest import (flat_sigma, make_grid, make_psi, make_spec,
+from conftest import (flat_sigma, make_grid, make_psi, make_spec, run_fresh,
                       verification_arrays, write_flat_quotes)
 
 CONFIG_TEMPLATE = """\
@@ -319,6 +319,9 @@ class TestExitCodes:
                                        "model.b = sqrt1p_sin:5:-1",
                                        "model.b = const:nan",
                                        "model.b = const:1e308",
+                                       "model.b = const:1e200",
+                                       "model.b = const:1e154",
+                                       "model.alpha2 = const:1e308",
                                        "model.alpha2 = const:nan",
                                        "model.beta2 = const:inf",
                                        "model.beta1 = mean_revert:inf:0",
@@ -337,6 +340,9 @@ class TestExitCodes:
         ("model.b = cir:1:0", "b-positivity"),
         ("model.alpha_floor = 0", "alpha-floor"),
         ("model.b = const:1e308", "model.b too large"),
+        ("model.b = const:1e200", "model.b too large"),
+        ("model.b = const:1e154", "model.b too large"),
+        ("model.alpha2 = const:1e308", "alpha2 too large"),
         ("paths.output_dir =", "paths.output_dir is empty"),
         ("grid.y_max = -2", "empty spatial domain")])
     def test_bad_setting_names_its_fault(self, tmp_path, extra, message):
@@ -563,6 +569,19 @@ class TestCli:
         assert sorted(p.name for p in out.glob("density_*")) == sorted(
             f"density_{k}.csv" for k in (0, 6, 12, 18, 24))
         assert "verification" in json.loads((out / "report.json").read_text())
+
+    def test_calibration_loads_no_scipy_linalg_or_special(self, tmp_path):
+        # verification on, implied-vol quotes, some of them repriced; the
+        # run's own interpreter, as this one may hold the modules already
+        path = write_config(tmp_path)
+        mods = run_fresh("import lsvcal.cli; status = lsvcal.cli.main("
+                         "['--config', sys.argv[1]]); print(status, *sys.modules)",
+                         path).split()
+        assert mods[0] == "0"
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verification"]["reprice_max_rel_err"] is not None
+        assert [m for m in mods if m in ("scipy.linalg", "scipy.special")
+                or m.startswith("scipy.special.")] == []
 
 
 class TestDeterminism:

@@ -1,12 +1,19 @@
+import sys
+
 import numpy as np
+import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
+from lsvcal import tridiag
 from lsvcal.tridiag import factor_batch
 from lsvcal.tridiag import solve_batch as solve_factored
+
+from conftest import run_fresh
 
 
 def solve_batch(lower, diag, upper, rhs) -> np.ndarray:
@@ -172,3 +179,24 @@ class TestBatchProperties:
         assert x.shape == cols.shape
         for j in range(k):
             assert np.array_equal(x[..., j], solve_factored(factors, cols[..., j]))
+
+
+@pytest.mark.parametrize("first", ["lsvcal.tridiag", "scipy.linalg.lapack"])
+def test_one_lapack_extension_in_either_import_order(first):
+    # the order only shows in a fresh interpreter
+    second = ({"lsvcal.tridiag", "scipy.linalg.lapack"} - {first}).pop()
+    out = run_fresh(
+        f"import {first}, {second}, scipy.linalg, numpy as np; "
+        "from lsvcal import tridiag; from scipy.linalg import lapack; "
+        "ext = sys.modules['scipy.linalg._flapack']; "
+        "print(tridiag._flapack() is ext, tridiag.dgttrf is lapack.dgttrf is ext.dgttrf, "
+        "tridiag.dgttrs is lapack.dgttrs, "
+        "np.allclose(scipy.linalg.solve([[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0]), 1.0))")
+    assert out.split() == ["True"] * 4
+
+
+def test_missing_lapack_extension_names_the_directory(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=str(tmp_path / "linalg")):
+        tridiag._flapack()
