@@ -10,7 +10,6 @@ mirroring the short-time nature of the underlying existence argument.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -101,16 +100,17 @@ def check_membership(p: np.ndarray, params: IterateBounds,
 
 @dataclass
 class FixedPointReport:
-    """Per-iteration residuals, norms, membership and gap-monitor records
-    plus the outcome; the fields are the keys of its JSON form.
+    """Outcome of either solver, with the fixed point's per-iteration
+    records; the fields are the keys of its JSON form.
 
     ``fixed_point_residual`` is the map residual ``max|M(p) - p|`` of the
     returned trajectory p, the last entry of ``residuals``; it is None
-    until the iteration converges.
+    until the iteration converges.  ``denominator_min``, the smallest
+    weighted marginal the time-lagged sweep divided by, is None in
+    fixed-point mode, which does not measure it.
     """
 
     residuals: list = field(default_factory=list)
-    norms: list = field(default_factory=list)
     membership: list = field(default_factory=list)
     gap_monitor: list = field(default_factory=list)
     converged: bool = False
@@ -118,9 +118,10 @@ class FixedPointReport:
     contraction: float | None = None
     r_squared: float | None = None
     t_star: float = 0.0
-    tol: float = 0.0
+    tol: float | None = None
     fixed_point_residual: float | None = None
     mode: str = "fixed-point"
+    denominator_min: float | None = None
 
     def fit_contraction(self) -> None:
         """Geometric fit of the residual ladder (needs >= 3 iterations)."""
@@ -235,7 +236,6 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             del p
         mem = check_membership(v, params, grid)
         report.residuals.append(resid)
-        report.norms.append(mem.norm)
         report.membership.append(asdict(mem))
         try:
             rec = ratio_gap_monitor(v, spec.b, frozen.b_ref, grid, bsq_slope,
@@ -304,24 +304,23 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray) -> tuple:
     The full nonlinear coefficients are rebuilt each step from the current
     density slice, so no outer iteration is needed.
 
-    Returns (trajectory, report dict); the trajectory has shape
-    (n_t+1, n_s+2, n_y+2).
+    Returns (trajectory, FixedPointReport); the trajectory has shape
+    (n_t+1, n_s+2, n_y+2), and the report, in mode ``time-lagged``, holds
+    the horizon, no iterations and the sweep's ``denominator_min``.
     """
     psi = np.asarray(psi, dtype=float)
     n = grid.n_t
     traj = np.empty((n + 1,) + psi.shape)
     traj[0] = psi
     u = psi.copy()
-    den_min = math.inf
+    den_mins = []
     hs = (grid.ds, grid.dy)
     for k in range(n):
         mix = mixing_ratio(u, spec.b, grid)
-        den_min = min(den_min, mix.denominator_min)
+        den_mins.append(mix.denominator_min)
         st0, st1 = (stencil(assemble_slice(spec, grid, j, mix.ratio, mix.sqrt_ratio), hs)
                     for j in (k, k + 1))
         u, _ = step_slices(st0, st1, u, grid)
         traj[k + 1] = u
-    report = {"mode": "time-lagged", "n_steps": n, "t_star": n * grid.dt,
-              "denominator_min": den_min if den_min < math.inf else None,
-              "converged": True}
-    return traj, report
+    return traj, FixedPointReport(converged=True, t_star=n * grid.dt,
+                                  mode="time-lagged", denominator_min=min(den_mins))

@@ -66,25 +66,14 @@ class HolderNormEstimate:
 
 
 def _pair_views(u, offset):
-    a = u
-    b = u
-    for ax, o in enumerate(offset):
-        if o == 0:
-            continue
-        n = u.shape[ax]
-        if abs(o) >= n:
+    """Views of ``u`` pairing every two nodes ``offset`` apart, or (None, None)."""
+    a, b = [], []
+    for o, n in zip(offset, u.shape):
+        if o and abs(o) >= n:
             return None, None
-        sl_a = [slice(None)] * u.ndim
-        sl_b = [slice(None)] * u.ndim
-        if o > 0:
-            sl_a[ax] = slice(o, None)
-            sl_b[ax] = slice(None, n - o)
-        else:
-            sl_a[ax] = slice(None, o)
-            sl_b[ax] = slice(-o, None)
-        a = a[tuple(sl_a)]
-        b = b[tuple(sl_b)]
-    return a, b
+        a.append(slice(o, None) if o > 0 else slice(None, o or None))
+        b.append(slice(None, n - o) if o > 0 else slice(-o, None))
+    return u[tuple(a)], u[tuple(b)]
 
 
 def _offset_distance(offset, dt, hs):

@@ -204,21 +204,12 @@ def measured_bsq_slope(b, grid: GridSpec) -> float:
     return float(np.max(np.abs(fd.d1(b2, grid.dy, axis=0))))
 
 
-def _alpha_min(name: str, alpha, floor: float, grid: GridSpec) -> float:
-    """Smallest value of a diffusion amplitude over nine sampled times;
-    raises unless every sampled value is finite and at least ``floor`` and
-    the square of the largest is finite."""
+def _sampled_range(c, grid: GridSpec) -> tuple:
+    """Smallest and largest value of a coefficient over nine sampled times;
+    both are NaN if any value is."""
     ks = np.unique(np.linspace(0, grid.n_t, 9).astype(int))
-    vals = np.array([eval_coeff(alpha, int(k), grid.t_nodes[k], grid) for k in ks])
-    lo, hi = float(np.min(vals)), float(np.max(vals))    # NaN if any value is
-    if not np.all(np.isfinite(vals) & (vals >= floor)):
-        raise HypothesisViolation(
-            "alpha-floor", f"{name} must be finite and >= floor {floor:.3e} "
-                           f"(min {lo:.3e}, max {hi:.3e})")
-    if hi * hi == math.inf:
-        raise HypothesisViolation(
-            "alpha-floor", f"{name} too large: its square overflows (max {hi:.3e})")
-    return lo
+    vals = np.array([eval_coeff(c, int(k), grid.t_nodes[k], grid) for k in ks])
+    return float(np.min(vals)), float(np.max(vals))
 
 
 def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
@@ -228,11 +219,13 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
     check: b finite and strictly positive on the y-nodes and at ``y0``
     (which the ``center`` anchor divides by), a positive ellipticity floor,
     each diffusion amplitude finite and at least that floor, and the
-    initial point inside the domain.  The squares of b and of each
-    amplitude, which the mixing ratio and the operator form, must be
-    finite; their bounds are squared in Python floats, before any array
-    squares them.  ``CorrelationMatrix`` rejects a bad correlation matrix
-    when it is built.
+    initial point inside the domain.  The squares of b (the mixing ratio
+    forms it), of each operator coefficient's bound and of that bound over
+    its stencil spacing (h^2 for a diffusion entry, 2h for a drift) must be
+    finite: the ellipticity check squares the diffusion entries, and a
+    sweep's elimination multiplies stencil weights.  The bounds are taken in
+    Python floats, before any array holds them.  ``CorrelationMatrix``
+    rejects a bad correlation matrix when it is built.
     """
     bv = b_values(spec.b, grid)
     b_all = np.append(bv, spec.b_ref(grid))        # y0 need not be a node
@@ -240,14 +233,31 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
         raise HypothesisViolation(
             "b-positivity", f"b must be finite and > 0 on the y-nodes and at y0 "
                             f"(min {float(np.min(b_all)):.3e})")
-    b_sup = float(np.max(b_all))
+    b_inf, b_sup = float(np.min(b_all)), float(np.max(b_all))
     if b_sup * b_sup == math.inf:
         raise HypothesisViolation(
             "b-positivity", f"b^2 overflows (max b = {b_sup:.3e}, model.b too large)")
     if not spec.alpha_floor > 0:
         raise HypothesisViolation("alpha-floor", f"floor {spec.alpha_floor} must be > 0")
-    a1_min = _alpha_min("alpha1", spec.alpha1, spec.alpha_floor, grid)
-    a2_min = _alpha_min("alpha2", spec.alpha2, spec.alpha_floor, grid)
+    (a1_min, a1_max), (a2_min, a2_max), beta1, beta2 = (
+        _sampled_range(c, grid) for c in (spec.alpha1, spec.alpha2, spec.beta1, spec.beta2))
+    for name, lo, hi in (("alpha1", a1_min, a1_max), ("alpha2", a2_min, a2_max)):
+        if not (lo >= spec.alpha_floor and hi < math.inf):
+            raise HypothesisViolation("alpha-floor", f"{name} must be finite and >= floor "
+                                      f"{spec.alpha_floor:.3e} (min {lo:.3e}, max {hi:.3e})")
+    # a_s = a1^2 / 2 is stored, then multiplied by a mixing ratio <= 1/b_inf^2
+    ds, dy, s_sup = grid.ds, grid.dy, max(abs(grid.s_min), abs(grid.s_max))
+    for name, bound, h in (
+            ("alpha1", 0.5 * a1_max * a1_max * max(1.0, 1.0 / b_inf / b_inf), ds * ds),
+            ("model.alpha2", 0.5 * a2_max * a2_max, dy * dy),
+            ("model.beta1", max(map(abs, beta1)), 2 * ds),
+            ("model.rate", abs(spec.rate) * s_sup, 2 * ds),
+            ("model.beta2", max(map(abs, beta2)), 2 * dy)):
+        worst = max(bound, bound / h)
+        if not worst * worst < math.inf:          # NaN fails too
+            raise HypothesisViolation("coefficient-bound", (
+                f"{name} too large: its operator coefficient {bound:.3e}, or that "
+                f"over {h:.3e}, squares to inf"))
     if not grid.contains_interior(spec.spot0, spec.y0):
         raise HypothesisViolation(
             "domain", f"initial point ({spec.spot0}, {spec.y0}) not strictly interior")

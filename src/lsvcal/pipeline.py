@@ -415,6 +415,10 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
     y0 = config.get("model.y0", float)
 
     quotes = load_quotes(quotes_path)
+    t_max = max([grid.horizon] + [q.maturity for q in quotes if q.price is not None])
+    if math.exp(-abs(rate) * t_max) < sys.float_info.min:    # e^(-rate t) over the run
+        raise ValueError(f"model.rate = {rate}: e^(-|rate| t) at t = {t_max} "
+                         f"is not a normal float")
     if any(q.price is not None for q in quotes):
         check_price_bounds(quotes, spot0, rate)
         quotes = [q if q.implied_vol is not None else
@@ -514,13 +518,10 @@ def _solve(run: SimpleNamespace, log) -> tuple:
 
 
 def _artifacts(run: SimpleNamespace, density, fp_report, verify: bool):
-    """Stage 3: write the solver's report and, given a density, its arrays;
-    returns their verification if ``verify``, else None."""
+    """Stage 3: write the solver's report and the density's arrays; returns
+    their verification if ``verify``, else None."""
     grid, path = run.grid, lambda name: os.path.join(run.out_dir, name)
-    if fp_report is not None:
-        _write_json(path("fixed_point.json"), fp_report)
-    if density is None:
-        return None
+    _write_json(path("fixed_point.json"), fp_report)
     n_k = density.shape[0] - 1
     ks = [*range(0, n_k, run.snap_every), n_k]
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from lsvcal import (HorizonExhausted, IterateBounds, MembershipLost,
-                    NotConverged, apply_map, assemble_frozen, check_membership,
+from lsvcal import (FixedPointReport, HorizonExhausted, IterateBounds,
+                    MembershipLost, NotConverged, apply_map, assemble_frozen, check_membership,
                     iterate, shrink_horizon, solve_lagged, solve_linear)
 from lsvcal import fd
 from lsvcal.mixing import mixing_ratio
@@ -329,8 +329,8 @@ class TestIterate:
         spec = make_spec(grid, b=b_perturbed(0.05))
         _, rep = iterate(spec, grid, make_psi(grid))
         assert len(rep.gap_monitor) == rep.iterations >= 3
-        for norm, rec in zip(rep.norms, rep.gap_monitor):
-            assert norm == rec["p_norm"]
+        for mem, rec in zip(rep.membership, rep.gap_monitor):
+            assert mem["norm"] == rec["p_norm"]
 
     def test_fixed_point_consistency(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)
@@ -622,9 +622,19 @@ class TestTimeLagged:
         psi = make_psi(grid)
         dens_fp, _ = iterate(spec, grid, psi)
         dens_lag, rep = solve_lagged(spec, grid, psi)
-        assert rep["converged"]
+        assert rep.converged and rep.mode == "time-lagged"
         gap = np.max(np.abs(dens_fp - dens_lag))
         assert gap < 1e-3 * psi.max()
+
+    def test_report_holds_the_sweep_outcome(self):
+        grid = make_grid(n_s=24, n_y=16, n_t=10)
+        spec = make_spec(grid, b=b_perturbed(0.5))
+        dens, rep = solve_lagged(spec, grid, make_psi(grid))
+        # step k divides by the weighted marginal of slice k
+        den_min = min(mixing_ratio(d, spec.b, grid).denominator_min for d in dens[:-1])
+        assert asdict(rep) == asdict(FixedPointReport(
+            converged=True, t_star=grid.n_t * grid.dt, mode="time-lagged",
+            denominator_min=den_min))
 
     def test_constant_b_reproduces_frozen_solver(self):
         # a constant b makes the lagged ratio the exact constant 1/b^2

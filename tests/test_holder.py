@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -244,6 +245,20 @@ def smooth_fields(draw):
 
 
 class TestPrunedScan:
+    @staticmethod
+    def assert_pruned_equals_unblocked(u, slab_bytes, dt, hs, h_exp):
+        # inf - inf is the one invalid operation these fields allow: its
+        # warnings are recorded and checked here, not printed per example
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            ref = unblocked_base_norm(u, dt, hs, h_exp)
+            with mock.patch.object(holder, "_SLAB_BYTES", slab_bytes):
+                got = holder._base_norm(u, dt, hs, h_exp)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert all(w.category is RuntimeWarning
+                   and str(w.message).startswith("invalid value") for w in seen)
+        assert not seen or np.isinf(u).any()
+
     @settings(max_examples=300, deadline=None)
     @given(smooth_fields(), st.integers(1, 5), st.sampled_from([0.3, 0.5, 0.9]),
            st.tuples(*[st.sampled_from([1e-4, 1e-2, 1.0, 30.0])] * 3))
@@ -251,10 +266,7 @@ class TestPrunedScan:
                                                       spacings):
         # dt, dS and dy of any ratio, so each offset can hold the maximum
         dt, *hs = spacings
-        ref = unblocked_base_norm(u, dt, hs, h_exp)
-        with mock.patch.object(holder, "_SLAB_BYTES", slab * u[0].nbytes):
-            got = holder._base_norm(u, dt, hs, h_exp)
-        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        self.assert_pruned_equals_unblocked(u, slab * u[0].nbytes, dt, hs, h_exp)
 
     @pytest.mark.parametrize("u", [
         # a linear field makes the triangle inequality an equality: the
@@ -270,10 +282,7 @@ class TestPrunedScan:
         np.array([[np.inf, -np.inf, np.inf], [0.0, -np.inf, -np.inf]])[..., None],
     ], ids=["tight-triangle", "next-slice-half", "infinite-parts"])
     def test_bound_edges_equal_unblocked(self, u):
-        ref = unblocked_base_norm(u, 1.0, (1.0, 1.0), 0.5)
-        with mock.patch.object(holder, "_SLAB_BYTES", u[0].nbytes):
-            got = holder._base_norm(u, 1.0, (1.0, 1.0), 0.5)
-        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        self.assert_pruned_equals_unblocked(u, u[0].nbytes, 1.0, (1.0, 1.0), 0.5)
 
     def test_nan_after_a_skip_rescans(self):
         # slice 0 skips pairs on the strength of offsets that the NaN of

@@ -137,6 +137,18 @@ class TestValidateModel:
         with pytest.raises(HypothesisViolation, match="alpha2 too large"):
             validate_model(make_spec(grid, alpha2=1e308), grid)
 
+    @pytest.mark.parametrize("change,name", [
+        ({"alpha2": 1e100}, "model.alpha2"), ({"alpha2": 1e150}, "model.alpha2"),
+        ({"beta2": 1e308}, "model.beta2"), ({"rate": 1e308}, "model.rate"),
+        ({"sigma": np.full((21, 42), 3e150)}, "alpha1")],
+        ids=["alpha2-1e100", "alpha2-1e150", "beta2", "rate", "alpha1"])
+    def test_coefficient_whose_stencil_weight_overflows_rejected(self, change, name):
+        # each value is finite and squares finitely by itself; the operator
+        # coefficient it makes, over its stencil spacing, does not
+        grid = make_grid(n_s=40, n_y=24, n_t=20)
+        with pytest.raises(HypothesisViolation, match=f"{name} too large: its operator coefficient"):
+            validate_model(make_spec(grid, **change), grid)
+
     def test_nan_spot_amplitude_rejected(self):
         # one NaN local-vol node at a sampled time (the last) reaches alpha1
         grid = make_grid(n_s=40, n_y=24, n_t=20)

@@ -3,6 +3,7 @@ import os
 import re
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lsvcal import (DegenerateDenominator, MembershipLost, NonEllipticAssembly,
-                    StabilityFailure, assemble_frozen, dupire_forward_solve,
-                    iterate, marginal, solve_lagged, solve_linear,
-                    verify_calibration)
+from lsvcal import (DegenerateDenominator, FixedPointReport, MembershipLost,
+                    NonEllipticAssembly, StabilityFailure, assemble_frozen,
+                    dupire_forward_solve, iterate, marginal, solve_lagged,
+                    solve_linear, verify_calibration)
 from lsvcal.cli import main
-from lsvcal.pipeline import (_DEFAULTS, _REQUIRED, RunConfig, _write_csv,
+from lsvcal.market import _bs_call
+from lsvcal.pipeline import (_DEFAULTS, _REQUIRED, RunConfig, _inputs, _write_csv,
                              builtin_y_function, read_density_bin, run_pipeline)
 
 from conftest import (flat_sigma, make_grid, make_psi, make_spec, run_fresh,
@@ -322,6 +324,10 @@ class TestExitCodes:
                                        "model.b = const:1e200",
                                        "model.b = const:1e154",
                                        "model.alpha2 = const:1e308",
+                                       "model.alpha2 = const:1e150",
+                                       "model.alpha2 = const:1e100",
+                                       "model.beta2 = const:1e308",
+                                       "model.rate = 1e308",
                                        "model.alpha2 = const:nan",
                                        "model.beta2 = const:inf",
                                        "model.beta1 = mean_revert:inf:0",
@@ -343,6 +349,10 @@ class TestExitCodes:
         ("model.b = const:1e200", "model.b too large"),
         ("model.b = const:1e154", "model.b too large"),
         ("model.alpha2 = const:1e308", "alpha2 too large"),
+        ("model.alpha2 = const:1e150", "model.alpha2 too large"),
+        ("model.alpha2 = const:1e100", "model.alpha2 too large"),
+        ("model.beta2 = const:1e308", "model.beta2 too large"),
+        ("model.rate = 1e308", "model.rate = 1e+308"),
         ("paths.output_dir =", "paths.output_dir is empty"),
         ("grid.y_max = -2", "empty spatial domain")])
     def test_bad_setting_names_its_fault(self, tmp_path, extra, message):
@@ -359,6 +369,22 @@ class TestExitCodes:
         assert main(["--config", str(path)]) == 1
         assert not os.path.exists(tmp_path / "out")
         assert "line 27: implied vol nan is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["-400", "400"])
+    def test_rate_discounting_past_price_quotes_exits_one(self, tmp_path, rate):
+        # at rate -400, e^(400 * 2) overflowed the no-arbitrage bounds'
+        # math.exp; the horizon (grid.t = 1) alone discounts within range
+        path = write_config(tmp_path, extra=f"model.rate = {rate}")
+        with open(tmp_path / "quotes.csv", "w", encoding="utf-8") as fh:
+            fh.write("maturity,strike,price\n")
+            for t in (0.25, 0.5, 1.0, 1.5, 2.0):
+                for k in (60, 80, 100, 120, 160):
+                    fh.write(f"{t},{k},{_bs_call(100.0, k, t, 0.0, 0.2)}\n")
+        logged = []
+        assert run_pipeline(RunConfig.from_file(path), log=logged.append) == 1
+        assert logged == [f"input error: model.rate = {float(rate)}: e^(-|rate| t) "
+                          f"at t = 2.0 is not a normal float"]
+        assert not os.path.exists(tmp_path / "out")
 
     def test_short_builtin_exits_one_naming_the_form(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path, b="const"))
@@ -458,6 +484,7 @@ class TestExitCodes:
         assert run_pipeline(cfg, log=lambda m: None) == 2
         out = tmp_path / "out"
         fp = json.loads((out / "fixed_point.json").read_text())
+        assert set(fp) == FIXED_POINT_KEYS
         assert fp["converged"] is False and fp["t_star"] == 1.0
         assert not all(fp["membership"][-1][k]
                        for k in ("lower_ok", "upper_ok", "norm_ok"))
@@ -519,14 +546,58 @@ class TestExitCodes:
         rc = run_pipeline(cfg, log=lambda m: None)
         assert rc == 0
         fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
-        assert fp["mode"] == "time-lagged"
-        assert set(fp) == readme_keys("in time-lagged mode the keys are", ".")
+        assert set(fp) == FIXED_POINT_KEYS
+        assert fp["mode"] == "time-lagged" and fp["converged"] is True
+        assert fp["iterations"] == 0 and fp["t_star"] == 1.0
+        assert fp["denominator_min"] > 0
 
 
 # values that each break some config key
 HOSTILE_VALUES = ["", "nan", "inf", "-1", "0", "bogus", "const", "exp_clamped:1",
                   "table:missing.csv", "1e308", "const:nan", "const:inf",
                   "cir:1:-1", "sqrt1p_sin:5:-1"]
+
+
+def assert_exit_code_contract(changes: dict) -> int:
+    """Run the test config with ``changes`` set: exit 0, 1 or 2, nothing
+    raised, and an exit 1 writes nothing and warns nothing.  A fresh
+    directory per call, as tmp_path is made once per test; returns the
+    status."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        cfg = RunConfig.from_file(write_config(Path(tmp)))
+        cfg.values.update(changes)
+        before = sorted(os.listdir(tmp))
+        status = run_pipeline(cfg, log=lambda m: None)
+        assert status in (0, 1, 2)
+        if status == 1:
+            assert sorted(os.listdir(tmp)) == before
+            assert not [str(w.message) for w in seen]
+    return status
+
+
+# values that each pass stage 1 on the test config, and can fail it in
+# pairs: the vol band, the start against the grid bounds, the bandwidths
+# against the mesh (3 cells: 19 < 3 dS at grid.ns = 46 or grid.s_max = 350,
+# 0.21 < 3 dy at grid.ny = 26 or grid.y_min = -1.2) and the discount
+# factor e^(-rate t) over the horizon
+PAIR_VALUES = {
+    "vol.floor": ["0.05", "2.5"], "vol.cap": ["0.02", "1.0"],
+    "model.spot0": ["40", "300"], "grid.s_min": ["20", "90"],
+    "grid.s_max": ["150", "350"], "model.y0": ["-0.8", "0.8"],
+    "grid.y_min": ["-1.2", "-0.5"], "grid.y_max": ["0.5", "1.2"],
+    "init.bandwidth_s": ["19", "40"], "grid.ns": ["46", "64"],
+    "init.bandwidth_y": ["0.21", "0.6"], "grid.ny": ["26", "40"],
+    "model.rate": ["0.05", "400"], "grid.t": ["0.5", "2.0"],
+}
+
+
+@st.composite
+def two_settings(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(PAIR_VALUES)), min_size=2,
+                         max_size=2, unique=True))
+    return {key: draw(st.sampled_from(PAIR_VALUES[key])) for key in keys}
 
 
 class TestHostileConfig:
@@ -537,20 +608,32 @@ class TestHostileConfig:
     @example("grid.s_min", "0")
     @example("grid.s_min", "-1")
     def test_exit_code_contract(self, key, value):
-        # one key set to one hostile value: exit 0, 1 or 2, nothing raised,
-        # and an exit 1 writes nothing and warns nothing; a fresh directory
-        # per example, as tmp_path is made once per test
-        with tempfile.TemporaryDirectory() as tmp, \
-                warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            cfg = RunConfig.from_file(write_config(Path(tmp)))
-            cfg.values[key] = value
-            before = sorted(os.listdir(tmp))
-            status = run_pipeline(cfg, log=lambda m: None)
-            assert status in (0, 1, 2)
-            if status == 1:
-                assert sorted(os.listdir(tmp)) == before
-                assert not [str(w.message) for w in seen]
+        # one key set to one hostile value
+        assert_exit_code_contract({key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        (key, value) for key, values in PAIR_VALUES.items() for value in values])
+    def test_pair_value_passes_stage_one_alone(self, tmp_path, key, value):
+        cfg = RunConfig.from_file(write_config(tmp_path))
+        cfg.values[key] = value
+        _inputs(cfg, log=lambda m: None)
+
+    # 160 of the 364 (pair, values) draws, about 15 s
+    @settings(max_examples=160, deadline=None)
+    @given(two_settings())
+    def test_two_key_exit_code_contract(self, changes):
+        # two keys, each set to a value it takes alone
+        assert_exit_code_contract(changes)
+
+    @pytest.mark.parametrize("changes", [
+        {"vol.floor": "2.5", "vol.cap": "0.02"},
+        {"model.spot0": "300", "grid.s_max": "150"},
+        {"model.y0": "0.8", "grid.y_max": "0.5"},
+        {"init.bandwidth_s": "19", "grid.ns": "46"},
+        {"init.bandwidth_y": "0.21", "grid.y_min": "-1.2"},
+        {"model.rate": "400", "grid.t": "2.0"}], ids=lambda c: "+".join(c))
+    def test_conflicting_pair_exits_one(self, changes):
+        assert assert_exit_code_contract(changes) == 1
 
 
 class TestCli:
@@ -671,6 +754,10 @@ def readme_keys(after: str, until: str) -> set:
     return set(re.findall(r"`(\w+)(?:\[\])?`", text[start:text.index(until, start)]))
 
 
+# the one key list of fixed_point.json, in both modes
+FIXED_POINT_KEYS = readme_keys("`fixed_point.json`: keys", ".")
+
+
 def readme_config_keys() -> set:
     """The keys the README's configuration table names in its first column.
 
@@ -700,7 +787,8 @@ class TestArtifactKeys:
         out = tmp_path / "out"
         fp = json.loads((out / "fixed_point.json").read_text())
         report = json.loads((out / "report.json").read_text())
-        assert set(fp) == readme_keys("`fixed_point.json`: keys", ".")
+        assert set(fp) == FIXED_POINT_KEYS == {f.name for f in fields(FixedPointReport)}
+        assert fp["mode"] == "fixed-point" and fp["denominator_min"] is None
         assert set(report["verification"]) == readme_keys("verification\n  block (", ")")
         assert set(report["validation"]) == readme_keys("`validation` block (", ")")
 
