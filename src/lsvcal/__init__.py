@@ -24,11 +24,11 @@ from .market import (ImpliedSurface, OptionQuote, build_implied_surface,
                      dupire_forward_solve, dupire_local_vol, fv_mass,
                      load_quotes)
 from .mixing import (GapRecord, MixingField, leverage, marginal, mixing_ratio,
-                     ratio_gap_monitor)
+                     ratio_gap_monitor, ratio_of_marginals)
 from .model import (CorrelationMatrix, ModelSpec, SpotAmplitude,
                     ValidationReport, convert_correlation, grid_mass,
                     measured_bsq_slope, smoothed_dirac, validate_model)
-from .pipeline import (RunConfig, VerificationReport, reprice_calls,
-                       run_pipeline, verify_calibration)
+from .pipeline import (DensityRecord, RunConfig, VerificationReport,
+                       reprice_calls, run_pipeline, verify_calibration)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ from .holder import holder_norm
 from .linpde import (CoefficientFields, assemble_frozen, assemble_slice,
                      solve_linear, stencil, step_slices)
 from .mixing import mixing_ratio, ratio_gap_monitor
-from .model import ModelSpec, measured_bsq_slope
+from .model import ModelSpec, measured_bsq_slope, operator_coefficients
 
 
 @dataclass
@@ -298,29 +298,40 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     raise HorizonExhausted(halvings, last_err)
 
 
-def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray) -> tuple:
+def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
+                 out=None) -> tuple:
     """Single forward sweep with the mixing ratio lagged one time step.
 
     The full nonlinear coefficients are rebuilt each step from the current
-    density slice, so no outer iteration is needed.
+    density slice, so no outer iteration is needed.  Slice k+1's unit-ratio
+    products (``operator_coefficients``) serve step k and, as slice k,
+    step k+1, as they do not depend on the ratio.
 
-    Returns (trajectory, FixedPointReport); the trajectory has shape
-    (n_t+1, n_s+2, n_y+2), and the report, in mode ``time-lagged``, holds
-    the horizon, no iterations and the sweep's ``denominator_min``.
+    Each slice goes to ``out[k] = u`` as the sweep makes it, k = 0 .. n_t;
+    ``out`` is anything that takes that assignment, such as an array of
+    shape (n_t+1, n_s+2, n_y+2) or a record that keeps reductions of each
+    slice.  Without it, the trajectory array is made here.
+
+    Returns (out, FixedPointReport); the report, in mode ``time-lagged``,
+    holds the horizon, no iterations and the sweep's ``denominator_min``.
     """
     psi = np.asarray(psi, dtype=float)
     n = grid.n_t
-    traj = np.empty((n + 1,) + psi.shape)
-    traj[0] = psi
+    if out is None:
+        out = np.empty((n + 1,) + psi.shape)
+    out[0] = psi
     u = psi.copy()
     den_mins = []
     hs = (grid.ds, grid.dy)
+    unit1 = operator_coefficients(spec, grid, 0)
     for k in range(n):
         mix = mixing_ratio(u, spec.b, grid)
         den_mins.append(mix.denominator_min)
-        st0, st1 = (stencil(assemble_slice(spec, grid, j, mix.ratio, mix.sqrt_ratio), hs)
-                    for j in (k, k + 1))
+        unit0, unit1 = unit1, operator_coefficients(spec, grid, k + 1)
+        st0, st1 = (stencil(assemble_slice(spec, grid, j, mix.ratio, mix.sqrt_ratio,
+                                           unit=unit), hs)
+                    for j, unit in ((k, unit0), (k + 1, unit1)))
         u, _ = step_slices(st0, st1, u, grid)
-        traj[k + 1] = u
-    return traj, FixedPointReport(converged=True, t_star=n * grid.dt,
-                                  mode="time-lagged", denominator_min=min(den_mins))
+        out[k + 1] = u
+    return out, FixedPointReport(converged=True, t_star=n * grid.dt,
+                                 mode="time-lagged", denominator_min=min(den_mins))

@@ -81,23 +81,31 @@ class LinearSolveReport:
 
 
 def _min_eig_2x2(a_ss, a_sy, a_yy):
+    """Smallest eigenvalue of [[a_ss, a_sy], [a_sy, a_yy]]: det / largest where
+    the largest is positive, as ``half_tr - disc`` cancels to 0 there when the
+    diagonal entries differ by many orders; elsewhere it cannot cancel."""
     half_tr = 0.5 * (a_ss + a_yy)
     disc = np.sqrt((0.5 * (a_ss - a_yy)) ** 2 + a_sy * a_sy)
-    return half_tr - disc
+    lam_max = half_tr + disc
+    return np.divide(a_ss * a_yy - a_sy * a_sy, lam_max,
+                     out=np.asarray(half_tr - disc, dtype=float), where=lam_max > 0)
 
 
 def assemble_slice(spec: ModelSpec, grid: GridSpec, k: int,
-                   ratio, root) -> dict:
+                   ratio, root, unit: dict | None = None) -> dict:
     """Non-divergence coefficients at time index k for a frozen mixing ratio.
 
     ``ratio``/``root`` may be scalars (the constant-b freeze) or per-S-node
     arrays (time-lagged mode); they multiply ``a_s`` and ``a_x`` last.
-    Derivatives of the coefficient products are taken with second-order
-    differences on the full node set.  The products before the ratio come
-    back too, as ``a_s`` and ``a_x``.
+    ``unit`` is ``operator_coefficients(spec, grid, k)`` when the caller has
+    it already; it does not depend on the ratio.  Derivatives of the
+    coefficient products are taken with second-order differences on the
+    full node set.  The products before the ratio come back too, as ``a_s``
+    and ``a_x``.
     """
     ds, dy = grid.ds, grid.dy
-    unit = operator_coefficients(spec, grid, k)
+    if unit is None:
+        unit = operator_coefficients(spec, grid, k)
     ratio, root = (np.asarray(r, dtype=float).reshape(-1, 1) if np.ndim(r) else float(r)
                    for r in (ratio, root))
     big_a, cross_full, big_b = unit["a_s"] * ratio, unit["a_x"] * root, unit["a_y"]

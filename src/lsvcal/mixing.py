@@ -55,19 +55,30 @@ class MixingField:
 def mixing_ratio(p: np.ndarray, b, grid: GridSpec) -> MixingField:
     """Mixing ratio of a density slice (n_s+2, n_y+2) or trajectory (..., n_s+2, n_y+2).
 
-    When b is constant on the y-nodes the ratio is returned as the exact
-    constant 1/b^2 (and its root as 1/b), so the constant-volatility model
-    degenerates without floating-point residue.
+    The ratio of its two marginals, ``p @ w`` and ``p @ (w b^2)``; see
+    ``ratio_of_marginals`` for the checks and the constant-b shortcut.
+    """
+    p = np.asarray(p, dtype=float)
+    w = trapezoid_weights(grid.n_y + 2, grid.dy)
+    bv = b_values(b, grid)
+    return ratio_of_marginals(p @ w, p @ (w * bv * bv), b, grid)
+
+
+def ratio_of_marginals(num: np.ndarray, den: np.ndarray, b, grid: GridSpec) -> MixingField:
+    """Mixing ratio ``num / den`` from a density's marginal ``num = p @ w``
+    and weighted marginal ``den = p @ (w b^2)``, of one shape (..., n_s+2).
+
+    The floor is taken over all of ``num``, so a trajectory's marginals give
+    the trajectory's ratio.  When b is constant on the y-nodes the ratio is
+    returned as the exact constant 1/b^2 (and its root as 1/b), so the
+    constant-volatility model degenerates without floating-point residue.
 
     Raises:
         DegenerateDenominator: weighted marginal below
             ``1e-12 * min(b)^2 * max(1, max marginal)`` somewhere.
+        ValueError: the ratio left its band ``[1/max(b)^2, 1/min(b)^2]``.
     """
-    p = np.asarray(p, dtype=float)
     bv = b_values(b, grid)
-    w = trapezoid_weights(grid.n_y + 2, grid.dy)
-    num = p @ w
-    den = p @ (w * bv * bv)
     den_min = float(den.min()) if den.size else math.inf
 
     b_lo = float(np.min(bv))

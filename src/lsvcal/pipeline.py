@@ -32,7 +32,7 @@ from .linpde import compatibility_residual
 from .market import (_bs_call, build_implied_surface, check_price_bounds,
                      dupire_forward_solve, dupire_local_vol,
                      implied_vol_from_price, load_quotes)
-from .mixing import b_values, leverage, marginal, mixing_ratio
+from .mixing import b_values, leverage, ratio_of_marginals
 from .model import (ModelSpec, SpotAmplitude, convert_correlation, grid_mass,
                     smoothed_dirac, validate_model)
 
@@ -233,6 +233,44 @@ def reprice_calls(q: np.ndarray, strikes, grid: GridSpec) -> np.ndarray:
     return np.array([(payoff * (w * row)[None, :]).sum(axis=1) for row in q])
 
 
+class DensityRecord:
+    """What the artifacts and their verification read of a density
+    trajectory, filled one slice at a time by ``record[k] = u``.
+
+    Per slice it keeps the spot marginal ``u @ w``, the weighted marginal
+    ``u @ (w b^2)`` (``w`` the trapezoid weights in y) and the mass
+    ``grid_mass(u)``; it keeps a copy of the slices whose indices are in
+    ``keep``, under ``snapshots`` in the order of ``keep``.  So a sweep that
+    fills it slice by slice never holds the whole trajectory.
+    """
+
+    def __init__(self, b, grid: GridSpec, n_slices: int, keep=()):
+        self.grid = grid
+        self._w = trapezoid_weights(grid.n_y + 2, grid.dy)
+        bv = b_values(b, grid)
+        self._wb = self._w * bv * bv
+        self.marginal = np.empty((n_slices, grid.n_s + 2))
+        self.weighted = np.empty((n_slices, grid.n_s + 2))
+        self.mass = np.empty(n_slices)
+        self.snapshots = dict.fromkeys(keep)
+
+    def __len__(self) -> int:
+        return len(self.mass)
+
+    def __setitem__(self, k: int, u) -> None:
+        self.marginal[k] = u @ self._w
+        self.weighted[k] = u @ self._wb
+        self.mass[k] = grid_mass(u, self.grid)
+        if k in self.snapshots:
+            self.snapshots[k] = np.array(u, dtype=float)
+
+    def fill(self, p) -> "DensityRecord":
+        """Record each slice of the trajectory ``p`` in turn; returns self."""
+        for k, u in enumerate(p):
+            self[k] = u
+        return self
+
+
 @dataclass
 class VerificationReport:
     """Calibration-quality metrics for one converged run."""
@@ -254,15 +292,17 @@ class VerificationReport:
             f"{t:.10g}": v for t, v in self.marginal_l1.items()}}
 
 
-def verify_calibration(p: np.ndarray, sigma_d: np.ndarray,
+def verify_calibration(p, sigma_d: np.ndarray,
                        q_p: np.ndarray, q_d: np.ndarray, lev: np.ndarray,
                        spec: ModelSpec, grid: GridSpec, snapshot_ks,
                        quotes=None, l1_tol: float = 1e-2, mass_tol: float = 5e-3,
                        identity_tol: float = 1e-8) -> VerificationReport:
     """Check the arrays a run wrote against the joint density.
 
-    ``p`` is the density trajectory, shape (k*+1, n_s+2, n_y+2), and
-    ``sigma_d`` the local volatility on the (t, S) nodes.  ``q_p`` is the
+    ``p`` is the density trajectory, shape (k*+1, n_s+2, n_y+2), or its
+    ``DensityRecord``; only the record's per-slice reductions are read, so
+    a trajectory is reduced one slice at a time.  ``sigma_d`` is the local
+    volatility on the (t, S) nodes.  ``q_p`` is the
     density's spot marginal, ``q_d`` the one-dimensional forward solve from
     ``q_p[0]`` and ``lev`` the leverage surface, each over the density's
     time slices.  Records the L1 marginal distance at each index of
@@ -271,7 +311,8 @@ def verify_calibration(p: np.ndarray, sigma_d: np.ndarray,
     ``lev^2 E[b^2 | S] = sigma_d^2`` with ``E[b^2 | S]`` taken from the
     density, and (when quotes are given) repricing errors against them.
     """
-    n_k = p.shape[0] - 1
+    rec = p if isinstance(p, DensityRecord) else DensityRecord(spec.b, grid, len(p)).fill(p)
+    n_k = len(rec) - 1
     sig = sigma_d[:n_k + 1]
 
     l1 = {}
@@ -279,13 +320,10 @@ def verify_calibration(p: np.ndarray, sigma_d: np.ndarray,
         l1[float(grid.t_nodes[k])] = float(
             np.sum(np.abs(q_p[k] - q_d[k])) * grid.ds)
 
-    masses = np.array([grid_mass(p[k], grid) for k in range(n_k + 1)])
     decay = np.exp(-spec.rate * grid.t_nodes[:n_k + 1])
-    mass_drift = float(np.max(np.abs(masses - masses[0] * decay)))
+    mass_drift = float(np.max(np.abs(rec.mass - rec.mass[0] * decay)))
 
-    w = trapezoid_weights(grid.n_y + 2, grid.dy)
-    bv = b_values(spec.b, grid)
-    cond = (p @ (w * bv * bv)) / np.maximum(p @ w, 1e-300)
+    cond = rec.weighted / np.maximum(rec.marginal, 1e-300)
     identity = float(np.max(np.abs(lev * lev * cond - sig ** 2)
                             / np.maximum(sig ** 2, 1e-300)))
 
@@ -324,7 +362,7 @@ def verify_calibration(p: np.ndarray, sigma_d: np.ndarray,
     return VerificationReport(
         marginal_l1=l1, mass_drift=mass_drift, identity_max_rel=identity,
         reprice_max_rel_err=reprice_err, gates=gates,
-        extras={"final_mass": float(masses[-1]),
+        extras={"final_mass": float(rec.mass[-1]),
                 "reprice_vs_target_rel_err": reprice_vs_target})
 
 
@@ -498,7 +536,8 @@ def _solve(run: SimpleNamespace, log) -> tuple:
     """Stage 2: the density trajectory and the solver's report; a fixed point
     that fails at every horizon it may try raises with its last attempt."""
     if run.mode == "time-lagged":
-        return solve_lagged(run.spec, run.grid, run.psi)
+        return solve_lagged(run.spec, run.grid, run.psi,
+                            out=_record(run, run.grid.n_t + 1))
     # one operator, carrying the anchor, serves every attempt; built
     # through iterate's binding
     kwargs = {"max_iter": run.max_iter, "frozen": fixed_point.assemble_frozen(
@@ -517,34 +556,50 @@ def _solve(run: SimpleNamespace, log) -> tuple:
     return density, report
 
 
+def _record(run: SimpleNamespace, n_slices: int) -> DensityRecord:
+    """An empty record of ``n_slices`` slices that keeps the snapshot slices:
+    every ``run.snap_every``-th and the last."""
+    n_k = n_slices - 1
+    return DensityRecord(run.spec.b, run.grid, n_slices,
+                         keep=[*range(0, n_k, run.snap_every), n_k])
+
+
 def _artifacts(run: SimpleNamespace, density, fp_report, verify: bool):
     """Stage 3: write the solver's report and the density's arrays; returns
-    their verification if ``verify``, else None."""
+    their verification if ``verify``, else None.
+
+    ``density`` is the time-lagged sweep's ``DensityRecord`` or a fixed
+    point's trajectory, which is reduced to one slice by slice; either way
+    only the record is read.
+    """
     grid, path = run.grid, lambda name: os.path.join(run.out_dir, name)
     _write_json(path("fixed_point.json"), fp_report)
-    n_k = density.shape[0] - 1
-    ks = [*range(0, n_k, run.snap_every), n_k]
+    rec = (density if isinstance(density, DensityRecord)
+           else _record(run, len(density)).fill(density))
+    n_k = len(rec) - 1
+    ks = list(rec.snapshots)
 
     _write_csv(path("local_vol.csv"), "t,S,sigma_D",
                grid.t_nodes, grid.s_nodes, run.sigma_d)
 
-    q_p = marginal(density, grid)
+    q_p = rec.marginal
     q_d = dupire_forward_solve(run.sigma_d, run.spec.rate, grid, q_p[0], n_steps=n_k)
     _write_csv(path("marginals.csv"), "t,S,q_p,q_D",
                grid.t_nodes[ks], grid.s_nodes, q_p[ks], q_d[ks])
 
-    for k in ks:
+    for k, snap in rec.snapshots.items():
         name = path(f"density_{k}.{run.snap_format}")
         if run.snap_format == "bin":
-            _write_density_bin(name, density[k], grid)
+            _write_density_bin(name, snap, grid)
         else:
-            _write_csv(name, "S,y,p", grid.s_nodes, grid.y_nodes, density[k])
+            _write_csv(name, "S,y,p", grid.s_nodes, grid.y_nodes, snap)
 
     # last, as the mixing ratio of an escaped iterate can fail
-    lev = leverage(run.sigma_d[:n_k + 1], mixing_ratio(density, run.spec.b, grid))
+    lev = leverage(run.sigma_d[:n_k + 1],
+                   ratio_of_marginals(rec.marginal, rec.weighted, run.spec.b, grid))
     _write_csv(path("leverage.csv"), "t,S,a", grid.t_nodes[:n_k + 1], grid.s_nodes, lev)
     return verify_calibration(
-        density, run.sigma_d, q_p, q_d, lev, run.spec, grid, ks[1:] or [n_k],
+        rec, run.sigma_d, q_p, q_d, lev, run.spec, grid, ks[1:] or [n_k],
         quotes=run.quotes, **run.verify_tols) if verify else None
 
 

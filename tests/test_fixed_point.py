@@ -12,6 +12,7 @@ from lsvcal import (FixedPointReport, HorizonExhausted, IterateBounds,
                     MembershipLost, NotConverged, apply_map, assemble_frozen, check_membership,
                     iterate, shrink_horizon, solve_lagged, solve_linear)
 from lsvcal import fd
+from lsvcal.linpde import assemble_slice, stencil, step_slices
 from lsvcal.mixing import mixing_ratio
 from lsvcal.model import operator_coefficients
 
@@ -635,6 +636,49 @@ class TestTimeLagged:
         assert asdict(rep) == asdict(FixedPointReport(
             converged=True, t_star=grid.n_t * grid.dt, mode="time-lagged",
             denominator_min=den_min))
+
+    def test_out_takes_each_slice_as_the_sweep_makes_it(self):
+        grid = make_grid(n_s=24, n_y=16, n_t=10)
+        spec = make_spec(grid, b=b_perturbed(0.5))
+        psi = make_psi(grid)
+        dens, rep = solve_lagged(spec, grid, psi)
+        got = {}
+
+        class Sink:
+            def __setitem__(self, k, u):
+                got[k] = u.copy()
+        sink = Sink()
+        out, rep_out = solve_lagged(spec, grid, psi, out=sink)
+        assert out is sink and asdict(rep_out) == asdict(rep)
+        assert list(got) == list(range(grid.n_t + 1))
+        assert np.array_equal(np.stack([got[k] for k in got]), dens)
+
+    def test_unit_products_evaluated_once_per_slice(self, monkeypatch):
+        # slice k+1's products serve step k and step k+1
+        import sys
+        from lsvcal import model
+        grid = make_grid(n_s=24, n_y=16, n_t=10)
+        spec = make_spec(grid, b=b_perturbed(0.5))
+        psi = make_psi(grid)
+        real, calls = model.operator_coefficients, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "lsvcal" and getattr(mod, "operator_coefficients", None) is real:
+                monkeypatch.setattr(mod, "operator_coefficients", spy)
+        dens, _ = solve_lagged(spec, grid, psi)
+        assert calls == list(range(grid.n_t + 1))
+        # the former sweep, which built both slices' products at every step
+        u = psi.copy()
+        hs = (grid.ds, grid.dy)
+        for k in range(grid.n_t):
+            mix = mixing_ratio(u, spec.b, grid)
+            st0, st1 = (stencil(assemble_slice(spec, grid, j, mix.ratio, mix.sqrt_ratio), hs)
+                        for j in (k, k + 1))
+            u, _ = step_slices(st0, st1, u, grid)
+            assert np.array_equal(u, dens[k + 1])
 
     def test_constant_b_reproduces_frozen_solver(self):
         # a constant b makes the lagged ratio the exact constant 1/b^2

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,8 +13,8 @@ from lsvcal import (CrossTermCFL, ModelSpec, NonElliptic, NonEllipticAssembly,
                     ellipticity_constant, holder_norm, solve_linear,
                     supnorm_time_bound, tridiag)
 from lsvcal.grids import GridSpec
-from lsvcal.linpde import (CoefficientFields, _apply, _sweep, _sweep_system,
-                           cross_cfl_number, stencil)
+from lsvcal.linpde import (CoefficientFields, _apply, _min_eig_2x2, _sweep,
+                           _sweep_system, cross_cfl_number, stencil)
 
 from conftest import b_const, b_perturbed, flat_sigma, make_grid, make_psi, make_spec
 
@@ -147,6 +147,28 @@ class TestEllipticity:
         with pytest.raises(NonEllipticAssembly, match="K2 = 0") as info:
             assemble_frozen(const_spec(alpha1=0.0), grid, b_ref=1.0)
         assert type(info.value.__cause__) is NonElliptic
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-100, 100), st.floats(-100, 100), st.floats(-0.99, 0.99))
+    @example(math.log10(18.0), math.log10(5e99), 0.0)
+    @example(math.log10(2.2e3), math.log10(5e99), 0.0)
+    def test_min_eig_matches_eigvalsh_across_magnitudes(self, log_a, log_c, t):
+        # a_sy = t sqrt(a_ss a_yy) keeps the matrix positive definite at any
+        # scale of its diagonal; half_tr - disc cancelled to 0 beyond 1e16
+        a_ss, a_yy = 10.0 ** log_a, 10.0 ** log_c
+        a_sy = t * math.sqrt(a_ss) * math.sqrt(a_yy)
+        exact = np.linalg.eigvalsh(np.array([[a_ss, a_sy], [a_sy, a_yy]]))[0]
+        got = _min_eig_2x2(np.array([a_ss]), np.array([a_sy]), np.array([a_yy]))[0]
+        assert got > 0
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_min_eig_of_indefinite_and_zero_matrices(self):
+        # no division where the largest eigenvalue is 0 or below
+        a_ss, a_sy, a_yy = (np.array(v) for v in ([0.0, -1.0, 1.0, -2.0],
+                                                 [0.0, 0.0, 2.0, 1.0],
+                                                 [0.0, -3.0, 1.0, -2.0]))
+        got = _min_eig_2x2(a_ss, a_sy, a_yy)
+        assert np.array_equal(got, [0.0, -3.0, -1.0, -3.0])
 
     def test_invariants_computed_once_per_operator(self, monkeypatch):
         import lsvcal.linpde

@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from lsvcal import (DegenerateDenominator, FixedPointReport, MembershipLost,
                     NonEllipticAssembly, StabilityFailure, assemble_frozen,
-                    dupire_forward_solve, iterate, marginal, solve_lagged,
-                    solve_linear, verify_calibration)
+                    dupire_forward_solve, iterate, leverage, marginal,
+                    mixing_ratio, solve_lagged, solve_linear,
+                    verify_calibration)
 from lsvcal.cli import main
 from lsvcal.market import _bs_call
 from lsvcal.pipeline import (_DEFAULTS, _REQUIRED, RunConfig, _inputs, _write_csv,
@@ -448,7 +449,7 @@ class TestExitCodes:
          "fixed-point", set()),
         ("lsvcal.fixed_point.mixing_ratio", ValueError("mixing ratio left"),
          "fixed-point", set()),
-        ("lsvcal.pipeline.mixing_ratio", ValueError("mixing ratio left"),
+        ("lsvcal.pipeline.ratio_of_marginals", ValueError("mixing ratio left"),
          "fixed-point", {"fixed_point.json", "local_vol.csv", "marginals.csv"}
          | {f"density_{k}.csv" for k in range(0, 25, 2)}),
         ("lsvcal.pipeline.solve_lagged", DegenerateDenominator(3, 0.0),
@@ -476,6 +477,18 @@ class TestExitCodes:
         assert rep["verification"]["gates"]["marginal_l1"] is False
         assert rep["status_hint"] == 2
         assert "error" not in rep
+
+    def test_elliptic_operator_with_far_apart_diagonal_is_not_k2_zero(self, tmp_path):
+        # a_yy near 1e99 and a_ss near 18: the smallest eigenvalue once
+        # cancelled to exactly 0, and stage 2 failed with "K2 = 0 <= 0"
+        cfg = RunConfig.from_file(write_config(tmp_path,
+                                               extra="model.alpha2 = const:1e50"))
+        logged = []
+        assert run_pipeline(cfg, log=logged.append) == 2
+        assert not [m for m in logged if "K2" in m]
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "K2" not in rep.get("error", "")
+        assert (tmp_path / "out" / "fixed_point.json").exists()
 
     def test_exhausted_horizon_writes_last_attempt(self, tmp_path):
         cfg = RunConfig.from_file(write_config(
@@ -680,6 +693,96 @@ class TestDeterminism:
             assert b1 == b2, name
 
 
+class TestStreamedRecord:
+    """A time-lagged run reduces each slice as the sweep makes it."""
+
+    def test_artifacts_equal_those_of_the_full_array(self, tmp_path, monkeypatch):
+        import lsvcal.pipeline
+        cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.5",
+                                               extra="fp.mode = time-lagged"))
+        cfg.values["paths.output_dir"] = "streamed"
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        # the same sweep handing stage 3 its whole trajectory
+        seen = {}
+
+        def whole(run, log):
+            seen["run"] = run
+            seen["p"], report = solve_lagged(run.spec, run.grid, run.psi)
+            return seen["p"], report
+        monkeypatch.setattr(lsvcal.pipeline, "_solve", whole)
+        cfg.values["paths.output_dir"] = "whole"
+        assert run_pipeline(cfg, log=lambda m: None) == 0
+        streamed, whole_out = tmp_path / "streamed", tmp_path / "whole"
+        names = sorted(set(os.listdir(streamed)) - {"run_meta.json"})
+        assert names == sorted(set(os.listdir(whole_out)) - {"run_meta.json"})
+        for name in names:
+            assert (streamed / name).read_bytes() == (whole_out / name).read_bytes(), name
+
+        # and the arrays the writers read equal the whole-trajectory
+        # reductions bit for bit (the former stage 3 as oracle)
+        run, p, grid = seen["run"], seen["p"], seen["run"].grid
+        ks = [*range(0, grid.n_t, run.snap_every), grid.n_t]
+        q_p = marginal(p, grid)
+        q_d = dupire_forward_solve(run.sigma_d, run.spec.rate, grid, q_p[0])
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        _write_csv(oracle / "marginals.csv", "t,S,q_p,q_D", grid.t_nodes[ks],
+                   grid.s_nodes, q_p[ks], q_d[ks])
+        _write_csv(oracle / "leverage.csv", "t,S,a", grid.t_nodes, grid.s_nodes,
+                   leverage(run.sigma_d, mixing_ratio(p, run.spec.b, grid)))
+        for k in ks:
+            _write_csv(oracle / f"density_{k}.csv", "S,y,p", grid.s_nodes,
+                       grid.y_nodes, p[k])
+        for name in os.listdir(oracle):
+            assert (oracle / name).read_bytes() == (streamed / name).read_bytes(), name
+
+    def test_run_never_holds_the_trajectory(self, tmp_path, monkeypatch):
+        import tracemalloc
+        import lsvcal.pipeline
+        # enough steps that one trajectory outweighs a step's working set
+        cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.5", nt=200,
+                                               extra="fp.mode = time-lagged"))
+        grid = cfg.grid()
+        trajectory_bytes = (grid.n_t + 1) * (grid.n_s + 2) * (grid.n_y + 2) * 8
+        after_inputs = []
+
+        def inputs(*args, real=lsvcal.pipeline._inputs):
+            run = real(*args)
+            after_inputs.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return run
+        monkeypatch.setattr(lsvcal.pipeline, "_inputs", inputs)
+        tracemalloc.start()
+        try:
+            assert run_pipeline(cfg, log=lambda m: None) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - after_inputs[0] < trajectory_bytes
+
+    def test_failure_in_the_sweep_writes_no_artifact(self, tmp_path, monkeypatch):
+        import lsvcal.fixed_point
+        calls = []
+
+        def mixing_ratio_failing_at_step_4(*args, real=lsvcal.fixed_point.mixing_ratio):
+            calls.append(args[0].shape)
+            if len(calls) == 5:
+                raise DegenerateDenominator(3, 0.0)
+            return real(*args)
+        monkeypatch.setattr(lsvcal.fixed_point, "mixing_ratio",
+                            mixing_ratio_failing_at_step_4)
+        cfg = RunConfig.from_file(write_config(tmp_path, b="sqrt1p_sin:0.5",
+                                               extra="fp.mode = time-lagged"))
+        assert run_pipeline(cfg, log=lambda m: None) == 2
+        grid = cfg.grid()
+        assert calls == [(grid.n_s + 2, grid.n_y + 2)] * 5
+        out = tmp_path / "out"
+        assert set(os.listdir(out)) == {"report.json", "run_meta.json"}
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["error"].startswith("DegenerateDenominator: ")
+        assert rep["status_hint"] == 2
+
+
 def per_row_csv(path, header, outer, inner, *columns):
     """The former writers: one f-string per row, with one or two value
     columns (test oracle)."""
@@ -803,7 +906,7 @@ class TestVerification:
 
     def test_checks_run_once_on_the_written_arrays(self, tmp_path, monkeypatch):
         import lsvcal.pipeline
-        seen = {"dupire_forward_solve": [], "mixing_ratio": []}
+        seen = {"dupire_forward_solve": [], "ratio_of_marginals": []}
         for name, calls in seen.items():
             def spy(*args, real=getattr(lsvcal.pipeline, name), calls=calls, **kwargs):
                 calls.append(args[0].shape)
@@ -813,7 +916,7 @@ class TestVerification:
         assert run_pipeline(cfg, log=lambda m: None) == 0
         grid = cfg.grid()
         assert seen["dupire_forward_solve"] == [(grid.n_t + 1, grid.n_s + 2)]
-        assert seen["mixing_ratio"] == [grid.shape]
+        assert seen["ratio_of_marginals"] == [(grid.n_t + 1, grid.n_s + 2)]
         assert "verification" in json.loads((tmp_path / "out" / "report.json").read_text())
 
     def test_report_l1_equals_written_marginals(self, tmp_path):
