@@ -103,11 +103,11 @@ class FixedPointReport:
     """Outcome of either solver, with the fixed point's per-iteration
     records; the fields are the keys of its JSON form.
 
-    ``fixed_point_residual`` is the map residual ``max|M(p) - p|`` of the
-    returned trajectory p, the last entry of ``residuals``; it is None
-    until the iteration converges.  ``denominator_min``, the smallest
-    weighted marginal the time-lagged sweep divided by, is None in
-    fixed-point mode, which does not measure it.
+    ``fixed_point_residual`` is the step ``max|M(p) - p|`` of the last map
+    input p, the last entry of ``residuals``; the returned trajectory is
+    M(p).  It is None until the iteration converges.  ``denominator_min``,
+    the smallest weighted marginal the time-lagged sweep divided by, is
+    None in fixed-point mode, which does not measure it.
     """
 
     residuals: list = field(default_factory=list)
@@ -160,7 +160,7 @@ def _source(u: np.ndarray, spec: ModelSpec, frozen: CoefficientFields,
 
 
 def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
-              frozen: CoefficientFields | None = None) -> tuple:
+              frozen: CoefficientFields | None = None, out=None) -> tuple:
     """One application of the calibration map: freeze, source, linear solve.
 
     ``u`` is a trajectory over the current horizon; the solve starts from
@@ -170,19 +170,38 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
     here at ``spec.b_ref(grid)``.  The source reaches the linear solve slice
     by slice, so no source field of the whole trajectory is built.
 
+    ``out`` goes to ``solve_linear``, which hands it each slice of the
+    result as ``out[k] = v``.  It may be ``u`` itself, or write over ``u``:
+    the mixing ratio is taken from the whole of ``u`` first, and the source
+    of slice k+1 is built before slice k+1 is written.
+
     Returns:
-        (trajectory, LinearSolveReport) of the linear solve.
+        (out, LinearSolveReport) of the linear solve; without ``out``, the
+        trajectory array.
     """
     u = np.asarray(u, dtype=float)
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
     return solve_linear(frozen, u[0], grid, f=_source(u, spec, frozen, grid),
-                        n_steps=u.shape[0] - 1)
+                        n_steps=u.shape[0] - 1, out=out)
 
 
-def _sup_diff(v: np.ndarray, p: np.ndarray) -> float:
-    """max|v - p| over two trajectories, one time slice at a time."""
-    return float(np.max([np.max(np.abs(a - b)) for a, b in zip(v, p)]))
+class _Overwrite:
+    """``out`` for a map application that writes its result over its input
+    ``p``: each slice's step ``max|v[k] - p[k]|`` is taken before ``v[k]``
+    replaces ``p[k]``, and ``residual`` is ``max|M(p) - p|``."""
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.steps = []
+
+    def __setitem__(self, k: int, v: np.ndarray):
+        self.steps.append(np.max(np.abs(v - self.p[k])))
+        self.p[k] = v
+
+    @property
+    def residual(self) -> float:
+        return float(np.max(self.steps))
 
 
 def _horizon_steps(t_star: float, grid: GridSpec) -> int:
@@ -199,12 +218,14 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     ``frozen.b_ref``; without it, it is assembled here at ``spec.b_ref(grid)``.
     Every iteration reads its operator and source products from ``frozen``.
     Each map application starts from its input's first slice, which the
-    constant start and every solve keep equal to ``psi``.
+    constant start and every solve keep equal to ``psi``, and writes its
+    result M(p) over its input p slice by slice, so a run holds ``frozen``
+    and one trajectory.
 
     Returns (trajectory, FixedPointReport) on convergence.  The trajectory,
-    of shape (k*+1, n_s+2, n_y+2), is the input p of the map application
-    whose residual ``max|M(p) - p|`` passed ``tol``; that residual is the
-    report's ``fixed_point_residual``.
+    of shape (k*+1, n_s+2, n_y+2), is the result M(p) of the map
+    application whose step ``max|M(p) - p|`` passed ``tol``; that step is
+    the report's ``fixed_point_residual``.
 
     Raises:
         ValueError: ``max_iter`` < 1, or ``frozen`` was built for another
@@ -229,16 +250,14 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
-        v, _ = apply_map(p, spec, grid, frozen=frozen)
-        resid = _sup_diff(v, p)
-        if resid > params.tol:
-            # p is not the answer: the loop goes on from v or raises with v
-            del p
-        mem = check_membership(v, params, grid)
+        step = _Overwrite(p)
+        apply_map(p, spec, grid, frozen=frozen, out=step)
+        resid = step.residual
+        mem = check_membership(p, params, grid)
         report.residuals.append(resid)
         report.membership.append(asdict(mem))
         try:
-            rec = ratio_gap_monitor(v, spec.b, frozen.b_ref, grid, bsq_slope,
+            rec = ratio_gap_monitor(p, spec.b, frozen.b_ref, grid, bsq_slope,
                                     p_norm=mem.norm)
             report.gap_monitor.append(asdict(rec))
         except (DegenerateDenominator, ValueError) as err:
@@ -247,13 +266,11 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         report.iterations = n
         if not mem.ok:
             report.fit_contraction()
-            raise MembershipLost(n, report=report, density=v)
+            raise MembershipLost(n, report=report, density=p)
         if resid <= params.tol:
-            # p is the answer: the map moved it by resid, measured above
             report.converged = True
             report.fixed_point_residual = resid
             break
-        p = v
 
     report.fit_contraction()
     if not report.converged:
@@ -283,7 +300,7 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
     bounds = params
     for halvings in range(max_halvings + 1):    # halvings made before this attempt
-        # the previous rung's failure pins its attempt's trajectories through
+        # the previous rung's failure pins its attempt's trajectory through
         # its traceback; only the last one is kept, for HorizonExhausted
         last_err = None
         try:

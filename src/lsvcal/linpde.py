@@ -327,7 +327,7 @@ def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
 
 def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
                  f: np.ndarray | Callable[[int], np.ndarray] | None = None,
-                 n_steps: int | None = None) -> tuple:
+                 n_steps: int | None = None, out=None) -> tuple:
     """Solve the frozen equation over [0, n_steps * dt] from and with psi.
 
     ``psi`` provides both the initial slice and (through its boundary trace,
@@ -337,8 +337,15 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     for step k and carried into step k+1 as slice k, like the stencil, so a
     source function never has more than two slices alive.
 
+    Each slice goes to ``out[k] = u`` as the sweep makes it, k = 0 ..
+    n_steps; ``out`` is anything that takes that assignment.  Slice k+1 of
+    the source is built before ``out[k + 1]`` is written, so ``out`` may be
+    the trajectory the source reads.  Without it, the trajectory array is
+    made here.
+
     Returns:
-        (trajectory (n_steps+1, n_s+2, n_y+2), LinearSolveReport)
+        (out, LinearSolveReport); the array made here has shape
+        (n_steps+1, n_s+2, n_y+2)
 
     Raises:
         ValueError: the step count is outside [1, n_t].
@@ -347,8 +354,9 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     if not 1 <= n <= grid.n_t:
         raise ValueError(f"step count {n} outside [1, {grid.n_t}]")
     source = f if f is None or callable(f) else f.__getitem__
-    traj = np.empty((n + 1, grid.n_s + 2, grid.n_y + 2))
-    traj[0] = psi
+    if out is None:
+        out = np.empty((n + 1, grid.n_s + 2, grid.n_y + 2))
+    out[0] = psi
     u = np.array(psi, dtype=float)
     n_solves = 0
     hs = (grid.ds, grid.dy)
@@ -361,14 +369,14 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
         f0, f1 = f1, None if source is None else source(k + 1)
         u, n_k = step_slices(st0, st1, u, grid, f0=f0, f1=f1)
         n_solves += n_k
-        traj[k + 1] = u
+        out[k + 1] = u
 
     nu = cross_cfl_number(fields, grid)
     if nu > 1.0:
         warnings.warn(f"explicit cross-term estimate {nu:.2f} > 1", CrossTermCFL)
     report = LinearSolveReport(k2=fields.k2, n_tridiag_solves=n_solves,
                                cross_cfl=nu, n_steps=n)
-    return traj, report
+    return out, report
 
 
 def supnorm_time_bound(fields: CoefficientFields, f, grid: GridSpec) -> dict:

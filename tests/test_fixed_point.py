@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -202,14 +202,40 @@ class TestApplyMap:
         f = build_rhs(u, spec, frozen.b_ref, grid)
         assert np.array_equal(v, solve_linear(frozen, psi, grid, f=f)[0])
 
+    @settings(max_examples=25, deadline=None)
+    @given(n_s=st.integers(8, 16), n_y=st.integers(8, 14), n_t=st.integers(1, 6),
+           amp=st.floats(0.0, 0.5), rho=st.floats(-0.9, 0.9))
+    @example(n_s=8, n_y=8, n_t=1, amp=0.3, rho=-0.5)
+    @example(n_s=8, n_y=8, n_t=2, amp=0.3, rho=0.5)
+    def test_in_place_equals_out_of_place(self, n_s, n_y, n_t, amp, rho):
+        # the map may write over its own input: the mixing ratio is taken
+        # from the whole input first and each source slice is read before
+        # the solve writes that slice, so the bits are the out-of-place ones
+        from lsvcal import fixed_point
+        # dt = 0.1 keeps the explicit cross-term estimate below 1
+        grid = make_grid(n_s=n_s, n_y=n_y, n_t=n_t, horizon=0.1 * n_t)
+        spec = make_spec(grid, b=b_perturbed(amp), rho=rho)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+        # an input whose slices differ, so a slice read late would show
+        u = apply_map(traj_of(make_psi(grid), grid), spec, grid, frozen=frozen)[0]
+        v, _ = apply_map(u, spec, grid, frozen=frozen)
+        w = u.copy()
+        assert apply_map(w, spec, grid, frozen=frozen, out=w)[0] is w
+        assert np.array_equal(w, v)
+        w = u.copy()
+        step = fixed_point._Overwrite(w)
+        apply_map(w, spec, grid, frozen=frozen, out=step)
+        assert np.array_equal(w, v)
+        assert step.residual == float(np.max(np.abs(v - u)))
+
     def test_one_pass_allocates_little_beyond_its_iterate(self, monkeypatch):
-        # one map application, its successive difference and its membership
-        # check hold the new iterate plus per-slice and per-slab scratch;
-        # each whole-trajectory temporary would add one trajectory here.  A
+        # one map application and its membership check hold the new
+        # iterate plus per-slice and per-slab scratch; each
+        # whole-trajectory temporary would add one trajectory here.  A
         # time step's scratch is about 60 slices, so 160 steps keep it
         # below 0.4 of a trajectory
         import tracemalloc
-        from lsvcal import fixed_point, holder
+        from lsvcal import holder
         grid = make_grid(n_s=32, n_y=20, n_t=160)
         spec = make_spec(grid, b=b_perturbed(0.05))
         psi = make_psi(grid)
@@ -223,7 +249,6 @@ class TestApplyMap:
         try:
             held = tracemalloc.get_traced_memory()[0]
             v, _ = apply_map(u, spec, grid, frozen=frozen)
-            fixed_point._sup_diff(v, u)
             check_membership(v, params, grid)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
@@ -341,56 +366,75 @@ class TestIterate:
         assert rep.converged
         assert rep.fixed_point_residual == rep.residuals[-1] <= rep.tol
 
-    def test_fixed_point_residual_uses_the_iterated_map(self):
+    def test_fixed_point_residual_uses_the_iterated_map(self, monkeypatch):
         # the residual check applies the map the loop iterated, mixed term
-        # included, against an independent whole-trajectory source
+        # included: the answer is that map's output on the last input,
+        # against an independent whole-trajectory source
+        import lsvcal.fixed_point
         grid = make_grid(n_s=32, n_y=20, n_t=20)
         spec = make_spec(grid, b=b_perturbed(0.05), rho=-0.5)
         psi = make_psi(grid)
-        p, rep = iterate(spec, grid, psi)
-        b_ref = spec.b_ref(grid)
-        fields = assemble_frozen(spec, grid, b_ref=b_ref)
-        v, _ = solve_linear(fields, psi, grid, f=build_rhs(p, spec, b_ref, grid),
-                            n_steps=p.shape[0] - 1)
-        assert rep.fixed_point_residual == float(np.max(np.abs(v - p)))
-
-    def test_converged_run_applies_the_map_once_per_iteration(self, monkeypatch):
-        # the answer is the input of the application whose residual passed
-        # tol, so no application runs after the loop
-        import lsvcal.fixed_point
-        grid = make_grid(n_s=32, n_y=20, n_t=20)
-        spec = make_spec(grid, b=b_perturbed(0.05))
         inputs = []
 
         def spy(u, *args, real=lsvcal.fixed_point.apply_map, **kwargs):
             inputs.append(u.copy())
             return real(u, *args, **kwargs)
         monkeypatch.setattr(lsvcal.fixed_point, "apply_map", spy)
-        p, rep = iterate(spec, grid, make_psi(grid))
-        assert rep.converged and rep.iterations >= 3
-        assert len(inputs) == rep.iterations
-        assert np.array_equal(inputs[-1], p)
-        assert rep.fixed_point_residual == rep.residuals[-1] <= rep.tol
+        p, rep = iterate(spec, grid, psi)
+        b_ref = spec.b_ref(grid)
+        fields = assemble_frozen(spec, grid, b_ref=b_ref)
+        v, _ = solve_linear(fields, psi, grid, f=build_rhs(inputs[-1], spec, b_ref, grid),
+                            n_steps=p.shape[0] - 1)
+        assert np.array_equal(p, v)
+        assert rep.fixed_point_residual == float(np.max(np.abs(v - inputs[-1])))
 
-    def test_spent_input_released_before_the_membership_check(self, monkeypatch):
-        # once the residual shows p is not the answer, iterate holds only v
+    def test_converged_run_applies_the_map_once_per_iteration(self, monkeypatch):
+        # each application maps the previous one's output, and the answer
+        # is the output of the application whose step passed tol, so no
+        # application runs after the loop
         import lsvcal.fixed_point
         grid = make_grid(n_s=32, n_y=20, n_t=20)
         spec = make_spec(grid, b=b_perturbed(0.05))
-        inputs, alive = [], []
+        inputs, outputs = [], []
 
-        def map_spy(u, *args, real=lsvcal.fixed_point.apply_map, **kwargs):
-            inputs.append(weakref.ref(u))
-            return real(u, *args, **kwargs)
-
-        def membership_spy(*args, real=lsvcal.fixed_point.check_membership, **kwargs):
-            alive.append(inputs[-1]() is not None)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(lsvcal.fixed_point, "apply_map", map_spy)
-        monkeypatch.setattr(lsvcal.fixed_point, "check_membership", membership_spy)
-        _, rep = iterate(spec, grid, make_psi(grid))
+        def spy(u, *args, real=lsvcal.fixed_point.apply_map, **kwargs):
+            inputs.append(u.copy())
+            result = real(u, *args, **kwargs)
+            outputs.append(u.copy())
+            return result
+        monkeypatch.setattr(lsvcal.fixed_point, "apply_map", spy)
+        p, rep = iterate(spec, grid, make_psi(grid))
         assert rep.converged and rep.iterations >= 3
-        assert alive == [r <= rep.tol for r in rep.residuals]
+        assert len(inputs) == rep.iterations
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, inputs[1:]))
+        assert np.array_equal(outputs[-1], p)
+        assert rep.residuals == [float(np.max(np.abs(b - a)))
+                                 for a, b in zip(inputs, outputs)]
+        assert rep.fixed_point_residual == rep.residuals[-1] <= rep.tol
+
+    def test_converged_run_holds_one_trajectory(self, monkeypatch):
+        # each application writes over its input, so beyond the operator
+        # and psi a run holds one trajectory plus per-slice and per-slab
+        # scratch; holding the input beside the output would be two
+        import tracemalloc
+        from lsvcal import holder
+        grid = make_grid(n_s=32, n_y=20, n_t=160)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        psi = make_psi(grid)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+        params = IterateBounds.from_initial(psi, grid)
+        # the slab budget is a byte count, not a share of the trajectory,
+        # so it shrinks with the grid
+        monkeypatch.setattr(holder, "_SLAB_BYTES", 4 * psi.nbytes)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            p, rep = iterate(spec, grid, psi, params=params, frozen=frozen)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.iterations >= 3
+        assert peak < 1.5 * p.nbytes
 
     def test_boundary_preserved_exactly(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)
