@@ -13,30 +13,50 @@ def d1(u: np.ndarray, h: float, axis: int) -> np.ndarray:
     """First derivative, centered interior, second-order one-sided edges.
 
     Axes with fewer than three nodes (a one-step trajectory) fall back to
-    the first-order difference; a single node differentiates to zero.
+    the first-order difference; a single node differentiates to zero.  The
+    operations and constants are ``np.gradient``'s, so the values are its
+    bit for bit, written straight into one C-ordered output.
     """
+    u = np.asarray(u, dtype=float)
     n = u.shape[axis]
     if n < 2:
         return np.zeros_like(u)
-    return np.gradient(u, h, axis=axis, edge_order=2 if n >= 3 else 1)
+    out = np.empty(u.shape)
+    f, o = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
+    if n < 3:
+        o[:] = (f[1] - f[0]) / h
+        return out
+    np.subtract(f[2:], f[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * h
+    o[0] = (-1.5 / h) * f[0] + (2.0 / h) * f[1] + (-0.5 / h) * f[2]
+    o[-1] = (0.5 / h) * f[-3] + (-2.0 / h) * f[-2] + (1.5 / h) * f[-1]
+    return out
 
 
 def d2(u: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative, centered interior, second-order one-sided edges."""
+    """Second derivative, centered interior, second-order one-sided edges.
+
+    The interior is ``u[2:] - 2 u[1:-1] + u[:-2]`` over h^2, formed in that
+    order in the output itself.
+    """
+    u = np.asarray(u, dtype=float)
     n = u.shape[axis]
     if n < 3:
         return np.zeros_like(u)
-    u = np.moveaxis(u, axis, 0)
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+    out = np.empty(u.shape)
+    f, o = np.moveaxis(u, axis, 0), np.moveaxis(out, axis, 0)
+    inner = o[1:-1]
+    np.multiply(2.0, f[1:-1], out=inner)
+    np.subtract(f[2:], inner, out=inner)
+    inner += f[:-2]
+    inner /= h * h
     if n >= 4:
         # 4-point one-sided stencils keep O(h^2) at the edges
-        out[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (h * h)
-        out[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / (h * h)
+        o[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
+        o[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h)
     else:
-        out[0] = out[1]
-        out[-1] = out[1]
-    return np.moveaxis(out, 0, axis)
+        o[0] = o[-1] = o[1]
+    return out
 
 
 def d2_cross(u: np.ndarray, hx: float, hy: float) -> np.ndarray:

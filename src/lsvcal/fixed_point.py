@@ -143,18 +143,21 @@ def _source(u: np.ndarray, spec: ModelSpec, frozen: CoefficientFields,
     """The source ``d2_S[a_s (ratio - 1/b_ref^2) u]
     + d2_Sy[a_x (sqrt(ratio) - 1/b_ref) u]`` as a function of the time index.
 
-    ``a_s``, ``a_x`` and ``b_ref`` are the frozen operator's; the centered
-    differences cover interior nodes, and b constant gives exact zeros.  The
-    mixing ratio is taken once, on the whole trajectory (its floor uses the
-    trajectory-wide maximum marginal); each call builds one source slice.
+    ``b_ref`` is the frozen operator's, and ``a_s`` and ``a_x`` are its unit
+    products of slice k, ``frozen.unit(k)``: the arrays the solve has just
+    evaluated for slice k's stencil.  The centered differences cover
+    interior nodes, and b constant gives exact zeros.  The mixing ratio is
+    taken once, on the whole trajectory (its floor uses the trajectory-wide
+    maximum marginal); each call builds one source slice.
     """
     mix = mixing_ratio(u, spec.b, grid)
     gap_ratio = (mix.ratio - 1.0 / (frozen.b_ref * frozen.b_ref))[..., None]
     gap_root = (mix.sqrt_ratio - 1.0 / frozen.b_ref)[..., None]
 
     def source_slice(k: int) -> np.ndarray:
-        f = fd.second_diff_interior(frozen.a_s[k] * gap_ratio[k] * u[k], grid.ds, axis=-2)
-        f += fd.cross_diff_interior(frozen.a_x[k] * gap_root[k] * u[k], grid.ds, grid.dy)
+        unit = frozen.unit(k)
+        f = fd.second_diff_interior(unit["a_s"] * gap_ratio[k] * u[k], grid.ds, axis=-2)
+        f += fd.cross_diff_interior(unit["a_x"] * gap_root[k] * u[k], grid.ds, grid.dy)
         return f
     return source_slice
 
@@ -216,7 +219,8 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     ``frozen``, the ``assemble_frozen`` result for this grid, serves every
     horizon attempt of a run and carries the only freeze anchor,
     ``frozen.b_ref``; without it, it is assembled here at ``spec.b_ref(grid)``.
-    Every iteration reads its operator and source products from ``frozen``.
+    Every iteration reads its operator and source products from ``frozen``,
+    which evaluates the products once per slice of each map application.
     Each map application starts from its input's first slice, which the
     constant start and every solve keep equal to ``psi``, and writes its
     result M(p) over its input p slice by slice, so a run holds ``frozen``

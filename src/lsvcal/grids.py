@@ -2,8 +2,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    x = np.linspace(lo, hi, n)
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)
@@ -12,7 +19,8 @@ class GridSpec:
 
     ``n_s`` and ``n_y`` count interior nodes; the stored node vectors include
     the two boundary nodes of each axis.  ``holder_exp`` is the Hoelder
-    exponent used by all norm estimates on this grid.
+    exponent used by all norm estimates on this grid.  The node vectors are
+    computed once per grid and are read-only; they take no part in equality.
     """
 
     s_min: float
@@ -47,17 +55,17 @@ class GridSpec:
     def dt(self) -> float:
         return self.horizon / self.n_t
 
-    @property
+    @cached_property
     def s_nodes(self) -> np.ndarray:
-        return np.linspace(self.s_min, self.s_max, self.n_s + 2)
+        return _nodes(self.s_min, self.s_max, self.n_s + 2)
 
-    @property
+    @cached_property
     def y_nodes(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.n_y + 2)
+        return _nodes(self.y_min, self.y_max, self.n_y + 2)
 
-    @property
+    @cached_property
     def t_nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_t + 1)
+        return _nodes(0.0, self.horizon, self.n_t + 1)
 
     @property
     def shape(self) -> tuple:

@@ -13,6 +13,7 @@ boundary template are preserved exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Callable
@@ -24,50 +25,63 @@ from . import fd, tridiag
 from .errors import CrossTermCFL, NonElliptic, NonEllipticAssembly, StabilityFailure
 from .grids import GridSpec
 from .mixing import b_values, mixing_ratio
-from .model import ModelSpec, operator_coefficients
+from .model import ModelSpec, diffusion_products, operator_coefficients
 
 
 @dataclass
 class CoefficientFields:
-    """Space-time coefficient arrays of the non-divergence operator.
+    """The frozen non-divergence operator over the horizon.
 
-    The coefficient products are held at unit mixing ratio, as
-    ``operator_coefficients`` names them: ``a_s = rho11 a1^2`` and
-    ``a_x = 2 rho12 a1 a2``; the fixed point's source reads them too.
+    Only ``b_s``, ``b_y`` and ``c``, built by differentiating the coefficient
+    products, are stored over the whole horizon.  The products are evaluated
+    per slice, at unit mixing ratio: ``products(k)`` returns those of
+    ``model.diffusion_products``, and ``unit(k)`` keeps the last slice's, so
+    a solve's stencil and the fixed point's source of slice k share them.
     ``slice(k)`` freezes them at the anchor: ``a_ss = a_s / b_ref^2`` and
     ``a_sy = a_x / (2 b_ref)``, the symmetric off-diagonal entry (the
-    operator term is ``2 a_sy d2u/dSdy``).  ``assemble_frozen`` records its
-    ``b_ref`` and ``grid``; built directly, the fields default to
-    ``b_ref = 1``.  ``k2`` and ``a_sy_max`` = max|a_sy| are computed once.
+    operator term is ``2 a_sy d2u/dSdy``).  ``k2``, the smallest eigenvalue
+    of the diffusion matrix, and ``a_sy_max`` = max|a_sy| over all nodes are
+    given; ``assemble_frozen`` takes them in its one pass over the slices and
+    records its floor, ``b_ref`` and ``grid``.  Built directly, the fields
+    default to ``b_ref = 1``.
 
     Raises:
-        NonElliptic: see ``ellipticity_constant``.
+        NonElliptic: ``k2`` is not strictly positive, or it undercuts the
+        theoretical floor ``ellipticity_floor`` by more than round-off.
     """
 
-    a_s: np.ndarray
-    a_x: np.ndarray
-    a_yy: np.ndarray
+    products: Callable[[int], dict]
     b_s: np.ndarray
     b_y: np.ndarray
     c: np.ndarray
+    k2: float
+    a_sy_max: float
     ellipticity_floor: float | None = None
     b_ref: float = 1.0
     grid: GridSpec | None = None
-    k2: float = field(init=False)
-    a_sy_max: float = field(init=False)
+    _unit: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.k2 = ellipticity_constant(self)
-        # slice by slice, as a full-field temporary would raise peak memory
-        self.a_sy_max = max(float(np.max(np.abs(self.slice(k)["a_sy"])))
-                            for k in range(len(self.a_x)))
+        if self.k2 <= 0:
+            raise NonElliptic(f"K2 = {self.k2:.3e} <= 0")
+        floor = self.ellipticity_floor
+        if floor is not None and self.k2 < floor - 1e-10 * max(1.0, abs(floor)):
+            raise NonElliptic(f"K2 = {self.k2:.6e} below theoretical floor {floor:.6e}")
+
+    def unit(self, k: int) -> dict:
+        """The products of slice k at unit ratio; evaluated once for calls
+        with the same k in a row."""
+        if self._unit[0] != k:
+            self._unit = (k, self.products(k))
+        return self._unit[1]
 
     def slice(self, k: int) -> dict:
         """The ``assemble_slice`` keys at time index k (anchor multiplied in last)."""
+        unit = self.unit(k)
         ratio, root = 1.0 / (self.b_ref * self.b_ref), 1.0 / self.b_ref
-        return {"a_s": self.a_s[k], "a_x": self.a_x[k],
-                "a_ss": self.a_s[k] * ratio, "a_sy": 0.5 * (self.a_x[k] * root),
-                "a_yy": self.a_yy[k], "b_s": self.b_s[k], "b_y": self.b_y[k], "c": self.c[k]}
+        return {"a_s": unit["a_s"], "a_x": unit["a_x"],
+                "a_ss": unit["a_s"] * ratio, "a_sy": 0.5 * (unit["a_x"] * root),
+                "a_yy": unit["a_y"], "b_s": self.b_s[k], "b_y": self.b_y[k], "c": self.c[k]}
 
 
 @dataclass
@@ -125,54 +139,45 @@ def assemble_frozen(spec: ModelSpec, grid: GridSpec, b_ref: float) -> Coefficien
     """Assemble the frozen linear operator on every time slice of the horizon.
 
     The mixing ratio is frozen at the exact constants 1/b_ref^2 and
-    1/b_ref; the coefficients keep their time dependence.  The products are
-    stored at unit ratio, and ``slice(k)`` gives back each slice bit for bit.
+    1/b_ref; the coefficients keep their time dependence.  Only ``b_s``,
+    ``b_y`` and ``c`` are stored; each solve evaluates the products again per
+    slice, and ``slice(k)`` gives back each assembled slice bit for bit.
+    K2, max|a_sy| and the ellipticity floor are taken in the same pass.
 
     Raises:
         NonEllipticAssembly: the assembled diffusion matrix is not
         uniformly positive definite.
     """
     ratio, root = 1.0 / (b_ref * b_ref), 1.0 / b_ref
-    arrays = {key: np.empty(grid.shape) for key in
-              ("a_s", "a_x", "a_yy", "b_s", "b_y", "c")}
+    stored = {key: np.empty(grid.shape) for key in ("b_s", "b_y", "c")}
+    k2, a_sy_max, a_min = math.inf, 0.0, np.inf
     for k in range(grid.n_t + 1):
         sl = assemble_slice(spec, grid, k, ratio, root)
-        for key, arr in arrays.items():
+        for key, arr in stored.items():
             arr[k] = sl[key]
+        k2 = min(k2, ellipticity_constant(sl))
+        a_sy_max = max(a_sy_max, float(np.max(np.abs(sl["a_sy"]))))
+        a_min = np.minimum(a_min, (sl["a_s"].min(), sl["a_yy"].min()))
 
-    # the theoretical floor min_eig * min(a1 / b, a2)^2, read off the stored
-    # rho11 a1^2 and rho22 a2^2 rather than evaluating the alphas again
+    # the theoretical floor min_eig * min(a1 / b, a2)^2, read off the
+    # minima of rho11 a1^2 and rho22 a2^2 rather than evaluating the alphas
     rho = spec.corr.entries
     b_hi = float(np.max(b_values(spec.b, grid)))
-    floor = spec.corr.min_eig * min(float(arrays["a_s"].min()) / (rho[0, 0] * b_hi * b_hi),
-                                    float(arrays["a_yy"].min()) / rho[1, 1])
+    floor = spec.corr.min_eig * min(float(a_min[0]) / (rho[0, 0] * b_hi * b_hi),
+                                    float(a_min[1]) / rho[1, 1])
 
     try:
-        return CoefficientFields(**arrays, ellipticity_floor=floor,
-                                 b_ref=b_ref, grid=grid)
+        return CoefficientFields(functools.partial(diffusion_products, spec, grid),
+                                 **stored, k2=k2, a_sy_max=a_sy_max,
+                                 ellipticity_floor=floor, b_ref=b_ref, grid=grid)
     except NonElliptic as err:
         raise NonEllipticAssembly(f"assembled operator: {err}") from err
 
 
-def ellipticity_constant(fields: CoefficientFields) -> float:
-    """Smallest eigenvalue of the diffusion matrix over all nodes.
-
-    Raises:
-        NonElliptic: the minimum is not strictly positive, or it undercuts
-        the theoretical floor recorded at assembly by more than round-off.
-    """
-    k2 = math.inf
-    for k in range(len(fields.a_x)):
-        sl = fields.slice(k)
-        k2 = min(k2, float(_min_eig_2x2(sl["a_ss"], sl["a_sy"], sl["a_yy"]).min()))
-    if k2 <= 0:
-        raise NonElliptic(f"K2 = {k2:.3e} <= 0")
-    if fields.ellipticity_floor is not None:
-        tol = 1e-10 * max(1.0, abs(fields.ellipticity_floor))
-        if k2 < fields.ellipticity_floor - tol:
-            raise NonElliptic(
-                f"K2 = {k2:.6e} below theoretical floor {fields.ellipticity_floor:.6e}")
-    return k2
+def ellipticity_constant(sl: dict) -> float:
+    """Smallest eigenvalue of a slice's diffusion matrix over its nodes;
+    an operator's K2 is the minimum over its slices."""
+    return float(_min_eig_2x2(sl["a_ss"], sl["a_sy"], sl["a_yy"]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +341,10 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     returns one slice.  Either way it is taken per step: slice k+1 is built
     for step k and carried into step k+1 as slice k, like the stencil, so a
     source function never has more than two slices alive.
+
+    The products of slice k are evaluated once, for its stencil; the source
+    of slice k is asked for right after, and may read them from
+    ``fields.unit(k)``.
 
     Each slice goes to ``out[k] = u`` as the sweep makes it, k = 0 ..
     n_steps; ``out`` is anything that takes that assignment.  Slice k+1 of

@@ -161,23 +161,30 @@ class ModelSpec:
         raise ValueError(f"unknown b_ref mode {mode!r}")
 
 
+def diffusion_products(spec: ModelSpec, grid: GridSpec, k: int) -> dict:
+    """Diffusion products at time index k and unit mixing ratio,
+    ``a_s = rho11 a1^2``, ``a_x = 2 rho12 a1 a2`` and ``a_y = rho22 a2^2``;
+    the frozen operator evaluates them per slice rather than storing them."""
+    t = grid.t_nodes[k]
+    a1 = eval_coeff(spec.alpha1, k, t, grid)
+    a2 = eval_coeff(spec.alpha2, k, t, grid)
+    rho = spec.corr.entries
+    return {"a_s": rho[0, 0] * a1 * a1, "a_x": 2.0 * rho[0, 1] * a1 * a2,
+            "a_y": rho[1, 1] * a2 * a2}
+
+
 def operator_coefficients(spec: ModelSpec, grid: GridSpec, k: int) -> dict:
     """Divergence-form coefficients of the forward operator at time index k
     and unit mixing ratio; ``linpde.assemble_slice`` multiplies a ratio in.
 
     The operator is ``-d2_S(a_s u) - d2_Sy(a_x u) - d2_y(a_y u) + d1_S(b1 u)
-    + d1_y(b2 u) + g u`` with ``a_s = rho11 a1^2``, ``a_x = 2 rho12 a1 a2``,
-    ``a_y = rho22 a2^2``, the drifts ``b1`` (with the rate's S-drift) and
-    ``b2``, and ``g`` (with the rate).
+    + d1_y(b2 u) + g u`` with the ``diffusion_products`` ``a_s``, ``a_x``
+    and ``a_y``, the drifts ``b1`` (with the rate's S-drift) and ``b2``, and
+    ``g`` (with the rate).
     """
     t = grid.t_nodes[k]
-    a1 = eval_coeff(spec.alpha1, k, t, grid)
-    a2 = eval_coeff(spec.alpha2, k, t, grid)
-    rho = spec.corr.entries
     return {
-        "a_s": rho[0, 0] * a1 * a1,
-        "a_x": 2.0 * rho[0, 1] * a1 * a2,
-        "a_y": rho[1, 1] * a2 * a2,
+        **diffusion_products(spec, grid, k),
         "b1": eval_coeff(spec.beta1, k, t, grid) + spec.rate * grid.s_nodes[:, None],
         "b2": eval_coeff(spec.beta2, k, t, grid),
         "g": eval_coeff(spec.gamma, k, t, grid) + spec.rate,

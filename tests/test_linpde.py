@@ -22,6 +22,18 @@ from conftest import b_const, b_perturbed, flat_sigma, make_grid, make_psi, make
 SCHAUDER_KHAT = 5.0
 
 
+def direct_fields(grid, a_s, a_x, a_yy, b_s=0.0, b_y=0.0, c=0.0):
+    """A frozen operator built directly at unit anchor: time-constant
+    products, broadcast stored fields, and K2 and max|a_sy| taken as
+    ``assemble_frozen`` takes them."""
+    unit = {key: np.broadcast_to(np.asarray(v, dtype=float), grid.shape[1:])
+            for key, v in (("a_s", a_s), ("a_x", a_x), ("a_y", a_yy))}
+    sl = {"a_ss": unit["a_s"], "a_sy": 0.5 * unit["a_x"], "a_yy": unit["a_y"]}
+    stored = (np.broadcast_to(v, grid.shape) for v in (b_s, b_y, c))
+    return CoefficientFields(lambda k: unit, *stored, k2=ellipticity_constant(sl),
+                             a_sy_max=float(np.max(np.abs(sl["a_sy"]))))
+
+
 def const_spec(alpha1=1.0, alpha2=1.0, rho=0.0, rate=0.0, beta1=None,
                beta2=None, gamma=None):
     return ModelSpec(b=1.0, alpha1=alpha1, alpha2=alpha2,
@@ -35,9 +47,11 @@ class TestAssembly:
         spec = const_spec(alpha1=0.5, alpha2=0.3, rho=0.2, rate=0.03)
         fields = assemble_frozen(spec, grid, b_ref=1.0)
         s = grid.s_nodes[:, None]
-        assert np.allclose(fields.a_s, 0.5 * 0.25, atol=1e-15)
-        assert np.allclose(fields.a_x, 2 * 0.1 * 0.5 * 0.3, atol=1e-15)
-        assert np.allclose(fields.a_yy, 0.5 * 0.09, atol=1e-15)
+        for k in range(grid.n_t + 1):
+            sl = fields.slice(k)
+            assert np.allclose(sl["a_s"], 0.5 * 0.25, atol=1e-15)
+            assert np.allclose(sl["a_x"], 2 * 0.1 * 0.5 * 0.3, atol=1e-15)
+            assert np.allclose(sl["a_yy"], 0.5 * 0.09, atol=1e-15)
         # drift rS from the rate, zeroth order d(rS)/dS + r = 2r
         assert np.allclose(fields.b_s[0], 0.03 * s, atol=1e-13)
         assert np.allclose(fields.b_y, 0.0, atol=1e-15)
@@ -64,20 +78,25 @@ class TestAssembly:
     @pytest.mark.parametrize("b,rho", [(b_const, 0.0), (b_perturbed(0.3), -0.4)],
                              ids=["flat-b", "perturbed-b"])
     def test_every_slice_assembled_for_time_varying_coefficients(self, b, rho, b_ref):
-        # alpha2 agrees at t = 0, T/2 and T and differs in between: every
-        # slice of the frozen operator is its own assembly, and the slice
-        # formed from the stored unit-ratio products and the anchor is that
-        # assembly bit for bit
+        # alpha2 = 0.2 + 0.1 sin^2(2 pi t / T) agrees at t = 0, T/2 and T and
+        # differs in between, with alpha1 constant in time and then varying
+        # with it: every slice of the frozen operator is its own assembly,
+        # and the slice formed from the products evaluated for slice k and
+        # the anchor is that assembly bit for bit, whatever slice was
+        # evaluated before it
         grid = make_grid(n_s=40, n_y=24, n_t=40)
         horizon = grid.horizon
-        spec = make_spec(grid, b=b, rho=rho, alpha2=lambda t, s, y:
-                         0.2 + 0.1 * np.sin(2 * np.pi * t / horizon) ** 2)
-        fields = assemble_frozen(spec, grid, b_ref=b_ref)
-        for k in range(grid.n_t + 1):
-            expected = assemble_slice(spec, grid, k, 1 / b_ref**2, 1 / b_ref)
-            got = fields.slice(k)
-            assert got.keys() == expected.keys(), k
-            assert all(np.array_equal(got[key], expected[key]) for key in expected), k
+        wave = np.sin(2 * np.pi * grid.t_nodes / horizon) ** 2
+        order = [*range(grid.n_t + 1), grid.n_t, *range(grid.n_t, -1, -3), 0, 0, 7]
+        for sigma in (None, flat_sigma(grid) * (1.0 + 0.5 * wave)[:, None]):
+            spec = make_spec(grid, b=b, rho=rho, sigma=sigma, alpha2=lambda t, s, y:
+                             0.2 + 0.1 * np.sin(2 * np.pi * t / horizon) ** 2)
+            fields = assemble_frozen(spec, grid, b_ref=b_ref)
+            for k in order:
+                expected = assemble_slice(spec, grid, k, 1 / b_ref**2, 1 / b_ref)
+                got = fields.slice(k)
+                assert got.keys() == expected.keys(), k
+                assert all(np.array_equal(got[key], expected[key]) for key in expected), k
 
     def test_linearity_in_frozen_ratio(self):
         # swapping the frozen constant for a per-S-node ratio (the
@@ -99,12 +118,8 @@ class TestAssembly:
 class TestEllipticity:
     def test_diagonal_case(self):
         grid = make_grid(n_s=16, n_y=12, n_t=4)
-        shape = grid.shape
-        mk = lambda v: np.broadcast_to(v, shape)
-        fields = CoefficientFields(a_s=mk(0.5 * 0.04), a_x=mk(0.0),
-                                   a_yy=mk(0.5 * 0.09), b_s=mk(0.0),
-                                   b_y=mk(0.0), c=mk(0.0))
-        assert ellipticity_constant(fields) == pytest.approx(0.02)
+        fields = direct_fields(grid, a_s=0.5 * 0.04, a_x=0.0, a_yy=0.5 * 0.09)
+        assert fields.k2 == pytest.approx(0.02)
 
     def test_worked_example(self):
         # market rho 0.5, alpha1 = alpha2 = 0.3, unit anchor:
@@ -112,7 +127,7 @@ class TestEllipticity:
         grid = make_grid(n_s=16, n_y=12, n_t=4)
         spec = const_spec(alpha1=0.3, alpha2=0.3, rho=0.5)
         fields = assemble_frozen(spec, grid, b_ref=1.0)
-        assert ellipticity_constant(fields) == pytest.approx(0.0225, abs=1e-14)
+        assert fields.k2 == pytest.approx(0.0225, abs=1e-14)
 
     def test_floor_tracks_time_varying_coefficients(self):
         # alpha dips away from the horizon endpoints and midpoint, so any
@@ -125,7 +140,8 @@ class TestEllipticity:
         from dataclasses import replace as dc_replace
         spec = dc_replace(spec, alpha1=a1)
         fields = assemble_frozen(spec, grid, b_ref=1.0)
-        k2 = ellipticity_constant(fields)
+        k2 = fields.k2
+        assert k2 == min(ellipticity_constant(fields.slice(k)) for k in range(grid.n_t + 1))
         assert fields.ellipticity_floor <= k2
         a1_slice_min = min(0.5 - 0.3 * math.sin(1.5 * math.pi * t)
                            for t in grid.t_nodes)
@@ -134,12 +150,8 @@ class TestEllipticity:
 
     def test_degenerate_cross_rejected(self):
         grid = make_grid(n_s=16, n_y=12, n_t=4)
-        shape = grid.shape
-        mk = lambda v: np.broadcast_to(v, shape)
         with pytest.raises(NonElliptic):
-            CoefficientFields(a_s=mk(0.02), a_x=mk(2 * np.sqrt(0.02 * 0.045)),
-                              a_yy=mk(0.045), b_s=mk(0.0), b_y=mk(0.0),
-                              c=mk(0.0))
+            direct_fields(grid, a_s=0.02, a_x=2 * np.sqrt(0.02 * 0.045), a_yy=0.045)
 
     def test_assembly_raises_non_elliptic_assembly(self):
         # alpha1 = 0 leaves the S diffusion at zero: K2 = 0
@@ -171,23 +183,48 @@ class TestEllipticity:
         assert np.array_equal(got, [0.0, -3.0, -1.0, -3.0])
 
     def test_invariants_computed_once_per_operator(self, monkeypatch):
+        # assembly takes K2 slice by slice in its one pass; the solves read it
         import lsvcal.linpde
         calls = []
 
-        def spy(fields, real=lsvcal.linpde.ellipticity_constant):
-            calls.append(fields)
-            return real(fields)
+        def spy(sl, real=lsvcal.linpde.ellipticity_constant):
+            calls.append(sl)
+            return real(sl)
         monkeypatch.setattr(lsvcal.linpde, "ellipticity_constant", spy)
         grid = make_grid(n_s=24, n_y=16, n_t=6)
         fields = assemble_frozen(make_spec(grid, rho=-0.5), grid, b_ref=1.0)
         psi = make_psi(grid)
         reports = [solve_linear(fields, psi, grid, n_steps=n)[1] for n in (2, 6, 6)]
-        assert len(calls) == 1 and calls[0] is fields
+        assert len(calls) == grid.n_t + 1
+        slices = [fields.slice(k) for k in range(grid.n_t + 1)]
         for rep in reports:
-            assert rep.k2 == fields.k2 == ellipticity_constant(fields)
+            assert rep.k2 == fields.k2 == min(map(ellipticity_constant, slices))
             assert rep.cross_cfl == cross_cfl_number(fields, grid)
         # unit anchor: a_sy is half of a_x
-        assert fields.a_sy_max == float(np.max(np.abs(0.5 * fields.a_x)))
+        assert fields.a_sy_max == max(float(np.max(np.abs(0.5 * sl["a_x"]))) for sl in slices)
+
+    def test_operator_stores_three_fields(self):
+        # b_s, b_y and c are the only whole-horizon arrays the operator
+        # holds: the products it reaches through its spec are per slice
+        import gc
+        import types
+        grid = make_grid(n_s=24, n_y=16, n_t=6)
+        fields = assemble_frozen(make_spec(grid, rho=-0.5), grid, b_ref=1.0)
+        fields.slice(3)
+        seen, todo, held = set(), [fields], []
+        skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, skip):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if obj.size >= np.prod(grid.shape):
+                    held.append(obj)
+                continue
+            todo.extend(gc.get_referents(obj))
+        assert sorted(id(a) for a in held) == sorted(map(id, (fields.b_s, fields.b_y, fields.c)))
+        assert all(a.shape == grid.shape and a.dtype == np.float64 for a in held)
 
 
 @st.composite
@@ -307,12 +344,13 @@ def mms_fields(grid):
     y2 = grid.y_nodes[None, :]
     shape = grid.shape
     arrays = {k: np.asarray(fn(0.0, s2, y2), dtype=float) for k, fn in lam.items()}
-    # the fields hold the products at unit anchor: a_s = a_ss, a_x = 2 a_sy
-    arrays["a_s"], arrays["a_x"] = arrays.pop("a_ss"), 2.0 * arrays.pop("a_sy")
     fsrc = np.empty(shape)
     for k, t in enumerate(grid.t_nodes):
         fsrc[k] = f_fn(t, s2, y2)
-    fields = CoefficientFields(**{k: np.broadcast_to(v, shape) for k, v in arrays.items()})
+    # the products at unit anchor: a_s = a_ss, a_x = 2 a_sy
+    fields = direct_fields(grid, a_s=arrays["a_ss"], a_x=2.0 * arrays["a_sy"],
+                           a_yy=arrays["a_yy"], b_s=arrays["b_s"], b_y=arrays["b_y"],
+                           c=arrays["c"])
     return fields, fsrc, v_fn
 
 
@@ -443,14 +481,11 @@ class TestStepAndSolve:
         # drift below the mesh Peclet limit: the max cannot grow
         grid = make_grid(n_s=32, n_y=24, n_t=20, s_span=(0.0, 1.0),
                          y_span=(0.0, 1.0))
-        shape = grid.shape
-        mk = lambda v: np.broadcast_to(v, shape)
-        fields = CoefficientFields(a_s=mk(0.1), a_x=mk(0.0), a_yy=mk(0.1),
-                                   b_s=mk(0.5), b_y=mk(-0.5), c=mk(0.2))
+        fields = direct_fields(grid, a_s=0.1, a_x=0.0, a_yy=0.1, b_s=0.5, b_y=-0.5, c=0.2)
         s = grid.s_nodes[:, None]
         y = grid.y_nodes[None, :]
         psi = 1.0 + np.sin(np.pi * s) * np.sin(np.pi * y)
-        traj, _ = solve_linear(fields, psi, grid, f=mk(-0.1))
+        traj, _ = solve_linear(fields, psi, grid, f=np.broadcast_to(-0.1, grid.shape))
         assert traj.max() <= psi.max() + 1e-10
 
     def test_boundary_template_carried_exactly(self):
