@@ -74,14 +74,15 @@ class MembershipLost(CalibrationError):
     """An iterate left the admissible set (pointwise bounds or norm cap).
 
     Carries the iteration index, the running report and the offending
-    trajectory so callers can still persist artifacts.
+    trajectory so callers can still persist artifacts.  ``detail`` ends
+    the message, naming where the iterate left and which bound it broke.
     """
 
-    def __init__(self, iteration, report=None, density=None):
+    def __init__(self, iteration, report=None, density=None, detail=""):
         self.iteration = iteration
         self.report = report
         self.density = density
-        super().__init__(f"iterate {iteration} left the admissible set")
+        super().__init__(f"iterate {iteration} left the admissible set{detail}")
 
 
 class NotConverged(CalibrationError):

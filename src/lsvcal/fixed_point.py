@@ -59,6 +59,11 @@ class IterateBounds:
         return cls(holder_cap=cap, p_lo=p_lo, p_hi=p_hi,
                    t_star=grid.horizon, tol=tol_factor * p_hi)
 
+    @property
+    def band(self) -> tuple:
+        """The pointwise bounds ``(p_lo/2, p_hi + p_lo/2)``."""
+        return 0.5 * self.p_lo, self.p_hi + 0.5 * self.p_lo
+
 
 @dataclass
 class MembershipResult:
@@ -85,8 +90,7 @@ def check_membership(p: np.ndarray, params: IterateBounds,
     """Check the pointwise bounds and the norm cap for a trajectory; pass
     one slice as ``p[None]``."""
     p = np.asarray(p, dtype=float)
-    lo = 0.5 * params.p_lo
-    hi = params.p_hi + 0.5 * params.p_lo
+    lo, hi = params.band
     pmin = float(p.min())
     pmax = float(p.max())
     nrm = float(holder_norm(p, 2, grid).value)
@@ -176,7 +180,8 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
     ``out`` goes to ``solve_linear``, which hands it each slice of the
     result as ``out[k] = v``.  It may be ``u`` itself, or write over ``u``:
     the mixing ratio is taken from the whole of ``u`` first, and the source
-    of slice k+1 is built before slice k+1 is written.
+    of slice k+1 is built before slice k+1 is written.  An ``out`` that
+    raises stops the solve there, and the exception leaves ``apply_map``.
 
     Returns:
         (out, LinearSolveReport) of the linear solve; without ``out``, the
@@ -189,22 +194,50 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
                         n_steps=u.shape[0] - 1, out=out)
 
 
+class _Escaped(Exception):
+    """A map output's slice ``k`` left the pointwise band."""
+
+    def __init__(self, k: int):
+        super().__init__(k)
+        self.k = k
+
+
 class _Overwrite:
     """``out`` for a map application that writes its result over its input
     ``p``: each slice's step ``max|v[k] - p[k]|`` is taken before ``v[k]``
-    replaces ``p[k]``, and ``residual`` is ``max|M(p) - p|``."""
+    replaces ``p[k]``, and ``residual`` is the largest step so far,
+    ``max|M(p) - p|`` once every slice is written.
 
-    def __init__(self, p: np.ndarray):
+    A slice whose extremes leave the band ``(lo, hi)``, compared as
+    ``check_membership`` compares a trajectory's, is written and then
+    raises ``_Escaped``, which stops the solve: the bounds hold slice by
+    slice and a solve is causal, so no later slice can change the verdict.
+    """
+
+    def __init__(self, p: np.ndarray, lo: float, hi: float):
         self.p = p
+        self.band = lo, hi
         self.steps = []
 
     def __setitem__(self, k: int, v: np.ndarray):
         self.steps.append(np.max(np.abs(v - self.p[k])))
         self.p[k] = v
+        lo, hi = self.band
+        if not (float(v.min()) >= lo and float(v.max()) <= hi):
+            raise _Escaped(k)
 
     @property
     def residual(self) -> float:
         return float(np.max(self.steps))
+
+
+def _failed_bounds(mem: MembershipResult) -> str:
+    """The bounds a membership record breaks, with the values that break them."""
+    return ", ".join(text for ok, text in (
+        (mem.lower_ok, f"min {mem.min:.6g} < lower bound {mem.lower_bound:.6g}"),
+        (mem.upper_ok, f"max {mem.max:.6g} > upper bound {mem.upper_bound:.6g}"),
+        (mem.norm_ok, f"Hoelder norm {mem.norm:.6g} > cap {mem.norm_cap:.6g}"))
+        if not ok)
 
 
 def _horizon_steps(t_star: float, grid: GridSpec) -> int:
@@ -231,11 +264,20 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     application whose step ``max|M(p) - p|`` passed ``tol``; that step is
     the report's ``fixed_point_residual``.
 
+    An application stops at the first slice of M(p) outside the pointwise
+    bounds: its verdict is fixed there, as the bounds hold slice by slice
+    and the solve is causal.  Its membership check, gap monitor and step
+    then cover the slices made, and that prefix is the exception's
+    trajectory.  An application that stays inside the bounds is checked
+    over the whole horizon.
+
     Raises:
         ValueError: ``max_iter`` < 1, or ``frozen`` was built for another
             grid.
         MembershipLost: an iterate left the admissible set (the exception
-            carries the report and the offending trajectory).
+            carries the report and the offending trajectory, which ends at
+            the first slice outside the pointwise bounds, if there is one;
+            its message names that slice and the bounds broken).
         NotConverged: the iteration budget ran out.
     """
     if max_iter < 1:
@@ -254,14 +296,19 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
-        step = _Overwrite(p)
-        apply_map(p, spec, grid, frozen=frozen, out=step)
+        step = _Overwrite(p, *params.band)
+        try:
+            apply_map(p, spec, grid, frozen=frozen, out=step)
+            made, where = p, ""
+        except _Escaped as esc:
+            made = p[:esc.k + 1]
+            where = f" at slice {esc.k} (t = {grid.t_nodes[esc.k]:.6g})"
         resid = step.residual
-        mem = check_membership(p, params, grid)
+        mem = check_membership(made, params, grid)
         report.residuals.append(resid)
         report.membership.append(asdict(mem))
         try:
-            rec = ratio_gap_monitor(p, spec.b, frozen.b_ref, grid, bsq_slope,
+            rec = ratio_gap_monitor(made, spec.b, frozen.b_ref, grid, bsq_slope,
                                     p_norm=mem.norm)
             report.gap_monitor.append(asdict(rec))
         except (DegenerateDenominator, ValueError) as err:
@@ -270,7 +317,8 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         report.iterations = n
         if not mem.ok:
             report.fit_contraction()
-            raise MembershipLost(n, report=report, density=p)
+            raise MembershipLost(n, report=report, density=made,
+                                 detail=f"{where}: {_failed_bounds(mem)}")
         if resid <= params.tol:
             report.converged = True
             report.fixed_point_residual = resid

@@ -349,8 +349,12 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     Each slice goes to ``out[k] = u`` as the sweep makes it, k = 0 ..
     n_steps; ``out`` is anything that takes that assignment.  Slice k+1 of
     the source is built before ``out[k + 1]`` is written, so ``out`` may be
-    the trajectory the source reads.  Without it, the trajectory array is
-    made here.
+    the trajectory the source reads.  An ``out`` that raises stops the
+    solve: the exception leaves ``solve_linear`` and no later step is made.
+    Without it, the trajectory array is made here.
+
+    ``CrossTermCFL``, which depends on the operator alone, is issued before
+    the sweep, so a stopped solve issues it too.
 
     Returns:
         (out, LinearSolveReport); the array made here has shape
@@ -362,6 +366,9 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     n = grid.n_t if n_steps is None else int(n_steps)
     if not 1 <= n <= grid.n_t:
         raise ValueError(f"step count {n} outside [1, {grid.n_t}]")
+    nu = cross_cfl_number(fields, grid)
+    if nu > 1.0:
+        warnings.warn(f"explicit cross-term estimate {nu:.2f} > 1", CrossTermCFL)
     source = f if f is None or callable(f) else f.__getitem__
     if out is None:
         out = np.empty((n + 1, grid.n_s + 2, grid.n_y + 2))
@@ -380,9 +387,6 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
         n_solves += n_k
         out[k + 1] = u
 
-    nu = cross_cfl_number(fields, grid)
-    if nu > 1.0:
-        warnings.warn(f"explicit cross-term estimate {nu:.2f} > 1", CrossTermCFL)
     report = LinearSolveReport(k2=fields.k2, n_tridiag_solves=n_solves,
                                cross_cfl=nu, n_steps=n)
     return out, report

@@ -43,6 +43,28 @@ def build_rhs(u, spec, b_ref, grid):
     return f
 
 
+def iterate_oracle(spec, grid, psi, params, max_iter=50):
+    """Whole-horizon oracle of ``iterate``: each map application runs out
+    of place over the whole horizon, and membership is checked afterwards.
+
+    Returns (outcome, iterations, last map output, per-slice steps of each
+    application); the outcome is ``"converged"``, ``"MembershipLost"`` or
+    ``"NotConverged"``.
+    """
+    frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+    k_star = max(1, min(grid.n_t, round(params.t_star / grid.dt)))
+    p, steps = traj_of(psi, grid, k_star), []
+    for n in range(1, max_iter + 1):
+        v, _ = apply_map(p, spec, grid, frozen=frozen)
+        steps.append(np.max(np.abs(v - p), axis=(1, 2)))
+        p = v
+        if not check_membership(p, params, grid).ok:
+            return "MembershipLost", n, p, steps
+        if steps[-1].max() <= params.tol:
+            return "converged", n, p, steps
+    return "NotConverged", max_iter, p, steps
+
+
 class TestIterateBounds:
     def test_from_initial(self, grid):
         psi = make_psi(grid)
@@ -233,7 +255,7 @@ class TestApplyMap:
         assert apply_map(w, spec, grid, frozen=frozen, out=w)[0] is w
         assert np.array_equal(w, v)
         w = u.copy()
-        step = fixed_point._Overwrite(w)
+        step = fixed_point._Overwrite(w, -np.inf, np.inf)
         apply_map(w, spec, grid, frozen=frozen, out=step)
         assert np.array_equal(w, v)
         assert step.residual == float(np.max(np.abs(v - u)))
@@ -347,6 +369,83 @@ class TestIterate:
         (p1, rep1), (p2, rep2) = run(), run()
         assert np.array_equal(p1, p2)
         assert rep1 == rep2
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_s=st.integers(12, 32), n_y=st.integers(10, 24), n_t=st.integers(2, 16),
+           horizon=st.floats(0.1, 1.0), share=st.floats(0.05, 1.0),
+           s=st.floats(0.0, 6.0))
+    # iterate 2 leaves at slice 2 of 16; iterate 1 leaves at slice 12 of
+    # 16; convergence after 9 iterations
+    @example(n_s=32, n_y=24, n_t=16, horizon=1.0, share=1.0, s=5.0)
+    @example(n_s=24, n_y=16, n_t=16, horizon=1.0, share=1.0, s=1.0)
+    @example(n_s=32, n_y=24, n_t=16, horizon=1.0, share=1.0, s=2.0)
+    def test_stopped_applications_match_the_whole_horizon_oracle(
+            self, n_s, n_y, n_t, horizon, share, s):
+        # b = sqrt1p_sin:s over a range of horizons: stopping an
+        # application at its first slice out of band changes no outcome, no
+        # failing iteration and no converged trajectory; an escaped
+        # trajectory is the oracle's up to that slice
+        grid = make_grid(n_s=n_s, n_y=n_y, n_t=n_t, horizon=horizon)
+        spec = make_spec(grid, b=b_perturbed(s))
+        psi = make_psi(grid)
+        params = replace(IterateBounds.from_initial(psi, grid),
+                         t_star=share * horizon)
+        outcome, n, want, steps = iterate_oracle(spec, grid, psi, params)
+        try:
+            p, rep = iterate(spec, grid, psi, params=params)
+            got = "converged"
+        except (MembershipLost, NotConverged) as err:
+            p, rep, got = err.density, err.report, type(err).__name__
+        assert (got, rep.iterations) == (outcome, n)
+        assert rep.residuals[:-1] == [float(x.max()) for x in steps[:-1]]
+        assert rep.residuals[-1] == float(steps[-1][:len(p)].max())
+        if got != "MembershipLost":
+            assert np.array_equal(p, want)
+            return
+        lo, hi = params.band
+        inside = (want.min(axis=(1, 2)) >= lo) & (want.max(axis=(1, 2)) <= hi)
+        # the first slice out of band ends the trajectory, or it is whole
+        assert len(p) == (len(want) if inside.all() else int(np.argmin(inside)) + 1)
+        assert np.array_equal(p, want[:len(p)])
+
+    def test_escaping_application_stops_at_its_first_slice_out_of_band(
+            self, monkeypatch):
+        # the tests' recovery config: iterate 2 leaves the lower bound early
+        # in the horizon, and its application makes no step after that slice
+        import lsvcal.fixed_point
+        import lsvcal.linpde
+        grid = make_grid(n_s=48, n_y=32, n_t=32)
+        spec = make_spec(grid, b=b_perturbed(5.0))
+        psi = make_psi(grid)
+        params = IterateBounds.from_initial(psi, grid)
+        steps, starts = [], []
+
+        def step_spy(*args, real=lsvcal.linpde.step_slices, **kwargs):
+            steps.append(1)
+            return real(*args, **kwargs)
+
+        def map_spy(*args, real=lsvcal.fixed_point.apply_map, **kwargs):
+            starts.append(len(steps))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lsvcal.linpde, "step_slices", step_spy)
+        monkeypatch.setattr(lsvcal.fixed_point, "apply_map", map_spy)
+        with pytest.raises(MembershipLost) as err:
+            iterate(spec, grid, psi, params=params)
+        rep, dens = err.value.report, err.value.density
+        j = len(steps) - starts[-1]
+        assert len(starts) == rep.iterations == err.value.iteration
+        assert [b - a for a, b in zip(starts, starts[1:])] == [grid.n_t] * (len(starts) - 1)
+        assert 1 <= j < grid.n_t
+        assert dens.shape == (j + 1,) + psi.shape
+        lo, hi = params.band
+        assert [bool(u.min() >= lo and u.max() <= hi) for u in dens] == [True] * j + [False]
+        mem = rep.membership[-1]
+        assert not (mem["lower_ok"] and mem["upper_ok"])
+        assert str(err.value).startswith(
+            f"iterate {rep.iterations} left the admissible set at slice {j} "
+            f"(t = {grid.t_nodes[j]:.6g}): ")
+        assert ("< lower bound" in str(err.value)) is not mem["lower_ok"]
+        assert ("> upper bound" in str(err.value)) is not mem["upper_ok"]
 
     def test_small_perturbation_contracts_geometrically(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)

@@ -420,6 +420,39 @@ class TestManufacturedSolution:
 
 
 class TestStepAndSolve:
+    def test_out_that_raises_stops_the_solve_after_the_warning(self, monkeypatch):
+        # the cross-term estimate depends on the operator alone: it is
+        # issued before the first slice, so a solve its out stops issues it
+        import lsvcal.linpde
+        grid = make_grid(n_s=24, n_y=16, n_t=10, s_span=(0.0, 1.0), y_span=(0.0, 1.0))
+        fields = direct_fields(grid, a_s=1.0, a_x=1.0, a_yy=1.0)
+        steps = []
+
+        def step_spy(*args, real=lsvcal.linpde.step_slices, **kwargs):
+            steps.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lsvcal.linpde, "step_slices", step_spy)
+
+        class Stop(Exception):
+            pass
+
+        class Out:
+            def __init__(self):
+                self.seen = []     # (slice, warnings issued by then)
+
+            def __setitem__(self, k, u):
+                self.seen.append((k, len(record)))
+                if k == 2:
+                    raise Stop
+        out = Out()
+        with pytest.warns(CrossTermCFL) as record, pytest.raises(Stop):
+            solve_linear(fields, np.ones(grid.shape[1:]), grid, out=out)
+        nu = cross_cfl_number(fields, grid)
+        assert nu > 1.0
+        assert [str(w.message) for w in record] == [
+            f"explicit cross-term estimate {nu:.2f} > 1"]
+        assert out.seen == [(0, 1), (1, 1), (2, 1)] and len(steps) == 2
+
     def test_constants_are_exact_fixed_points(self):
         grid = make_grid(n_s=24, n_y=16, n_t=10)
         spec = const_spec(alpha1=0.4, alpha2=0.25, rho=-0.4)

@@ -494,22 +494,35 @@ class TestExitCodes:
         cfg = RunConfig.from_file(write_config(
             tmp_path, b="sqrt1p_sin:5.0", ns=48, ny=32, nt=32,
             extra="fp.max_halvings = 0"))
-        assert run_pipeline(cfg, log=lambda m: None) == 2
+        logged = []
+        assert run_pipeline(cfg, log=logged.append) == 2
+        # iterate 2 stops at slice 2, the first below the lower bound, and
+        # the last attempt's artifacts end there
+        assert [m.split(": min ")[0] for m in logged] == [
+            f"fixed point {how}: iterate 2 left the admissible set at slice 2 (t = 0.0625)"
+            for how in ("failed at full horizon", "not converged")]
+        assert all(m.endswith(" < lower bound 1.59155e-08") for m in logged)
         out = tmp_path / "out"
         fp = json.loads((out / "fixed_point.json").read_text())
         assert set(fp) == FIXED_POINT_KEYS
         assert fp["converged"] is False and fp["t_star"] == 1.0
         assert not all(fp["membership"][-1][k]
                        for k in ("lower_ok", "upper_ok", "norm_ok"))
+        assert fp["membership"][-1]["lower_ok"] is False
         rep = json.loads((out / "report.json").read_text())
         assert rep["status_hint"] == 2
         assert "verification" not in rep
-        # everything but the leverage, whose mixing ratio the escaped
-        # iterate breaks
-        assert rep["error"].startswith("DegenerateDenominator: ")
+        # the prefix's mixing ratio is measurable, so the leverage is
+        # written too and nothing failed after the solve
+        assert "error" not in rep
         assert set(os.listdir(out)) == (
             {"fixed_point.json", "report.json", "run_meta.json", "local_vol.csv",
-             "marginals.csv"} | {f"density_{k}.csv" for k in (*range(0, 32, 3), 32)})
+             "marginals.csv", "leverage.csv"} | {f"density_{k}.csv" for k in (0, 2)})
+        # the marginals at the snapshots, the leverage at every slice made
+        for name, ts in (("marginals.csv", [0.0, 0.0625]),
+                         ("leverage.csv", [0.0, 0.03125, 0.0625])):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert sorted({float(r.split(",")[0]) for r in rows}) == ts
 
     @pytest.mark.parametrize("name", ["fixed_point.json", "local_vol.csv",
                                       "marginals.csv", "density_12.csv",
