@@ -10,6 +10,14 @@ one corrector pass (Craig-Sneyd splitting with theta = 1/2, which is
 unconditionally stable with a mixed term).  All stages work on the
 increment relative to the previous step, so constants and the Dirichlet
 boundary template are preserved exactly.
+
+A step works on C-ordered (S, y) slices.  Its explicit parts are flat
+passes over the slice's rows 1 .. n_S, which read S-neighbours
+n_y + 2 entries away and y-neighbours one entry away; entries of the
+boundary columns come out undefined and every stage zeroes the boundary
+ring.  The y-sweeps solve the rows of that layout, the S-sweeps those of
+its transpose; each sweep's diagonals and right-hand side are built for
+``tridiag``, which factors and solves them in place.
 """
 from __future__ import annotations
 
@@ -194,7 +202,8 @@ _AXIS_KEYS = (("a_ss", "b_s"), ("a_yy", "b_y"))
 
 def _weights(a, b, h: float) -> tuple:
     """Lower and upper neighbour weights of a d2u - b d1u on spacing h."""
-    return a / (h * h) + b / (2.0 * h), a / (h * h) - b / (2.0 * h)
+    diffusion, drift = a / (h * h), b / (2.0 * h)
+    return diffusion + drift, diffusion - drift
 
 
 def stencil(sl: dict, hs: tuple) -> dict:
@@ -210,17 +219,50 @@ def stencil(sl: dict, hs: tuple) -> dict:
                        for (a_key, b_key), h in zip(_AXIS_KEYS, hs))}
 
 
-def _apply(st: dict, u: np.ndarray, axis: int) -> np.ndarray:
-    """One-dimensional part along ``axis``: a d2u - b d1u - c/2 u, interior."""
-    lo, up, c, v = (np.swapaxes(x, 0, axis) for x in (*st["w"][axis], st["c"], u))
-    out = np.zeros_like(v)
-    out[1:-1] = (lo[1:-1] * (v[:-2] - v[1:-1]) + up[1:-1] * (v[2:] - v[1:-1])
-                 - 0.5 * c[1:-1] * v[1:-1])
-    return np.swapaxes(out, 0, axis)
+def _rows(u: np.ndarray) -> slice:
+    """The flat C-order range of the rows 1 .. n_S of a slice: the nodes
+    whose S-neighbours both exist.  A step forms its explicit operator parts
+    on this range, whose first and last column hold values the operator
+    does not define; every stage zeroes them with the rest of the ring."""
+    return slice(u.shape[1], u.size - u.shape[1])
 
 
-def _apply_mix(sl: dict, u: np.ndarray, ds: float, dy: float) -> np.ndarray:
-    return 2.0 * sl["a_sy"] * fd.cross_diff_interior(u, ds, dy)
+def _differences(u: np.ndarray) -> tuple:
+    """Neighbour differences ``u[i+1] - u[i]`` of a slice along S and along
+    y, over its flat C order (the y-difference at the end of a row pairs
+    the nodes of two rows)."""
+    f, n = u.reshape(-1), u.shape[1]
+    return f[n:] - f[:-n], f[1:] - f[:-1]
+
+
+def _apply(st: dict, u: np.ndarray, diffs: tuple) -> list:
+    """The one-dimensional parts a d2u - b d1u - c/2 u of both axes over
+    `_rows`, from the neighbour differences ``diffs`` of ``u``.
+
+    Along an axis, node i takes ``up (u[i+1] - u[i]) - lo (u[i] - u[i-1])
+    - (c/2) u[i]``.  That is ``lo (u[i-1] - u[i]) + up (u[i+1] - u[i])
+    - (c/2) u[i]`` bit for bit: negation is exact and a + (-b) is a - b.
+    """
+    rows, n = _rows(u), u.shape[1]
+    g_s, g_y = diffs
+    half_cu = 0.5 * st["c"].reshape(-1)[rows]
+    half_cu *= u.reshape(-1)[rows]
+    parts = []
+    for (lo, up), back, ahead in zip(
+            st["w"], (g_s[:-n], g_y[n - 1:u.size - n - 1]), (g_s[n:], g_y[rows])):
+        part = up.reshape(-1)[rows] * ahead
+        part -= lo.reshape(-1)[rows] * back
+        part -= half_cu
+        parts.append(part)
+    return parts
+
+
+def _apply_mix(st: dict, u: np.ndarray, ds: float, dy: float) -> np.ndarray:
+    """The mixed part 2 a_sy d2u/dSdy over `_rows`."""
+    rows = _rows(u)
+    mix = fd.cross_diff_interior(u, ds, dy).reshape(-1)[rows]
+    mix *= 2.0 * st["a_sy"].reshape(-1)[rows]
+    return mix
 
 
 def _zero_ring(v: np.ndarray) -> np.ndarray:
@@ -233,25 +275,32 @@ def _sweep_system(st1: dict, theta_dt: float, axis: int) -> tuple:
     """Assemble and factor (I - theta*dt*A_axis) for every grid line.
 
     The systems are laid out contiguously along the last axis, as
-    ``tridiag.factor_batch`` takes them.  Returns the factorization.
+    ``tridiag.factor_batch`` takes them; the diagonals are built for it
+    alone, and it factors them in place.  Returns the factorization.
     """
     lo, up = st1["w"][axis]
-    diag = 1.0 + theta_dt * (lo + up) + theta_dt * 0.5 * st1["c"]
-    lower, diag, upper = (np.ascontiguousarray(np.swapaxes(x, axis, 1))
-                          for x in (-theta_dt * lo, diag, -theta_dt * up))
+    diag = lo + up
+    diag *= theta_dt
+    diag += 1.0
+    diag += theta_dt * 0.5 * st1["c"]
+    lower, upper = -theta_dt * lo, -theta_dt * up
     # identity rows for the boundary unknowns of each system and for the
-    # two boundary systems
+    # two boundary systems: the boundary ring in either layout
     _zero_ring(lower)
     _zero_ring(upper)
     diag[:, 0] = diag[:, -1] = 1.0
     diag[0, :] = diag[-1, :] = 1.0
-    return tridiag.factor_batch(lower, diag, upper)
+    return tridiag.factor_batch(*(np.ascontiguousarray(np.swapaxes(x, axis, 1))
+                                  for x in (lower, diag, upper)))
 
 
-def _sweep(factors: tuple, rhs: np.ndarray, axis: int) -> np.ndarray:
-    """Solve a factored sweep system along ``axis``; the solution comes back
-    in the (S, y) layout."""
-    rhs = np.swapaxes(rhs, axis, 1).copy()
+def _sweep(factors: tuple, d: np.ndarray, chi: np.ndarray, axis: int) -> np.ndarray:
+    """Solve a factored sweep system along ``axis`` for the right-hand side
+    ``d + chi``; the solution comes back in the (S, y) layout.
+
+    The sum is laid out as the systems are and solved in place.
+    """
+    rhs = np.ascontiguousarray(np.swapaxes(d + chi, axis, 1))
     rhs[:, 0] = rhs[:, -1] = 0.0
     x = tridiag.solve_batch(factors, rhs)
     return np.ascontiguousarray(np.swapaxes(x, axis, 1))
@@ -268,36 +317,56 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
     through every stage unchanged.  Each axis's sweep matrix is factored
     once and serves the predictor and the single corrector pass, which
     re-evaluates the mixed term (and the source) at the predicted increment.
+
+    The explicit parts are formed in flat passes over the rows 1 .. n_S
+    (`_rows`), both stencils' one-dimensional parts from one set of
+    neighbour differences of ``u``.  Each sweep's diagonals and right-hand
+    side are made for ``tridiag`` alone, which works on them in place.
     """
     ds, dy, dt = grid.ds, grid.dy, grid.dt
     theta_dt = THETA * dt
+    rows = _rows(u)
 
-    # the explicit stage works in place: a step holds factored systems of
-    # both axes, so its temporaries set the solver's peak memory
-    a0 = [_apply(st0, u, axis) for axis in (0, 1)]
+    diffs = _differences(u)
+    a0 = _apply(st0, u, diffs)
     am0 = _apply_mix(st0, u, ds, dy)
-    delta0 = a0[0] + a0[1] + am0
+    delta0 = np.empty(u.shape)
+    inner = delta0.reshape(-1)[rows]
+    np.add(a0[0], a0[1], out=inner)
+    inner += am0
     if f0 is not None:
-        delta0 += f0
-    delta0 = _zero_ring(np.multiply(dt, delta0, out=delta0))
+        inner += f0.reshape(-1)[rows]
+    inner *= dt
+    _zero_ring(delta0)
 
-    # each a0 part turns into chi = theta dt (A1 u - A0 u) of its axis
-    for axis, part in enumerate(a0):
-        np.subtract(_apply(st1, u, axis), part, out=part)
-        _zero_ring(np.multiply(theta_dt, part, out=part))
-    chi = a0
+    # chi = theta dt (A1 u - A0 u) of each axis
+    chi = [np.empty(u.shape), np.empty(u.shape)]
+    for part, p0, p1 in zip(chi, a0, _apply(st1, u, diffs)):
+        flat = part.reshape(-1)[rows]
+        np.subtract(p1, p0, out=flat)
+        flat *= theta_dt
+        _zero_ring(part)
+    del diffs, a0
     systems = [_sweep_system(st1, theta_dt, axis) for axis in (0, 1)]
 
     def sweeps(d):
         for axis, system in enumerate(systems):
-            d = _sweep(system, d + chi[axis], axis)
+            d = _sweep(system, d, chi[axis], axis)
         return d
 
-    predicted = sweeps(delta0)
-    corr = 0.5 * dt * (_apply_mix(st1, u + predicted, ds, dy) - am0)
+    # u + the predicted increment, in the increment's array
+    w = sweeps(delta0)
+    w += u
+    corr = _apply_mix(st1, w, ds, dy)
+    corr -= am0
+    corr *= 0.5 * dt
     if f0 is not None:
-        corr = corr + 0.5 * dt * (f1 - f0)
-    u_next = u + sweeps(_zero_ring(delta0 + _zero_ring(corr)))
+        gain = f1.reshape(-1)[rows] - f0.reshape(-1)[rows]
+        gain *= 0.5 * dt
+        corr += gain
+    inner += corr
+    u_next = sweeps(_zero_ring(delta0))
+    u_next += u
     if np.isnan(u_next).any():
         raise StabilityFailure("time step produced NaNs")
     # the predictor and the corrector each sweep every axis once
@@ -318,10 +387,12 @@ def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> 
     ds, dy = grid.ds, grid.dy
     mix = mixing_ratio(psi, spec.b, grid)
     st = stencil(assemble_slice(spec, grid, 0, mix.ratio, mix.sqrt_ratio), (ds, dy))
-    op = _apply(st, psi, 0) + _apply(st, psi, 1) + _apply_mix(st, psi, ds, dy)
-    ring = np.zeros(psi.shape, dtype=bool)
-    ring[1, 1:-1] = ring[-2, 1:-1] = True
-    ring[1:-1, 1] = ring[1:-1, -2] = True
+    parts = _apply(st, psi, _differences(psi))
+    op = (parts[0] + parts[1] + _apply_mix(st, psi, ds, dy)).reshape(-1, psi.shape[1])
+    # the outer ring of the interior nodes
+    ring = np.zeros(op.shape, dtype=bool)
+    ring[0, 1:-1] = ring[-1, 1:-1] = True
+    ring[:, 1] = ring[:, -2] = True
     return float(np.max(np.abs(op[ring])))
 
 

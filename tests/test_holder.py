@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import warnings
@@ -213,7 +214,7 @@ class TestSlabBlocking:
         ref = unblocked_base_norm(u, dt, hs, h_exp)
         # slab lengths 1..5 slices, so most time lengths are no multiple
         with mock.patch.object(holder, "_SLAB_BYTES", slab * u[0].nbytes):
-            got = holder._base_norm(u, dt, hs, h_exp)
+            got, = holder._base_norm(u, dt, hs, h_exp)
         assert got == ref
 
     @pytest.mark.parametrize("n_t", [1, 2, 3, 17])
@@ -223,7 +224,7 @@ class TestSlabBlocking:
         u = rng.standard_normal((n_t, 100, 50))
         dt, hs = 0.01, (3.0, 0.02)
         ref = unblocked_base_norm(u, dt, hs, 0.5)
-        assert holder._base_norm(u, dt, hs, 0.5) == ref
+        assert holder._base_norm(u, dt, hs, 0.5) == [ref]
 
 
 @st.composite
@@ -253,7 +254,7 @@ class TestPrunedScan:
             warnings.simplefilter("always")
             ref = unblocked_base_norm(u, dt, hs, h_exp)
             with mock.patch.object(holder, "_SLAB_BYTES", slab_bytes):
-                got = holder._base_norm(u, dt, hs, h_exp)
+                got, = holder._base_norm(u, dt, hs, h_exp)
         assert np.array(got).tobytes() == np.array(ref).tobytes()
         assert all(w.category is RuntimeWarning
                    and str(w.message).startswith("invalid value") for w in seen)
@@ -284,6 +285,52 @@ class TestPrunedScan:
     def test_bound_edges_equal_unblocked(self, u):
         self.assert_pruned_equals_unblocked(u, u[0].nbytes, 1.0, (1.0, 1.0), 0.5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(smooth_fields(), st.integers(1, 5), st.sampled_from([0.3, 0.5, 0.9]),
+           st.sampled_from([1e-6, 1e-4]), st.sampled_from([30.0, 1e3]),
+           st.sampled_from([30.0, 1e3]))
+    def test_pruned_equals_unblocked_where_the_extremes_bound_fires(
+            self, u, slab, h_exp, dt, ds, dy):
+        # time steps far below the squared spatial ones make the time
+        # quotients the largest, so the spread of a slab bounds the spatial
+        # offsets, unit ones included, below them
+        self.assert_pruned_equals_unblocked(u, slab * u[0].nbytes, dt, (ds, dy), h_exp)
+
+    @pytest.mark.parametrize("u", [
+        np.zeros((3, 4, 5)),
+        np.full((3, 4, 5), -0.0),
+        # -0.0 at both extremes: the sup is |-0.0| = +0.0, as np.abs gives
+        np.array([[[-0.0]]]),
+        np.array([[[-0.0, 0.0], [0.0, -0.0]]]),
+        np.array([[[1.0, -2.0], [np.nan, 0.5]], [[0.0, 1.0], [2.0, 3.0]]]),
+        np.array([[[1.0, -2.0], [0.25, 0.5]], [[0.0, np.inf], [2.0, 3.0]]]),
+        np.array([[[1.0, -np.inf], [0.25, 0.5]], [[0.0, 1.0], [np.inf, 3.0]]]),
+    ], ids=["zero", "negative-zero", "one-negative-zero", "signed-zeros", "nan",
+            "inf", "both-infs"])
+    @pytest.mark.parametrize("slab", [1, 2])
+    def test_special_values_equal_unblocked(self, u, slab):
+        self.assert_pruned_equals_unblocked(u, slab * u[0].nbytes, 1e-4, (30.0, 1e3), 0.5)
+        self.assert_pruned_equals_unblocked(u, slab * u[0].nbytes, 1.0, (1.0, 1.0), 0.5)
+
+    def test_extremes_bound_skips_unit_offsets(self):
+        # a smooth trajectory on a grid whose spatial steps dwarf sqrt(dt):
+        # (0, 1, 0), the first offset, is read in the first slab alone, and
+        # every other spatial offset in none, as the (1, 0, 0) quotient tops
+        # each one's bound; the result is the full scan's
+        t, s, y = np.meshgrid(*map(np.arange, (12, 6, 5)), indexing="ij")
+        u = np.sin(0.3 * t + 0.2 * s) * np.cos(0.1 * y)
+        counts = collections.Counter()
+
+        def spy(v, off, real=holder._pair_views):
+            counts[off] += 1
+            return real(v, off)
+        with mock.patch.object(holder, "_SLAB_BYTES", 2 * u[0].nbytes), \
+                mock.patch.object(holder, "_pair_views", spy):
+            got, = holder._base_norm(u, 1e-6, (30.0, 1e3), 0.5)
+        assert got == unblocked_base_norm(u, 1e-6, (30.0, 1e3), 0.5)
+        assert counts[(1, 0, 0)] == 6 and counts[(0, 1, 0)] == 1
+        assert sum(counts[off] for off in counts if not off[0]) == 1
+
     def test_nan_after_a_skip_rescans(self):
         # slice 0 skips pairs on the strength of offsets that the NaN of
         # slice 1 drops from the maximum; without the rescan the quotient
@@ -294,7 +341,7 @@ class TestPrunedScan:
         with mock.patch.object(holder, "_SLAB_BYTES", u[0].nbytes), \
                 mock.patch.object(holder, "_base_norm",
                                   wraps=holder._base_norm) as base:
-            got = holder._base_norm(u, dt, hs, 0.5)
+            got, = holder._base_norm(u, dt, hs, 0.5)
         assert base.call_count == 2
         ref = unblocked_base_norm(u, dt, hs, 0.5)
         assert np.array(got).tobytes() == np.array(ref).tobytes()
@@ -315,7 +362,10 @@ class TestPrunedScan:
                     mock.patch.object(holder, "_pair_views", spy):
                 return holder_norm(u, 2, grid), counts
         est, pruned = scan(holder._PARTS)
-        full_est, full = scan({})       # no bounds: every offset, every slab
+        # no bounds: every offset, every slab
+        with mock.patch.object(holder, "_base_norm",
+                               functools.partial(holder._base_norm, prune=False)):
+            full_est, full = scan(holder._PARTS)
         assert est == full_est
         assert [pruned[off] for off in [(0, 1, 1), (0, 1, -1), (1, 1, 0),
                                         (1, 0, 1)]] == [0, 0, 0, 0]
@@ -383,7 +433,10 @@ class TestShortAxisDerivatives:
         with mock.patch.object(holder, "_base_norm",
                                wraps=holder._base_norm) as base:
             est = holder_norm(u, 2, grid)
-        assert base.call_count == 1 + len(scanned)
+        # u, then each link of each derivative chain (dSy extends dS's)
+        walked = [len(call.args[4]) if len(call.args) > 4 else 1
+                  for call in base.call_args_list]
+        assert walked[0] == 1 and sum(walked) == 1 + len(scanned)
         assert all(p != 0.0 for n, p in est.derivative_parts.items()
                    if n in scanned)
         assert all(p == 0.0 for n, p in est.derivative_parts.items()

@@ -1,5 +1,6 @@
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lsvcal import (CrossTermCFL, ModelSpec, NonElliptic, NonEllipticAssembly,
-                    assemble_frozen, assemble_slice, convert_correlation,
-                    ellipticity_constant, holder_norm, solve_linear,
-                    supnorm_time_bound, tridiag)
+                    StabilityFailure, assemble_frozen, assemble_slice,
+                    convert_correlation, ellipticity_constant, holder_norm,
+                    solve_linear, supnorm_time_bound, tridiag)
 from lsvcal.grids import GridSpec
-from lsvcal.linpde import (CoefficientFields, _apply, _min_eig_2x2, _sweep,
-                           _sweep_system, cross_cfl_number, stencil)
+from lsvcal.linpde import (CoefficientFields, _apply, _differences, _min_eig_2x2,
+                           _sweep, _sweep_system, cross_cfl_number, step_slices,
+                           stencil)
 
 from conftest import b_const, b_perturbed, flat_sigma, make_grid, make_psi, make_spec
 
@@ -227,16 +229,13 @@ class TestEllipticity:
         assert all(a.shape == grid.shape and a.dtype == np.float64 for a in held)
 
 
-@st.composite
-def slices(draw):
-    """A random coefficient slice, a field on it and the two spacings.
+def coefficient_slice(draw, shape, h_s, h_y):
+    """A random coefficient slice on spacings (h_s, h_y).
 
-    The drifts stay within the mesh Peclet limit and c is nonnegative, so
-    every sweep matrix is diagonally dominant.
+    The drifts, of either sign, stay within the mesh Peclet limit and c is
+    nonnegative, so every sweep matrix is diagonally dominant.
     """
-    shape = (draw(st.integers(3, 9)), draw(st.integers(3, 9)))
     pos = st.floats(0.01, 10.0)
-    h_s, h_y = draw(pos), draw(pos)
     peclet = arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
     sl = {"a_ss": draw(arrays(np.float64, shape, elements=pos)),
           "a_yy": draw(arrays(np.float64, shape, elements=pos)),
@@ -244,6 +243,16 @@ def slices(draw):
           "c": draw(arrays(np.float64, shape, elements=st.floats(0.0, 10.0)))}
     sl["b_s"] = draw(peclet) * 2.0 * sl["a_ss"] / h_s
     sl["b_y"] = draw(peclet) * 2.0 * sl["a_yy"] / h_y
+    return sl
+
+
+@st.composite
+def slices(draw):
+    """A random coefficient slice, a field on it and the two spacings."""
+    shape = (draw(st.integers(3, 9)), draw(st.integers(3, 9)))
+    pos = st.floats(0.01, 10.0)
+    h_s, h_y = draw(pos), draw(pos)
+    sl = coefficient_slice(draw, shape, h_s, h_y)
     u = draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
     return sl, u, h_s, h_y
 
@@ -262,8 +271,14 @@ class TestAxisSymmetry:
     def test_apply(self, case):
         sl, u, h_s, h_y = case
         sten, sten_t = stencil(sl, (h_s, h_y)), stencil(transposed(sl), (h_y, h_s))
-        assert np.array_equal(_apply(sten, u, 0), _apply(sten_t, u.T, 1).T)
-        assert np.array_equal(_apply(sten, u, 1), _apply(sten_t, u.T, 0).T)
+        # `_apply` gives the rows 1 .. n - 2 of the slice; their first and
+        # last columns are outside the operator
+        parts = [p.reshape(-1, u.shape[1])[:, 1:-1]
+                 for p in _apply(sten, u, _differences(u))]
+        parts_t = [p.reshape(-1, u.shape[0])[:, 1:-1]
+                   for p in _apply(sten_t, u.T, _differences(u.T))]
+        assert np.array_equal(parts[0], parts_t[1].T)
+        assert np.array_equal(parts[1], parts_t[0].T)
 
     @settings(max_examples=200, deadline=None)
     @given(slices(), st.floats(1e-4, 0.5))
@@ -272,7 +287,7 @@ class TestAxisSymmetry:
         sten, sten_t = stencil(sl, (h_s, h_y)), stencil(transposed(sl), (h_y, h_s))
 
         def sweep(s, r, axis):
-            return _sweep(_sweep_system(s, theta_dt, axis), r, axis)
+            return _sweep(_sweep_system(s, theta_dt, axis), r, np.zeros(r.shape), axis)
         assert np.array_equal(sweep(sten, rhs, 0), sweep(sten_t, rhs.T, 1).T)
         assert np.array_equal(sweep(sten, rhs, 1), sweep(sten_t, rhs.T, 0).T)
 
@@ -313,10 +328,167 @@ class TestSweep:
         sl, rhs, h_s, h_y = case
         sten = stencil(sl, (h_s, h_y))
         for axis in (0, 1):
-            x = _sweep(_sweep_system(sten, theta_dt, axis), rhs, axis)
+            x = _sweep(_sweep_system(sten, theta_dt, axis), rhs, np.zeros(rhs.shape), axis)
             oracle, cond = dense_line_solve(sten, rhs, theta_dt, axis)
             tol = 1e-13 * cond * (float(np.max(np.abs(oracle))) + 1e-300)
             assert np.max(np.abs(x - oracle)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the step as it was written before it shared its neighbour differences and
+# formed its explicit parts in flat passes: the oracle of `step_slices`
+# ---------------------------------------------------------------------------
+
+def former_apply(st_, u, axis):
+    lo, up, c, v = (np.swapaxes(x, 0, axis) for x in (*st_["w"][axis], st_["c"], u))
+    out = np.zeros_like(v)
+    out[1:-1] = (lo[1:-1] * (v[:-2] - v[1:-1]) + up[1:-1] * (v[2:] - v[1:-1])
+                 - 0.5 * c[1:-1] * v[1:-1])
+    return np.swapaxes(out, 0, axis)
+
+
+def former_cross_diff_interior(u, hx, hy):
+    out = np.zeros_like(u)
+    e = u[..., 1:] - u[..., :-1]
+    d = e[..., 2:, :] - e[..., :-2, :]
+    out[..., 1:-1, 1:-1] = (d[..., :-1] + d[..., 1:]) / (4.0 * hx * hy)
+    return out
+
+
+def former_apply_mix(sl, u, ds, dy):
+    return 2.0 * sl["a_sy"] * former_cross_diff_interior(u, ds, dy)
+
+
+def former_zero_ring(v):
+    v[0, :] = v[-1, :] = 0.0
+    v[:, 0] = v[:, -1] = 0.0
+    return v
+
+
+def former_sweep_system(st1, theta_dt, axis):
+    lo, up = st1["w"][axis]
+    diag = 1.0 + theta_dt * (lo + up) + theta_dt * 0.5 * st1["c"]
+    lower, diag, upper = (np.ascontiguousarray(np.swapaxes(x, axis, 1))
+                          for x in (-theta_dt * lo, diag, -theta_dt * up))
+    former_zero_ring(lower)
+    former_zero_ring(upper)
+    diag[:, 0] = diag[:, -1] = 1.0
+    diag[0, :] = diag[-1, :] = 1.0
+    return tridiag.factor_batch(lower, diag, upper)
+
+
+def former_sweep(factors, rhs, axis):
+    rhs = np.swapaxes(rhs, axis, 1).copy()
+    rhs[:, 0] = rhs[:, -1] = 0.0
+    x = tridiag.solve_batch(factors, rhs)
+    return np.ascontiguousarray(np.swapaxes(x, axis, 1))
+
+
+def former_step_slices(st0, st1, u, grid, f0=None, f1=None):
+    ds, dy, dt = grid.ds, grid.dy, grid.dt
+    theta_dt = 0.5 * dt
+    a0 = [former_apply(st0, u, axis) for axis in (0, 1)]
+    am0 = former_apply_mix(st0, u, ds, dy)
+    delta0 = a0[0] + a0[1] + am0
+    if f0 is not None:
+        delta0 += f0
+    delta0 = former_zero_ring(np.multiply(dt, delta0, out=delta0))
+    for axis, part in enumerate(a0):
+        np.subtract(former_apply(st1, u, axis), part, out=part)
+        former_zero_ring(np.multiply(theta_dt, part, out=part))
+    chi = a0
+    systems = [former_sweep_system(st1, theta_dt, axis) for axis in (0, 1)]
+
+    def sweeps(d):
+        for axis, system in enumerate(systems):
+            d = former_sweep(system, d + chi[axis], axis)
+        return d
+
+    predicted = sweeps(delta0)
+    corr = 0.5 * dt * (former_apply_mix(st1, u + predicted, ds, dy) - am0)
+    if f0 is not None:
+        corr = corr + 0.5 * dt * (f1 - f0)
+    u_next = u + sweeps(former_zero_ring(delta0 + former_zero_ring(corr)))
+    if np.isnan(u_next).any():
+        raise StabilityFailure("time step produced NaNs")
+    return u_next, 2 * len(systems)
+
+
+def outcome(step, *args, **kwargs):
+    """What a step gives: its bytes and solve count, or the error it raises."""
+    try:
+        u, n = step(*args, **kwargs)
+    except StabilityFailure as err:
+        return type(err), str(err)
+    return u.shape, u.tobytes(), n
+
+
+@st.composite
+def step_cases(draw):
+    """Two random stencils on one grid, a field that may be all +0.0 or all
+    -0.0, a time step, and a source pair or none."""
+    sl0, u, h_s, h_y = draw(slices())
+    sl1 = coefficient_slice(draw, u.shape, h_s, h_y)
+    kind = draw(st.sampled_from(["field", "zero", "negative zero"]))
+    if kind != "field":
+        u = np.full(u.shape, 0.0 if kind == "zero" else -0.0)
+    grid = types.SimpleNamespace(ds=h_s, dy=h_y, dt=draw(st.floats(1e-4, 1.0)))
+    source = {}
+    if draw(st.booleans()):
+        src = arrays(np.float64, u.shape, elements=st.floats(-1e3, 1e3))
+        source = {"f0": draw(src), "f1": draw(src)}
+    return stencil(sl0, (h_s, h_y)), stencil(sl1, (h_s, h_y)), u, grid, source
+
+
+class TestStepAgainstFormer:
+    @settings(max_examples=300, deadline=None)
+    @given(step_cases())
+    def test_step_equals_former_step(self, case):
+        st0, st1, u, grid, source = case
+        got = outcome(step_slices, st0, st1, u, grid, **source)
+        assert got == outcome(former_step_slices, st0, st1, u, grid, **source)
+        assert got[0] == u.shape
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_cases(), st.data())
+    def test_nan_raises_as_the_former_step(self, case, data):
+        st0, st1, u, grid, source = case
+        # anywhere in u, which the step adds to its increment; inside the
+        # boundary ring of a source, whose ring the step never reads
+        where = data.draw(st.sampled_from(["u"] + sorted(source)))
+        bad = (u if where == "u" else source[where]).copy()
+        edge = 0 if where == "u" else 1
+        bad[tuple(data.draw(st.integers(edge, n - 1 - edge)) for n in bad.shape)] = np.nan
+        if where == "u":
+            u = bad
+        else:
+            source = {**source, where: bad}
+        got = outcome(step_slices, st0, st1, u, grid, **source)
+        assert got == outcome(former_step_slices, st0, st1, u, grid, **source)
+        assert got[0] is StabilityFailure
+
+    @pytest.mark.parametrize("nan_slice", [1, 3, 5])
+    def test_nan_source_stops_the_solve_at_the_former_step(self, nan_slice,
+                                                          monkeypatch):
+        # a NaN in source slice j enters step j - 1 (as f1) and fails it, so
+        # the solve writes slices 0 .. j - 1, the former step's slices
+        import lsvcal.linpde
+        grid = GridSpec(s_min=0.0, s_max=1.0, y_min=0.0, y_max=1.0, n_s=12,
+                        n_y=10, horizon=0.25, n_t=8)
+        fields, fsrc, v_fn = mms_fields(grid)
+        fsrc[nan_slice, 4, 5] = np.nan
+        psi = v_fn(0.0, grid.s_nodes[:, None], grid.y_nodes[None, :])
+
+        def written(step):
+            monkeypatch.setattr(lsvcal.linpde, "step_slices", step)
+            out = np.full((grid.n_t + 1,) + psi.shape, np.inf)
+            with pytest.raises(StabilityFailure):
+                solve_linear(fields, psi, grid, f=fsrc, out=out)
+            return out.tobytes()
+        got = written(step_slices)
+        assert got == written(former_step_slices)
+        out = np.frombuffer(got).reshape((grid.n_t + 1,) + psi.shape)
+        assert np.isfinite(out[:nan_slice]).all() and np.isinf(out[nan_slice:]).all()
 
 
 def mms_fields(grid):

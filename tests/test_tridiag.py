@@ -17,8 +17,10 @@ from conftest import run_fresh
 
 
 def solve_batch(lower, diag, upper, rhs) -> np.ndarray:
-    """Factor, then solve: how every caller in the package uses the pair."""
-    return solve_factored(factor_batch(lower, diag, upper), rhs)
+    """Factor, then solve: how every caller in the package uses the pair,
+    on copies, as both take over the arrays they are given."""
+    return solve_factored(factor_batch(lower.copy(), diag.copy(), upper.copy()),
+                          rhs.copy())
 
 
 def gtsv_batch(lower, diag, upper, rhs) -> tuple:
@@ -150,18 +152,22 @@ class TestBatchProperties:
         lower, diag, upper, rhs = batch
         if pivoting:
             lower = 4.0 * lower
-        inputs = [a.copy() for a in (lower, diag, upper, rhs)]
+        given = [a.copy() for a in (lower, diag, upper)]
         try:
-            factors = factor_batch(lower, diag, upper)
+            factors = factor_batch(*given)
         except LinAlgError:
             assert gtsv_batch(lower, diag, upper, rhs)[1] > 0
             return
+        # the factors are computed in the arrays handed over
+        assert all(np.shares_memory(f, a) for f, a in zip(factors, given))
         for b in (rhs, -2.0 * rhs):
             x_ref, info = gtsv_batch(lower, diag, upper, b)
             assert info == 0
-            assert np.array_equal(solve_factored(factors, b), x_ref)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(inputs, (lower, diag, upper, rhs)))
+            b = b.copy()
+            x = solve_factored(factors, b)
+            assert np.array_equal(x, x_ref)
+            # and the solution in the right-hand side handed over
+            assert np.shares_memory(x, b)
 
     @settings(max_examples=200, deadline=None)
     @given(dominant_batches(), st.integers(1, 5), st.booleans())
@@ -175,7 +181,7 @@ class TestBatchProperties:
         except LinAlgError:
             return
         cols = np.stack([(j + 1.0) * rhs - j for j in range(k)], axis=-1)
-        x = solve_factored(factors, cols)
+        x = solve_factored(factors, cols.copy())
         assert x.shape == cols.shape
         for j in range(k):
             assert np.array_equal(x[..., j], solve_factored(factors, cols[..., j]))
