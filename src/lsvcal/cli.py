@@ -8,8 +8,14 @@ import sys
 from .pipeline import RunConfig, run_pipeline
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad command line is an input error: exit 1, one line, nothing written
+        self.exit(1, f"input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="calibrate",
         description="Calibrate a local-stochastic-volatility leverage surface "
                     "to vanilla quotes by solving the joint forward equation.")
@@ -17,11 +23,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=None,
                    help="override paths.output_dir from the config "
                         "(relative to the working directory)")
-    p.add_argument("--mode", choices=["fixed-point", "time-lagged"], default=None,
+    p.add_argument("--mode", default=None, metavar="MODE",
                    help="override fp.mode from the config")
     p.add_argument("--verify", action="store_true", default=None,
                    help="force the marginal/repricing verification on")
-    p.add_argument("--snapshot-every", type=int, default=None, metavar="N",
+    p.add_argument("--snapshot-every", default=None, metavar="N",
                    help="write a density snapshot every N steps")
     return p
 

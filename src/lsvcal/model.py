@@ -228,11 +228,11 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
     each diffusion amplitude finite and at least that floor, and the
     initial point inside the domain.  The squares of b (the mixing ratio
     forms it), of each operator coefficient's bound and of that bound over
-    its stencil spacing (h^2 for a diffusion entry, 2h for a drift) must be
-    finite: the ellipticity check squares the diffusion entries, and a
-    sweep's elimination multiplies stencil weights.  The bounds are taken in
-    Python floats, before any array holds them.  ``CorrelationMatrix``
-    rejects a bad correlation matrix when it is built.
+    its stencil spacing (h^2 for a diffusion entry, 2h for a drift, 1 for
+    gamma) must be finite: the ellipticity check squares the diffusion
+    entries, and a sweep's elimination multiplies stencil weights.  The
+    bounds are taken in Python floats, before any array holds them.
+    ``CorrelationMatrix`` rejects a bad correlation matrix when it is built.
     """
     bv = b_values(spec.b, grid)
     b_all = np.append(bv, spec.b_ref(grid))        # y0 need not be a node
@@ -246,8 +246,9 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
             "b-positivity", f"b^2 overflows (max b = {b_sup:.3e}, model.b too large)")
     if not spec.alpha_floor > 0:
         raise HypothesisViolation("alpha-floor", f"floor {spec.alpha_floor} must be > 0")
-    (a1_min, a1_max), (a2_min, a2_max), beta1, beta2 = (
-        _sampled_range(c, grid) for c in (spec.alpha1, spec.alpha2, spec.beta1, spec.beta2))
+    (a1_min, a1_max), (a2_min, a2_max), beta1, beta2, gamma = (
+        _sampled_range(c, grid)
+        for c in (spec.alpha1, spec.alpha2, spec.beta1, spec.beta2, spec.gamma))
     for name, lo, hi in (("alpha1", a1_min, a1_max), ("alpha2", a2_min, a2_max)):
         if not (lo >= spec.alpha_floor and hi < math.inf):
             raise HypothesisViolation("alpha-floor", f"{name} must be finite and >= floor "
@@ -259,7 +260,8 @@ def validate_model(spec: ModelSpec, grid: GridSpec) -> ValidationReport:
             ("model.alpha2", 0.5 * a2_max * a2_max, dy * dy),
             ("model.beta1", max(map(abs, beta1)), 2 * ds),
             ("model.rate", abs(spec.rate) * s_sup, 2 * ds),
-            ("model.beta2", max(map(abs, beta2)), 2 * dy)):
+            ("model.beta2", max(map(abs, beta2)), 2 * dy),
+            ("model.gamma", max(map(abs, gamma)), 1.0)):
         worst = max(bound, bound / h)
         if not worst * worst < math.inf:          # NaN fails too
             raise HypothesisViolation("coefficient-bound", (

@@ -120,42 +120,43 @@ def _as_txy(fn):
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "paths.output_dir": "out",
-    "model.b": "const:1.0",
-    "model.alpha2": "const:0.2",
-    "model.beta1": "",
-    "model.beta2": "mean_revert:1.0:0.0",
-    "model.gamma": "",
-    "model.rho": "0.0",
-    "model.rate": "0.0",
-    "model.spot0": "100.0",
-    "model.y0": "0.0",
-    "model.alpha_floor": "1e-4",
-    "model.b_ref": "center",
-    "grid.holder_exp": "0.5",
-    "init.floor_rel": "1e-6",
-    "fp.mode": "fixed-point",
-    "fp.max_iter": "50",
-    "fp.tol_factor": "1e-8",
-    "fp.cap_factor": "1.5",
-    "fp.max_halvings": "6",
-    "run.verify": "true",
-    "run.snapshot_every": "0",
-    "run.snapshot_format": "csv",
-    "vol.floor": "0.01",
-    "vol.cap": "3.0",
-    "verify.l1_tol": "1e-2",
-    "verify.mass_tol": "5e-3",
-    "verify.identity_tol": "1e-8",
+# Every config key: (type, default, lower bound).  The type is str, int,
+# float, bool or a tuple of the words the key takes; a default of None marks a
+# required key; the bound is the least value taken (for a str, the least
+# length).  Checks that span keys, or that a library function makes (GridSpec,
+# validate_model, IterateBounds, ModelSpec.b_ref), stay there.
+_POSITIVE = math.ulp(0.0)        # the least float above 0, as a bound
+_KEYS = {
+    "paths.quotes": (str, None, None),
+    "paths.output_dir": (str, "out", 1),         # empty would write beside the config
+    "model.b": (str, "const:1.0", None), "model.alpha2": (str, "const:0.2", None),
+    "model.beta1": (str, "", None), "model.beta2": (str, "mean_revert:1.0:0.0", None),
+    "model.gamma": (str, "", None), "model.b_ref": (str, "center", None),
+    "model.rho": (float, "0.0", None), "model.rate": (float, "0.0", None),
+    "model.spot0": (float, "100.0", None), "model.y0": (float, "0.0", None),
+    "model.alpha_floor": (float, "1e-4", None),
+    "grid.s_min": (float, None, None), "grid.s_max": (float, None, None),
+    "grid.y_min": (float, None, None), "grid.y_max": (float, None, None),
+    "grid.ns": (int, None, None), "grid.ny": (int, None, None),
+    "grid.t": (float, None, None), "grid.nt": (int, None, None),
+    "grid.holder_exp": (float, "0.5", None),
+    "init.bandwidth_s": (float, None, _POSITIVE),
+    "init.bandwidth_y": (float, None, _POSITIVE),
+    "init.floor_rel": (float, "1e-6", None),
+    "fp.mode": (("fixed-point", "time-lagged"), "fixed-point", None),
+    "fp.max_iter": (int, "50", 1), "fp.tol_factor": (float, "1e-8", None),
+    "fp.cap_factor": (float, "1.5", None),
+    "fp.max_halvings": (int, "6", 0),
+    "run.verify": (bool, "true", None),
+    "run.snapshot_every": (int, "0", 0),
+    "run.snapshot_format": (("csv", "bin"), "csv", None),
+    "vol.floor": (float, "0.01", None), "vol.cap": (float, "3.0", None),
+    "verify.l1_tol": (float, "1e-2", 0.0), "verify.mass_tol": (float, "5e-3", 0.0),
+    "verify.identity_tol": (float, "1e-8", 0.0),
 }
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
              "false": False, "no": False, "off": False, "0": False}
-
-_REQUIRED = ["paths.quotes", "grid.s_min", "grid.s_max", "grid.y_min",
-             "grid.y_max", "grid.ns", "grid.ny", "grid.t", "grid.nt",
-             "init.bandwidth_s", "init.bandwidth_y"]
 
 
 @dataclass
@@ -167,7 +168,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        values = dict(_DEFAULTS)
+        values = {k: d for k, (_, d, _) in _KEYS.items() if d is not None}
         with open(path, encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -176,41 +177,46 @@ class RunConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{line_no}: expected key = value")
                 key, val = (s.strip() for s in line.split("=", 1))
-                if key not in _DEFAULTS and key not in _REQUIRED:
+                if key not in _KEYS:
                     raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
                 values[key] = val
-        missing = [k for k in _REQUIRED if k not in values]
+        missing = [k for k in _KEYS if k not in values]
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
         return cls(values=values, base_dir=os.path.dirname(os.path.abspath(path)))
 
-    def get(self, key, cast=str, minimum=None):
-        """The value of ``key`` as ``cast``; below ``minimum``, or a float
-        that is not finite, is an error."""
+    def get(self, key):
+        """The value of ``key`` as its ``_KEYS`` type: one of its words, a
+        bool, a str, or a number (a float finite) at or above its bound.
+        Each error names the key."""
+        kind, _, low = _KEYS[key]
         v = self.values[key]
-        if cast is bool:
-            word = str(v).strip().lower()
-            if word not in _BOOLEANS:
-                raise ValueError(f"{key} = {v!r} is not one of "
-                                 f"{'/'.join(_BOOLEANS)}")
-            return _BOOLEANS[word]
-        value = cast(v)
-        if cast is float and not math.isfinite(value):
+        if kind is bool or isinstance(kind, tuple):
+            words = _BOOLEANS if kind is bool else {w: w for w in kind}
+            word = v.strip().lower() if kind is bool else v
+            if word not in words:
+                raise ValueError(f"{key} = {v!r} is not one of {'/'.join(words)}")
+            return words[word]
+        try:
+            value = kind(v)
+        except ValueError:
+            raise ValueError(f"{key} = {v!r} does not parse as {kind.__name__}") from None
+        if kind is float and not math.isfinite(value):
             raise ValueError(f"{key} = {v!r} is not finite")
-        if minimum is not None and value < minimum:
-            raise ValueError(f"{key} = {v!r} is below {minimum}")
+        if low is not None and (len(value) if kind is str else value) < low:
+            raise ValueError(f"{key} is empty" if value == "" else
+                             f"{key} = {v!r} is below {low}")
         return value
 
     def path(self, key) -> str:
         return os.path.join(self.base_dir, self.get(key))
 
     def grid(self) -> GridSpec:
-        return GridSpec(
-            s_min=self.get("grid.s_min", float), s_max=self.get("grid.s_max", float),
-            y_min=self.get("grid.y_min", float), y_max=self.get("grid.y_max", float),
-            n_s=self.get("grid.ns", int), n_y=self.get("grid.ny", int),
-            horizon=self.get("grid.t", float), n_t=self.get("grid.nt", int),
-            holder_exp=self.get("grid.holder_exp", float))
+        g = self.get
+        return GridSpec(s_min=g("grid.s_min"), s_max=g("grid.s_max"),
+                        y_min=g("grid.y_min"), y_max=g("grid.y_max"),
+                        n_s=g("grid.ns"), n_y=g("grid.ny"), horizon=g("grid.t"),
+                        n_t=g("grid.nt"), holder_exp=g("grid.holder_exp"))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +454,9 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
     if not os.path.exists(quotes_path):
         raise FileNotFoundError(f"quotes file not found: {quotes_path}")
     grid = config.grid()
-    spot0 = config.get("model.spot0", float)
-    rate = config.get("model.rate", float)
-    y0 = config.get("model.y0", float)
+    spot0 = config.get("model.spot0")
+    rate = config.get("model.rate")
+    y0 = config.get("model.y0")
 
     quotes = load_quotes(quotes_path)
     t_max = max([grid.horizon] + [q.maturity for q in quotes if q.price is not None])
@@ -464,8 +470,7 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
                       q.price, spot0, q.strike, q.maturity, rate))
                   for q in quotes]
     surface = build_implied_surface(quotes, spot0, t_max=grid.horizon)
-    vol_floor = config.get("vol.floor", float)
-    vol_cap = config.get("vol.cap", float)
+    vol_floor, vol_cap = config.get("vol.floor"), config.get("vol.cap")
     if not 0 < vol_floor <= vol_cap:
         raise ValueError(f"vol.floor = {vol_floor} and vol.cap = {vol_cap} "
                          f"do not satisfy 0 < vol.floor <= vol.cap")
@@ -481,16 +486,13 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
         b=b_fn, alpha1=SpotAmplitude(sigma_d, b_fn, grid),
         alpha2=_as_txy(y_fn("model.alpha2")), beta1=optional("model.beta1"),
         beta2=optional("model.beta2"), gamma=optional("model.gamma"),
-        corr=convert_correlation(config.get("model.rho", float)),
+        corr=convert_correlation(config.get("model.rho")),
         rate=rate, spot0=spot0, y0=y0,
-        alpha_floor=config.get("model.alpha_floor", float))
+        alpha_floor=config.get("model.alpha_floor"))
 
-    bw_s = config.get("init.bandwidth_s", float)
-    bw_y = config.get("init.bandwidth_y", float)
-    if bw_s <= 0 or bw_y <= 0:
-        raise ValueError(f"init bandwidths ({bw_s}, {bw_y}) must be positive")
+    bw_s, bw_y = config.get("init.bandwidth_s"), config.get("init.bandwidth_y")
     peak = 1.0 / (2.0 * math.pi * bw_s * bw_y)
-    floor = config.get("init.floor_rel", float) * peak
+    floor = config.get("init.floor_rel") * peak
     psi = smoothed_dirac(spot0, y0, bw_s, bw_y, floor, grid)
     validation = validate_model(spec, grid)
     corner_residual = compatibility_residual(psi, spec, grid)
@@ -500,15 +502,8 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
 
     # the remaining settings, parsed before anything is written
     mode = config.get("fp.mode")
-    if mode not in ("fixed-point", "time-lagged"):
-        raise ValueError(f"unknown mode {mode!r}")
-    bound_factors = {"cap_factor": config.get("fp.cap_factor", float),
-                     "tol_factor": config.get("fp.tol_factor", float)}
-    snap_format = config.get("run.snapshot_format")
-    if snap_format not in ("csv", "bin"):
-        raise ValueError(f"unknown snapshot format {snap_format!r}")
-    if not config.get("paths.output_dir"):      # would write beside the config
-        raise ValueError("paths.output_dir is empty")
+    bound_factors = {"cap_factor": config.get("fp.cap_factor"),
+                     "tol_factor": config.get("fp.tol_factor")}
     run = SimpleNamespace(
         grid=grid, quotes=quotes, sigma_d=sigma_d, spec=spec, psi=psi,
         report={"validation": asdict(validation), "mode": mode,
@@ -516,17 +511,14 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
         mode=mode,
         params=(IterateBounds.from_initial(psi, grid, **bound_factors)
                 if mode == "fixed-point" else None),
-        max_iter=config.get("fp.max_iter", int, minimum=1),
+        max_iter=config.get("fp.max_iter"),
         b_ref=spec.b_ref(grid, mode=config.get("model.b_ref"), psi=psi),
-        max_halvings=config.get("fp.max_halvings", int, minimum=0),
-        verify=config.get("run.verify", bool),
-        verify_tols={"l1_tol": config.get("verify.l1_tol", float, minimum=0.0),
-                     "mass_tol": config.get("verify.mass_tol", float, minimum=0.0),
-                     "identity_tol": config.get("verify.identity_tol", float,
-                                                minimum=0.0)},
-        snap_every=(config.get("run.snapshot_every", int, minimum=0)
-                    or max(1, grid.n_t // 10)),
-        snap_format=snap_format, out_dir=config.path("paths.output_dir"))
+        max_halvings=config.get("fp.max_halvings"), verify=config.get("run.verify"),
+        verify_tols={k: config.get(f"verify.{k}")
+                     for k in ("l1_tol", "mass_tol", "identity_tol")},
+        snap_every=config.get("run.snapshot_every") or max(1, grid.n_t // 10),
+        snap_format=config.get("run.snapshot_format"),
+        out_dir=config.path("paths.output_dir"))
     # last, so that an input error leaves nothing on disk
     os.makedirs(run.out_dir, exist_ok=True)
     return run

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import tempfile
@@ -19,8 +20,8 @@ from lsvcal import (DegenerateDenominator, FixedPointReport, MembershipLost,
                     verify_calibration)
 from lsvcal.cli import main
 from lsvcal.market import _bs_call
-from lsvcal.pipeline import (_DEFAULTS, _REQUIRED, RunConfig, _inputs, _write_csv,
-                             builtin_y_function, read_density_bin, run_pipeline)
+from lsvcal.pipeline import (_KEYS, RunConfig, _inputs, _write_csv, builtin_y_function,
+                             read_density_bin, run_pipeline)
 
 from conftest import (flat_sigma, make_grid, make_psi, make_spec, run_fresh,
                       verification_arrays, write_flat_quotes)
@@ -58,9 +59,9 @@ def write_config(tmp_path, b="const:1.0", rho="0.0", ns=48, ny=28, nt=24,
 class TestConfig:
     def test_parse_and_defaults(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path))
-        assert cfg.get("grid.ns", int) == 48
+        assert cfg.get("grid.ns") == 48
         assert cfg.get("fp.mode") == "fixed-point"
-        assert cfg.get("run.verify", bool) is True
+        assert cfg.get("run.verify") is True
         grid = cfg.grid()
         assert grid.n_t == 24
 
@@ -96,7 +97,7 @@ class TestConfig:
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg_path = write_config(tmp_path, extra="# a comment\n\nfp.max_iter = 7")
         cfg = RunConfig.from_file(cfg_path)
-        assert cfg.get("fp.max_iter", int) == 7
+        assert cfg.get("fp.max_iter") == 7
 
 
 class TestBuiltins:
@@ -170,6 +171,17 @@ class TestBuiltins:
     def test_wrong_argument_count_names_the_form(self, spec_str, form):
         with pytest.raises(ValueError, match=f"form {re.escape(form)}$"):
             builtin_y_function(spec_str)
+
+
+def edge_values(kind, low) -> tuple:
+    """Config text of a key of ``_KEYS`` type ``kind``: a value at its lower
+    bound ``low`` and one just below it, or, for a word-list key, one of its
+    words and a word outside the list."""
+    if low is None:
+        return ("true" if kind is bool else kind[0]), "bogus"
+    if kind is float:
+        return repr(low), repr(math.nextafter(low, -math.inf))
+    return ("x" * low, "x" * (low - 1)) if kind is str else (str(low), str(low - 1))
 
 
 class TestExitCodes:
@@ -332,6 +344,8 @@ class TestExitCodes:
                                        "model.alpha2 = const:nan",
                                        "model.beta2 = const:inf",
                                        "model.beta1 = mean_revert:inf:0",
+                                       "model.gamma = const:1e308",
+                                       "model.gamma = const:1e200",
                                        "model.b = exp_clamped:2:1",
                                        "model.alpha_floor = 0",
                                        "model.alpha_floor = -1",
@@ -353,6 +367,8 @@ class TestExitCodes:
         ("model.alpha2 = const:1e150", "model.alpha2 too large"),
         ("model.alpha2 = const:1e100", "model.alpha2 too large"),
         ("model.beta2 = const:1e308", "model.beta2 too large"),
+        ("model.gamma = const:1e308", "model.gamma too large"),
+        ("model.gamma = const:1e200", "model.gamma too large"),
         ("model.rate = 1e308", "model.rate = 1e+308"),
         ("paths.output_dir =", "paths.output_dir is empty"),
         ("grid.y_max = -2", "empty spatial domain")])
@@ -362,6 +378,24 @@ class TestExitCodes:
         assert run_pipeline(cfg, log=logged.append) == 1
         assert len(logged) == 1 and logged[0].startswith("input error: ")
         assert message in logged[0]
+
+    @pytest.mark.parametrize("key,at,below", [
+        (key, *edge_values(kind, low)) for key, (kind, _, low) in _KEYS.items()
+        if low is not None or kind is bool or isinstance(kind, tuple)])
+    def test_value_outside_its_table_range_exits_one_naming_the_key(
+            self, tmp_path, key, at, below, recwarn):
+        # the table's bound is taken and the value just below it is not; a
+        # word-list key takes none of the words outside its list
+        cfg = RunConfig.from_file(write_config(tmp_path))
+        cfg.values[key] = at
+        cfg.get(key)
+        cfg.values[key] = below
+        before, logged = sorted(os.listdir(tmp_path)), []
+        assert run_pipeline(cfg, log=logged.append) == 1
+        assert len(logged) == 1 and logged[0].startswith("input error: ")
+        assert key in logged[0]
+        assert sorted(os.listdir(tmp_path)) == before
+        assert not recwarn.list
 
     def test_nonfinite_quote_exits_one_writing_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -629,7 +663,7 @@ def two_settings(draw):
 class TestHostileConfig:
     # as many examples as (key, value) pairs: 38 keys x 14 values
     @settings(max_examples=532, deadline=None)
-    @given(st.sampled_from(sorted({*_DEFAULTS, *_REQUIRED})),
+    @given(st.sampled_from(sorted(_KEYS)),
            st.sampled_from(HOSTILE_VALUES))
     @example("grid.s_min", "0")
     @example("grid.s_min", "-1")
@@ -678,6 +712,33 @@ class TestCli:
         assert sorted(p.name for p in out.glob("density_*")) == sorted(
             f"density_{k}.csv" for k in (0, 6, 12, 18, 24))
         assert "verification" in json.loads((out / "report.json").read_text())
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--config", "run.cfg", "--mode", "bogus"], "fp.mode"),
+        (["--config", "run.cfg", "--snapshot-every", "abc"], "run.snapshot_every"),
+        (["--config", "run.cfg", "--snapshot-every", "-1"], "run.snapshot_every"),
+        (["--config", "run.cfg", "--bogus"], "--bogus"),
+        (["--mode", "bogus"], "--config")])
+    def test_bad_command_line_exits_one_writing_nothing(self, tmp_path, monkeypatch,
+                                                        capsys, argv, name):
+        # a bad flag value reaches stage 1 as its key's value; a flag the
+        # parser does not know, or a missing --config, stops the parser
+        write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        try:
+            status = main(argv)
+        except SystemExit as stop:
+            status = stop.code
+        assert status == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: ") and name in err[0]
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0 and "--snapshot-every" in capsys.readouterr().out
 
     def test_calibration_loads_no_scipy_linalg_or_special(self, tmp_path):
         # verification on, implied-vol quotes, some of them repriced; the
@@ -874,28 +935,37 @@ def readme_keys(after: str, until: str) -> set:
 FIXED_POINT_KEYS = readme_keys("`fixed_point.json`: keys", ".")
 
 
-def readme_config_keys() -> set:
-    """The keys the README's configuration table names in its first column.
+def readme_config_defaults() -> dict:
+    """The keys the README's configuration table names in its first column,
+    each with the default its third column gives it (None if required).
 
     A cell lists keys as backquoted names; ``grid.s_min/s_max`` names
     ``grid.s_min`` and ``grid.s_max``, ``init.bandwidth_s/_y`` names
-    ``init.bandwidth_s`` and ``init.bandwidth_y``."""
+    ``init.bandwidth_s`` and ``init.bandwidth_y``.  A default cell is
+    ``required``, ``none`` (the empty default) or one backquoted default per
+    key, in the order of the keys."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
     start = text.index("| key | meaning | default |")
-    keys = set()
+    defaults = {}
     for row in text[start:text.index("\n\n", start)].splitlines()[2:]:
+        keys = []
         for name in re.findall(r"`([\w./]+)`", row.split("|")[1]):
             head, *rest = name.split("/")
             section, stem = head.split(".")[0], head.rsplit("_", 1)[0]
-            keys |= {head} | {stem + p if p.startswith("_") else f"{section}.{p}"
-                              for p in rest}
-    return keys
+            keys += [head] + [stem + p if p.startswith("_") else f"{section}.{p}"
+                              for p in rest]
+        cell = row.split("|")[3].strip()
+        values = ([None] * len(keys) if cell == "required" else
+                  [""] * len(keys) if cell == "none" else re.findall(r"`([^`]*)`", cell))
+        defaults.update(zip(keys, values, strict=True))
+    return defaults
 
 
 class TestArtifactKeys:
     def test_config_table_lists_every_key(self):
-        assert readme_config_keys() == set(_DEFAULTS) | set(_REQUIRED)
+        # and each key's default, which the table carries
+        assert readme_config_defaults() == {key: d for key, (_, d, _) in _KEYS.items()}
 
     def test_json_keys_are_the_documented_ones(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path))
