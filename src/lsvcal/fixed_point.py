@@ -142,26 +142,25 @@ class FixedPointReport:
         self.r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
-def _source(u: np.ndarray, spec: ModelSpec, frozen: CoefficientFields,
-            grid: GridSpec):
+def _source(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec):
     """The source ``d2_S[a_s (ratio - 1/b_ref^2) u]
-    + d2_Sy[a_x (sqrt(ratio) - 1/b_ref) u]`` as a function of the time index.
+    + d2_Sy[a_x (sqrt(ratio) - 1/b_ref) u]`` as a function ``(k, sl)`` of
+    the time index and the frozen operator's slice k.
 
-    ``b_ref`` is the frozen operator's, and ``a_s`` and ``a_x`` are its unit
-    products of slice k, ``frozen.unit(k)``: the arrays the solve has just
+    ``b_ref`` is the frozen operator's anchor, and ``a_s`` and ``a_x`` are
+    the unit products ``sl["a_s"]`` and ``sl["a_x"]`` that the solve has
     evaluated for slice k's stencil.  The centered differences cover
     interior nodes, and b constant gives exact zeros.  The mixing ratio is
     taken once, on the whole trajectory (its floor uses the trajectory-wide
     maximum marginal); each call builds one source slice.
     """
     mix = mixing_ratio(u, spec.b, grid)
-    gap_ratio = (mix.ratio - 1.0 / (frozen.b_ref * frozen.b_ref))[..., None]
-    gap_root = (mix.sqrt_ratio - 1.0 / frozen.b_ref)[..., None]
+    gap_ratio = (mix.ratio - 1.0 / (b_ref * b_ref))[..., None]
+    gap_root = (mix.sqrt_ratio - 1.0 / b_ref)[..., None]
 
-    def source_slice(k: int) -> np.ndarray:
-        unit = frozen.unit(k)
-        f = fd.second_diff_interior(unit["a_s"] * gap_ratio[k] * u[k], grid.ds, axis=-2)
-        f += fd.cross_diff_interior(unit["a_x"] * gap_root[k] * u[k], grid.ds, grid.dy)
+    def source_slice(k: int, sl: dict) -> np.ndarray:
+        f = fd.second_diff_interior(sl["a_s"] * gap_ratio[k] * u[k], grid.ds, axis=-2)
+        f += fd.cross_diff_interior(sl["a_x"] * gap_root[k] * u[k], grid.ds, grid.dy)
         return f
     return source_slice
 
@@ -190,7 +189,7 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
     u = np.asarray(u, dtype=float)
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
-    return solve_linear(frozen, u[0], grid, f=_source(u, spec, frozen, grid),
+    return solve_linear(frozen, u[0], grid, f=_source(u, spec, frozen.b_ref, grid),
                         n_steps=u.shape[0] - 1, out=out)
 
 
@@ -400,7 +399,7 @@ def solve_lagged(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         st0, st1 = (stencil(assemble_slice(spec, grid, j, mix.ratio, mix.sqrt_ratio,
                                            unit=unit), hs)
                     for j, unit in ((k, unit0), (k + 1, unit1)))
-        u, _ = step_slices(st0, st1, u, grid)
+        u = step_slices(st0, st1, u, grid)()
         out[k + 1] = u
     return out, FixedPointReport(converged=True, t_star=n * grid.dt,
                                  mode="time-lagged", denominator_min=min(den_mins))

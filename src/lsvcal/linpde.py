@@ -25,7 +25,7 @@ import functools
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +43,14 @@ class CoefficientFields:
     Only ``b_s``, ``b_y`` and ``c``, built by differentiating the coefficient
     products, are stored over the whole horizon.  The products are evaluated
     per slice, at unit mixing ratio: ``products(k)`` returns those of
-    ``model.diffusion_products``, and ``unit(k)`` keeps the last slice's, so
-    a solve's stencil and the fixed point's source of slice k share them.
-    ``slice(k)`` freezes them at the anchor: ``a_ss = a_s / b_ref^2`` and
-    ``a_sy = a_x / (2 b_ref)``, the symmetric off-diagonal entry (the
-    operator term is ``2 a_sy d2u/dSdy``).  ``k2``, the smallest eigenvalue
-    of the diffusion matrix, and ``a_sy_max`` = max|a_sy| over all nodes are
-    given; ``assemble_frozen`` takes them in its one pass over the slices and
-    records its floor, ``b_ref`` and ``grid``.  Built directly, the fields
-    default to ``b_ref = 1``.
+    ``model.diffusion_products``.  ``slice(k)`` evaluates them and freezes
+    them at the anchor: ``a_ss = a_s / b_ref^2`` and ``a_sy = a_x / (2
+    b_ref)``, the symmetric off-diagonal entry (the operator term is ``2 a_sy
+    d2u/dSdy``).  ``k2``, the smallest eigenvalue of the diffusion matrix, and
+    ``a_sy_max`` = max|a_sy| over all nodes are given; ``assemble_frozen``
+    takes them in its one pass over the slices and records its floor,
+    ``b_ref`` and ``grid``.  Built directly, the fields default to ``b_ref =
+    1``.
 
     Raises:
         NonElliptic: ``k2`` is not strictly positive, or it undercuts the
@@ -67,7 +66,6 @@ class CoefficientFields:
     ellipticity_floor: float | None = None
     b_ref: float = 1.0
     grid: GridSpec | None = None
-    _unit: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k2 <= 0:
@@ -76,16 +74,9 @@ class CoefficientFields:
         if floor is not None and self.k2 < floor - 1e-10 * max(1.0, abs(floor)):
             raise NonElliptic(f"K2 = {self.k2:.6e} below theoretical floor {floor:.6e}")
 
-    def unit(self, k: int) -> dict:
-        """The products of slice k at unit ratio; evaluated once for calls
-        with the same k in a row."""
-        if self._unit[0] != k:
-            self._unit = (k, self.products(k))
-        return self._unit[1]
-
     def slice(self, k: int) -> dict:
         """The ``assemble_slice`` keys at time index k (anchor multiplied in last)."""
-        unit = self.unit(k)
+        unit = self.products(k)
         ratio, root = 1.0 / (self.b_ref * self.b_ref), 1.0 / self.b_ref
         return {"a_s": unit["a_s"], "a_x": unit["a_x"],
                 "a_ss": unit["a_s"] * ratio, "a_sy": 0.5 * (unit["a_x"] * root),
@@ -307,16 +298,18 @@ def _sweep(factors: tuple, d: np.ndarray, chi: np.ndarray, axis: int) -> np.ndar
 
 
 def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
-                f0=None, f1=None) -> tuple:
+                f0=None) -> Callable:
     """One Craig-Sneyd step from the stencils of the slices at t_k and t_{k+1}.
 
-    The sources ``f0`` and ``f1`` at the two slices come together or not at
-    all.  Returns (u_next, n_solves), where n_solves counts the batched
-    tridiagonal solves made.  Dirichlet values are enforced by keeping the
-    boundary increment at zero, so the lateral trace of ``u`` carries
-    through every stage unchanged.  Each axis's sweep matrix is factored
-    once and serves the predictor and the single corrector pass, which
-    re-evaluates the mixed term (and the source) at the predicted increment.
+    This call makes all that depends on slice k and its source ``f0``: the
+    explicit parts, chi, both axes' factorizations, the predictor and the
+    corrector's mixed term.  It returns the corrector ``finish(f1=None) ->
+    u_next``, which adds ``0.5 dt (f1 - f0)`` (a missing source is zero),
+    makes the two corrector sweeps and raises ``StabilityFailure`` on a NaN.
+    It leaves the step's state untouched, so a second call with another
+    ``f1`` is exact.  Dirichlet values are enforced by keeping the boundary
+    increment at zero, so the lateral trace of ``u`` carries through every
+    stage unchanged.
 
     The explicit parts are formed in flat passes over the rows 1 .. n_S
     (`_rows`), both stencils' one-dimensional parts from one set of
@@ -360,17 +353,20 @@ def step_slices(st0: dict, st1: dict, u: np.ndarray, grid: GridSpec,
     corr = _apply_mix(st1, w, ds, dy)
     corr -= am0
     corr *= 0.5 * dt
-    if f0 is not None:
-        gain = f1.reshape(-1)[rows] - f0.reshape(-1)[rows]
-        gain *= 0.5 * dt
-        corr += gain
-    inner += corr
-    u_next = sweeps(_zero_ring(delta0))
-    u_next += u
-    if np.isnan(u_next).any():
-        raise StabilityFailure("time step produced NaNs")
-    # the predictor and the corrector each sweep every axis once
-    return u_next, 2 * len(systems)
+
+    def part(f):
+        return 0.0 if f is None else f.reshape(-1)[rows]
+
+    def finish(f1=None) -> np.ndarray:
+        d = delta0.copy()
+        d.reshape(-1)[rows] += corr if f0 is None and f1 is None else (
+            corr + 0.5 * dt * (part(f1) - part(f0)))
+        u_next = sweeps(_zero_ring(d))
+        u_next += u
+        if np.isnan(u_next).any():
+            raise StabilityFailure("time step produced NaNs")
+        return u_next
+    return finish
 
 
 def compatibility_residual(psi: np.ndarray, spec: ModelSpec, grid: GridSpec) -> float:
@@ -402,20 +398,17 @@ def cross_cfl_number(fields: CoefficientFields, grid: GridSpec) -> float:
 
 
 def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
-                 f: np.ndarray | Callable[[int], np.ndarray] | None = None,
+                 f: np.ndarray | Callable[[int, dict], np.ndarray] | None = None,
                  n_steps: int | None = None, out=None) -> tuple:
     """Solve the frozen equation over [0, n_steps * dt] from and with psi.
 
     ``psi`` provides both the initial slice and (through its boundary trace,
     held constant in time) the lateral Dirichlet data.  The source ``f`` is
-    an array over the time slices or a function of the slice index that
-    returns one slice.  Either way it is taken per step: slice k+1 is built
-    for step k and carried into step k+1 as slice k, like the stencil, so a
-    source function never has more than two slices alive.
-
-    The products of slice k are evaluated once, for its stencil; the source
-    of slice k is asked for right after, and may read them from
-    ``fields.unit(k)``.
+    an array over the time slices or a function ``f(k, sl)`` that returns
+    slice k, given ``sl = fields.slice(k)``, whose products the solve has
+    just evaluated for slice k's stencil.  Either way it is taken per step:
+    slice k+1 is built for step k and carried into step k+1 as slice k, like
+    the stencil, so a source function never has more than two slices alive.
 
     Each slice goes to ``out[k] = u`` as the sweep makes it, k = 0 ..
     n_steps; ``out`` is anything that takes that assignment.  Slice k+1 of
@@ -440,25 +433,25 @@ def solve_linear(fields: CoefficientFields, psi: np.ndarray, grid: GridSpec,
     nu = cross_cfl_number(fields, grid)
     if nu > 1.0:
         warnings.warn(f"explicit cross-term estimate {nu:.2f} > 1", CrossTermCFL)
-    source = f if f is None or callable(f) else f.__getitem__
+    source = f if callable(f) else lambda k, sl: None if f is None else f[k]
     if out is None:
         out = np.empty((n + 1, grid.n_s + 2, grid.n_y + 2))
     out[0] = psi
     u = np.array(psi, dtype=float)
-    n_solves = 0
     hs = (grid.ds, grid.dy)
-    st1 = stencil(fields.slice(0), hs)
-    f1 = None if source is None else source(0)
+    sl = fields.slice(0)
+    st1, f1 = stencil(sl, hs), source(0, sl)
     for k in range(n):
         # slice k+1's stencil and source serve step k and, as slice k,
         # step k+1
-        st0, st1 = st1, stencil(fields.slice(k + 1), hs)
-        f0, f1 = f1, None if source is None else source(k + 1)
-        u, n_k = step_slices(st0, st1, u, grid, f0=f0, f1=f1)
-        n_solves += n_k
+        sl = fields.slice(k + 1)
+        st0, st1 = st1, stencil(sl, hs)
+        f0, f1 = f1, source(k + 1, sl)
+        u = step_slices(st0, st1, u, grid, f0=f0)(f1)
         out[k + 1] = u
 
-    report = LinearSolveReport(k2=fields.k2, n_tridiag_solves=n_solves,
+    # the predictor and the corrector each sweep both axes once per step
+    report = LinearSolveReport(k2=fields.k2, n_tridiag_solves=4 * n,
                                cross_cfl=nu, n_steps=n)
     return out, report
 

@@ -116,6 +116,9 @@ def eval_coeff(c, k: int, t: float, grid: GridSpec) -> np.ndarray:
     return np.full(shape, float(c))
 
 
+B_REF_MODES = ("center", "mean")      # the anchors of ModelSpec.b_ref, default first
+
+
 @dataclass
 class ModelSpec:
     """Coefficient bundle of the forward equation.
@@ -139,7 +142,8 @@ class ModelSpec:
     gamma: object = None
     alpha_floor: float = 1e-4
 
-    def b_ref(self, grid: GridSpec, mode: str = "center", psi: np.ndarray | None = None) -> float:
+    def b_ref(self, grid: GridSpec, mode: str = B_REF_MODES[0],
+              psi: np.ndarray | None = None) -> float:
         """Anchor value of b used to freeze the mixing ratio.
 
         ``center`` evaluates b at the initial factor level; ``mean`` uses the

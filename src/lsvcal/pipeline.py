@@ -33,8 +33,8 @@ from .market import (_bs_call, build_implied_surface, check_price_bounds,
                      dupire_forward_solve, dupire_local_vol,
                      implied_vol_from_price, load_quotes)
 from .mixing import b_values, leverage, ratio_of_marginals
-from .model import (ModelSpec, SpotAmplitude, convert_correlation, grid_mass,
-                    smoothed_dirac, validate_model)
+from .model import (B_REF_MODES, ModelSpec, SpotAmplitude, convert_correlation,
+                    grid_mass, smoothed_dirac, validate_model)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +124,14 @@ def _as_txy(fn):
 # float, bool or a tuple of the words the key takes; a default of None marks a
 # required key; the bound is the least value taken (for a str, the least
 # length).  Checks that span keys, or that a library function makes (GridSpec,
-# validate_model, IterateBounds, ModelSpec.b_ref), stay there.
+# validate_model, IterateBounds), stay there.
 _POSITIVE = math.ulp(0.0)        # the least float above 0, as a bound
 _KEYS = {
     "paths.quotes": (str, None, None),
     "paths.output_dir": (str, "out", 1),         # empty would write beside the config
     "model.b": (str, "const:1.0", None), "model.alpha2": (str, "const:0.2", None),
     "model.beta1": (str, "", None), "model.beta2": (str, "mean_revert:1.0:0.0", None),
-    "model.gamma": (str, "", None), "model.b_ref": (str, "center", None),
+    "model.gamma": (str, "", None), "model.b_ref": (B_REF_MODES, "center", None),
     "model.rho": (float, "0.0", None), "model.rate": (float, "0.0", None),
     "model.spot0": (float, "100.0", None), "model.y0": (float, "0.0", None),
     "model.alpha_floor": (float, "1e-4", None),
@@ -491,7 +491,11 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
         alpha_floor=config.get("model.alpha_floor"))
 
     bw_s, bw_y = config.get("init.bandwidth_s"), config.get("init.bandwidth_y")
-    peak = 1.0 / (2.0 * math.pi * bw_s * bw_y)
+    area = 2.0 * math.pi * bw_s * bw_y
+    if not area > 1.0 / sys.float_info.max:      # the bump's peak 1 / area overflows
+        raise ValueError(f"init.bandwidth_s = {bw_s} and init.bandwidth_y = {bw_y} "
+                         f"put the bump's peak 1 / (2 pi bw_s bw_y) past the float range")
+    peak = 1.0 / area
     floor = config.get("init.floor_rel") * peak
     psi = smoothed_dirac(spot0, y0, bw_s, bw_y, floor, grid)
     validation = validate_model(spec, grid)

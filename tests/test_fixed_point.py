@@ -234,6 +234,25 @@ class TestApplyMap:
         f = build_rhs(u, spec, frozen.b_ref, grid)
         assert np.array_equal(v, solve_linear(frozen, psi, grid, f=f)[0])
 
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    def test_products_evaluated_once_per_slice(self, n_steps, monkeypatch):
+        # a map application of n steps evaluates each slice's products once:
+        # slice k's stencil and source read the same slice dict
+        import lsvcal.linpde
+        grid = make_grid(n_s=24, n_y=16, n_t=8)
+        spec = make_spec(grid, b=b_perturbed(0.3), rho=-0.4)
+        real, calls = lsvcal.linpde.diffusion_products, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(lsvcal.linpde, "diffusion_products", spy)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+        assert calls == []      # assembly evaluates them through the model
+        apply_map(traj_of(make_psi(grid), grid, n_steps=n_steps), spec, grid,
+                  frozen=frozen)
+        assert calls == list(range(n_steps + 1))
+
     @settings(max_examples=25, deadline=None)
     @given(n_s=st.integers(8, 16), n_y=st.integers(8, 14), n_t=st.integers(1, 6),
            amp=st.floats(0.0, 0.5), rho=st.floats(-0.9, 0.9))
@@ -840,7 +859,7 @@ class TestTimeLagged:
             mix = mixing_ratio(u, spec.b, grid)
             st0, st1 = (stencil(assemble_slice(spec, grid, j, mix.ratio, mix.sqrt_ratio), hs)
                         for j in (k, k + 1))
-            u, _ = step_slices(st0, st1, u, grid)
+            u = step_slices(st0, st1, u, grid)()
             assert np.array_equal(u, dens[k + 1])
 
     def test_constant_b_reproduces_frozen_solver(self):

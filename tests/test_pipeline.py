@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -13,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lsvcal import (DegenerateDenominator, FixedPointReport, MembershipLost,
-                    NonEllipticAssembly, StabilityFailure, assemble_frozen,
-                    dupire_forward_solve, iterate, leverage, marginal,
-                    mixing_ratio, solve_lagged, solve_linear,
-                    verify_calibration)
+from lsvcal import (DegenerateDenominator, FixedPointReport, GridSpec, IterateBounds,
+                    MembershipLost, ModelSpec, NonEllipticAssembly, StabilityFailure,
+                    assemble_frozen, dupire_forward_solve, dupire_local_vol, iterate,
+                    leverage, marginal, mixing_ratio, shrink_horizon, solve_lagged,
+                    solve_linear, verify_calibration)
 from lsvcal.cli import main
 from lsvcal.market import _bs_call
 from lsvcal.pipeline import (_KEYS, RunConfig, _inputs, _write_csv, builtin_y_function,
@@ -93,6 +94,31 @@ class TestConfig:
         assert main(["--config", str(path)]) == 1
         assert "unknown config key 'fp.auto_shrink'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    def test_library_defaults_equal_the_table_defaults(self):
+        # a value with a config key and a library default has two carriers;
+        # they must agree
+        def defaults(fn):
+            return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+        cfg = RunConfig(values={k: d for k, (_, d, _) in _KEYS.items() if d is not None})
+        model = {f.name: f.default for f in fields(ModelSpec)}
+        library = {
+            "fp.max_iter": [defaults(iterate)["max_iter"],
+                            defaults(shrink_horizon)["max_iter"]],
+            "fp.max_halvings": [defaults(shrink_horizon)["max_halvings"]],
+            "fp.cap_factor": [defaults(IterateBounds.from_initial)["cap_factor"]],
+            "fp.tol_factor": [defaults(IterateBounds.from_initial)["tol_factor"]],
+            **{f"model.{name}": [model[name]]
+               for name in ("rate", "spot0", "y0", "alpha_floor")},
+            "model.b_ref": [defaults(ModelSpec.b_ref)["mode"]],
+            "grid.holder_exp": [{f.name: f.default for f in fields(GridSpec)}["holder_exp"]],
+            "vol.floor": [defaults(dupire_local_vol)["floor"]],
+            "vol.cap": [defaults(dupire_local_vol)["cap"]],
+            **{f"verify.{name}": [defaults(verify_calibration)[name]]
+               for name in ("l1_tol", "mass_tol", "identity_tol")},
+        }
+        for key, values in library.items():
+            assert values == [cfg.get(key)] * len(values), key
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg_path = write_config(tmp_path, extra="# a comment\n\nfp.max_iter = 7")
@@ -325,6 +351,8 @@ class TestExitCodes:
                                        "verify.mass_tol = -1",
                                        "init.bandwidth_s = 0",
                                        "init.bandwidth_y = 0",
+                                       "init.bandwidth_s = 1e-200\n"
+                                       "init.bandwidth_y = 1e-200",
                                        "model.spot0 = 0", "model.spot0 = -5",
                                        "grid.s_min = 0", "grid.s_min = -1",
                                        "grid.s_min = 330", "grid.s_min = 400",
@@ -370,6 +398,8 @@ class TestExitCodes:
         ("model.gamma = const:1e308", "model.gamma too large"),
         ("model.gamma = const:1e200", "model.gamma too large"),
         ("model.rate = 1e308", "model.rate = 1e+308"),
+        ("init.bandwidth_s = 1e-200\ninit.bandwidth_y = 1e-200",
+         "init.bandwidth_s = 1e-200 and init.bandwidth_y = 1e-200"),
         ("paths.output_dir =", "paths.output_dir is empty"),
         ("grid.y_max = -2", "empty spatial domain")])
     def test_bad_setting_names_its_fault(self, tmp_path, extra, message):
