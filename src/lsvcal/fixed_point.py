@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fd
 from .errors import (DegenerateDenominator, HorizonExhausted, MembershipLost,
-                     NotConverged)
+                     NotConverged, StabilityFailure)
 from .grids import GridSpec
 from .holder import holder_norm
 from .linpde import (CoefficientFields, assemble_frozen, assemble_slice,
@@ -111,7 +111,9 @@ class FixedPointReport:
     input p, the last entry of ``residuals``; the returned trajectory is
     M(p).  It is None until the iteration converges.  ``denominator_min``,
     the smallest weighted marginal the time-lagged sweep divided by, is
-    None in fixed-point mode, which does not measure it.
+    None in fixed-point mode, which does not measure it.  ``march_passes``
+    holds the passes of each step the march finished (see ``iterate``), and
+    is None when no march ran.
     """
 
     residuals: list = field(default_factory=list)
@@ -126,9 +128,18 @@ class FixedPointReport:
     fixed_point_residual: float | None = None
     mode: str = "fixed-point"
     denominator_min: float | None = None
+    march_passes: list | None = None
 
     def fit_contraction(self) -> None:
-        """Geometric fit of the residual ladder (needs >= 3 iterations)."""
+        """Geometric fit of the residual ladder (needs >= 3 iterations).
+
+        After a march the ladder is no geometric sequence: ``contraction``
+        is then the ratio r2/r1 of the two Picard steps that let the march
+        start, and ``r_squared`` stays None.
+        """
+        if self.march_passes is not None:
+            self.contraction = self.residuals[1] / self.residuals[0]
+            return
         r = np.asarray([x for x in self.residuals if x > 0.0])
         if len(self.residuals) < 3 or len(r) < 3:
             return
@@ -151,8 +162,10 @@ def _source(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec):
     the unit products ``sl["a_s"]`` and ``sl["a_x"]`` that the solve has
     evaluated for slice k's stencil.  The centered differences cover
     interior nodes, and b constant gives exact zeros.  The mixing ratio is
-    taken once, on the whole trajectory (its floor uses the trajectory-wide
-    maximum marginal); each call builds one source slice.
+    taken once, on the whole trajectory; each call builds one source slice.
+    The ratio is ``num / den`` node by node, so slice k's source reads slice
+    k alone: the trajectory-wide maximum marginal only sets the threshold of
+    ``ratio_of_marginals``' ``DegenerateDenominator`` check.
     """
     mix = mixing_ratio(u, spec.b, grid)
     gap_ratio = (mix.ratio - 1.0 / (b_ref * b_ref))[..., None]
@@ -230,6 +243,61 @@ class _Overwrite:
         return float(np.max(self.steps))
 
 
+# the passes the march may make on one step before it stops and hands the
+# trajectory back to the Picard iteration
+_MARCH_PASSES = 8
+
+
+def _march(p: np.ndarray, spec: ModelSpec, grid: GridSpec,
+           frozen: CoefficientFields, params: IterateBounds) -> list:
+    """Solve the fixed point one time step at a time, writing over ``p[1:]``.
+
+    The map is causal and each source slice reads its own density slice
+    alone, so a fixed point satisfies one equation per step,
+    ``p[k+1] = Step(p[k], f(p[k]), f(p[k+1]))``.  Step k is made once by
+    ``step_slices`` from ``p[k]`` and its source; then its corrector
+    ``finish(f(guess))`` is repeated from the guess ``p[k+1]`` (the Picard
+    iterate's slice) until two guesses differ by at most ``tol/10``, and
+    the last guess replaces ``p[k+1]``.  Every guess must lie in the
+    pointwise band, compared as ``_Overwrite`` compares a slice.
+
+    A step that needs more than ``_MARCH_PASSES`` passes, a guess outside
+    the band, a NaN (``StabilityFailure``) or a ``DegenerateDenominator``
+    stops the march: the slices after the last finished step keep their
+    values.  Returns the passes of each finished step.
+    """
+    lo, hi = params.band
+    hs = (grid.ds, grid.dy)
+
+    def source(u, sl):
+        return _source(u[None], spec, frozen.b_ref, grid)(0, sl)
+
+    passes = []
+    try:
+        sl = frozen.slice(0)
+        st1, f1 = stencil(sl, hs), source(p[0], sl)
+        for k in range(len(p) - 1):
+            sl = frozen.slice(k + 1)
+            st0, st1 = st1, stencil(sl, hs)
+            finish = step_slices(st0, st1, p[k], grid, f0=f1)
+            guess = p[k + 1]
+            for n in range(1, _MARCH_PASSES + 1):
+                new = finish(source(guess, sl))
+                if not (float(new.min()) >= lo and float(new.max()) <= hi):
+                    return passes
+                if np.max(np.abs(new - guess)) <= 0.1 * params.tol:
+                    break
+                guess = new
+            else:
+                return passes
+            p[k + 1] = new
+            f1 = source(new, sl)
+            passes.append(n)
+    except (StabilityFailure, DegenerateDenominator):
+        pass            # a NaN step or a degenerate ratio stops it too
+    return passes
+
+
 def _failed_bounds(mem: MembershipResult) -> str:
     """The bounds a membership record breaks, with the values that break them."""
     return ", ".join(text for ok, text in (
@@ -245,7 +313,7 @@ def _horizon_steps(t_star: float, grid: GridSpec) -> int:
 
 def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             params: IterateBounds | None = None, max_iter: int = 50,
-            frozen: CoefficientFields | None = None) -> tuple:
+            frozen: CoefficientFields | None = None, march: bool = False) -> tuple:
     """Run the fixed-point construction from the constant-in-time start.
 
     ``frozen``, the ``assemble_frozen`` result for this grid, serves every
@@ -257,6 +325,14 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     constant start and every solve keep equal to ``psi``, and writes its
     result M(p) over its input p slice by slice, so a run holds ``frozen``
     and one trajectory.
+
+    With ``march``, two Picard iterates that stay admissible and contract
+    (r2 < r1), with a third iteration in the budget, hand the trajectory to
+    ``_march``, which solves the fixed point step by step over iterate 2 in
+    place.  Iteration 3 is then an ordinary map application, which
+    certifies the march; if the march stopped early, the iteration goes on
+    from the trajectory as it stands.  The report's ``march_passes`` holds
+    the passes of each step the march finished.
 
     Returns (trajectory, FixedPointReport) on convergence.  The trajectory,
     of shape (k*+1, n_s+2, n_y+2), is the result M(p) of the map
@@ -322,6 +398,8 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
             report.converged = True
             report.fixed_point_residual = resid
             break
+        if march and n == 2 and max_iter > 2 and resid < report.residuals[0]:
+            report.march_passes = _march(p, spec, grid, frozen, params)
 
     report.fit_contraction()
     if not report.converged:
@@ -331,15 +409,15 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
 
 def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
                    params: IterateBounds, max_halvings: int = 6,
-                   max_iter: int = 50,
-                   frozen: CoefficientFields | None = None) -> IterateBounds:
+                   max_iter: int = 50, frozen: CoefficientFields | None = None,
+                   march: bool = False) -> IterateBounds:
     """Halve the horizon until the iteration succeeds.
 
     Runs the construction at the current horizon first; a run that succeeds
     immediately returns the parameters unchanged.  Returns parameters whose
     ``t_star`` produced a convergent run.  One ``frozen`` operator, with its
     anchor, serves every ``iterate`` attempt; without it, it is assembled
-    here at ``spec.b_ref(grid)``.
+    here at ``spec.b_ref(grid)``.  ``march`` goes to every attempt.
 
     Raises:
         ValueError: ``max_halvings`` < 0.
@@ -355,7 +433,8 @@ def shrink_horizon(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         # its traceback; only the last one is kept, for HorizonExhausted
         last_err = None
         try:
-            iterate(spec, grid, psi, params=bounds, max_iter=max_iter, frozen=frozen)
+            iterate(spec, grid, psi, params=bounds, max_iter=max_iter, frozen=frozen,
+                    march=march)
             return bounds
         except (MembershipLost, NotConverged) as err:
             last_err = err

@@ -103,16 +103,21 @@ class SpotAmplitude:
 
 
 def eval_coeff(c, k: int, t: float, grid: GridSpec) -> np.ndarray:
-    """Evaluate a coefficient on the (S, y) node tensor at time index k."""
+    """Evaluate a coefficient on the (S, y) node tensor at time index k.
+
+    A callable gets the S-nodes as a column and the y-nodes as a row.  A
+    value of shape (1, n_y+2), a coefficient of y alone, comes back as that
+    row, which broadcasts against the (S, y) planes it meets; any other
+    value is spread over the plane.
+    """
     shape = (grid.n_s + 2, grid.n_y + 2)
     if c is None:
         return np.zeros(shape)
     if hasattr(c, "eval_slice"):
         return np.asarray(c.eval_slice(k, grid), dtype=float)
     if callable(c):
-        s = grid.s_nodes[:, None]
-        y = grid.y_nodes[None, :]
-        return np.broadcast_to(np.asarray(c(t, s, y), dtype=float), shape).copy()
+        v = np.asarray(c(t, grid.s_nodes[:, None], grid.y_nodes[None, :]), dtype=float)
+        return v if v.shape == (1, shape[1]) else np.broadcast_to(v, shape).copy()
     return np.full(shape, float(c))
 
 

@@ -112,8 +112,9 @@ def builtin_y_function(spec_str: str, base_dir: str = "."):
 
 
 def _as_txy(fn):
-    """Lift a y-function to the (t, S, y) coefficient signature."""
-    return lambda t, s, y: fn(y) + 0.0 * s
+    """Lift a y-function to the (t, S, y) coefficient signature; on the
+    y-nodes' row it gives a row (``model.eval_coeff``)."""
+    return lambda t, s, y: fn(y)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +536,9 @@ def _solve(run: SimpleNamespace, log) -> tuple:
         return solve_lagged(run.spec, run.grid, run.psi,
                             out=_record(run, run.grid.n_t + 1))
     # one operator, carrying the anchor, serves every attempt; built
-    # through iterate's binding
-    kwargs = {"max_iter": run.max_iter, "frozen": fixed_point.assemble_frozen(
-        run.spec, run.grid, b_ref=run.b_ref)}
+    # through iterate's binding.  Each attempt may finish by the march.
+    kwargs = {"max_iter": run.max_iter, "march": True,
+              "frozen": fixed_point.assemble_frozen(run.spec, run.grid, b_ref=run.b_ref)}
     try:
         return iterate(run.spec, run.grid, run.psi, params=run.params, **kwargs)
     except (MembershipLost, NotConverged) as err:

@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -796,6 +796,181 @@ class TestShrinkHorizon:
         half = replace(params, t_star=params.t_star / 2)
         _, rep_half = iterate(spec, grid, psi, params=half)
         assert rep_half.converged
+
+
+def outcome_of(*args, **kwargs):
+    """``iterate``'s (trajectory, report, error) whether it converges or
+    fails; error is None on convergence."""
+    try:
+        p, rep = iterate(*args, **kwargs)
+        return p, rep, None
+    except (MembershipLost, NotConverged) as err:
+        return err.density, err.report, err
+
+
+class TestMarch:
+    @settings(max_examples=25, deadline=None)
+    @given(n_s=st.integers(12, 32), n_y=st.integers(10, 24), n_t=st.integers(2, 16),
+           horizon=st.floats(0.1, 1.0), s=st.floats(0.0, 3.0), rho=st.floats(-0.6, 0.6))
+    # 6 Picard iterations, or 3 with the march (2 to 4 passes a step)
+    @example(n_s=26, n_y=17, n_t=12, horizon=0.44, s=1.26, rho=0.0)
+    def test_march_converges_no_later_and_near_the_picard_answer(
+            self, n_s, n_y, n_t, horizon, s, rho):
+        # wherever the constant-start Picard iteration converges, the
+        # march's run converges in at most as many iterations, and the two
+        # answers, each within about tol of the fixed point, agree to tol
+        grid = make_grid(n_s=n_s, n_y=n_y, n_t=n_t, horizon=horizon)
+        spec = make_spec(grid, b=b_perturbed(s), rho=rho)
+        psi = make_psi(grid)
+        params = IterateBounds.from_initial(psi, grid)
+        want, rep, err = outcome_of(spec, grid, psi, params=params)
+        assume(err is None)
+        got, rep_m = iterate(spec, grid, psi, params=params, march=True)
+        assert rep_m.converged and rep_m.iterations <= rep.iterations
+        assert np.max(np.abs(got - want)) <= params.tol
+        assert rep_m.fixed_point_residual == rep_m.residuals[-1] <= params.tol
+        if rep.iterations > 2:
+            # the march ran after the same two Picard iterates
+            assert rep_m.residuals[:2] == rep.residuals[:2]
+            assert rep_m.march_passes is not None
+            assert rep_m.contraction == rep.residuals[1] / rep.residuals[0]
+            assert rep_m.r_squared is None
+
+    def test_march_leaves_the_map_checks_one_per_iteration(self, monkeypatch):
+        # the march makes time steps only: every linear solve, membership
+        # check and gap monitor is one iteration's, and the march's passes
+        # land between iterations 2 and 3
+        import lsvcal.fixed_point
+        import lsvcal.linpde
+        grid = make_grid(n_s=32, n_y=20, n_t=20)
+        spec = make_spec(grid, b=b_perturbed(1.0))
+        calls = {name: 0 for name in ("solve_linear", "check_membership",
+                                      "ratio_gap_monitor", "step_slices")}
+        for mod, name in ((lsvcal.fixed_point, "solve_linear"),
+                          (lsvcal.fixed_point, "check_membership"),
+                          (lsvcal.fixed_point, "ratio_gap_monitor"),
+                          (lsvcal.fixed_point, "step_slices"),
+                          (lsvcal.linpde, "step_slices")):
+            def spy(*args, real=getattr(mod, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, spy)
+        p, rep = iterate(spec, grid, make_psi(grid), march=True)
+        assert rep.converged and rep.iterations == 3
+        assert len(rep.march_passes) == grid.n_t
+        assert calls["solve_linear"] == calls["check_membership"] == 3
+        assert calls["ratio_gap_monitor"] == 3
+        # one step_slices per step and iteration, and one per marched step
+        assert calls["step_slices"] == 4 * grid.n_t
+
+    def test_recovery_config_fails_as_picard_does(self):
+        # the tests' recovery config leaves the band at iteration 2, before
+        # the march could start: the same error, slice, trajectory and report
+        grid = make_grid(n_s=48, n_y=32, n_t=32)
+        spec = make_spec(grid, b=b_perturbed(5.0))
+        psi = make_psi(grid)
+        params = IterateBounds.from_initial(psi, grid)
+        runs = [outcome_of(spec, grid, psi, params=params, march=march)
+                for march in (False, True)]
+        (p0, rep0, err0), (p1, rep1, err1) = runs
+        assert isinstance(err0, MembershipLost) and isinstance(err1, MembershipLost)
+        assert err0.iteration == err1.iteration == 2
+        assert str(err0) == str(err1)
+        assert str(err0).startswith("iterate 2 left the admissible set at slice 2 ")
+        assert np.array_equal(p0, p1)
+        assert asdict(rep0) == asdict(rep1) and rep1.march_passes is None
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    @pytest.mark.parametrize("scale", [0.05, 5.0], ids=["contracting", "escaping"])
+    def test_budget_of_two_never_marches(self, max_iter, scale):
+        # the march needs a third iteration to certify it; without one,
+        # march=True is the Picard run bit for bit
+        grid = make_grid(n_s=32, n_y=20, n_t=10)
+        spec = make_spec(grid, b=b_perturbed(scale))
+        psi = make_psi(grid)
+        (p0, rep0, err0), (p1, rep1, err1) = (
+            outcome_of(spec, grid, psi, max_iter=max_iter, march=march)
+            for march in (False, True))
+        assert type(err0) is type(err1) and str(err0) == str(err1)
+        assert np.array_equal(p0, p1)
+        assert repr(asdict(rep0)) == repr(asdict(rep1))
+        assert rep1.march_passes is None
+
+    def test_march_stopped_by_its_pass_cap_hands_back_to_picard(self, monkeypatch):
+        # with one pass a step, no step settles, so the march stops at its
+        # first step and writes nothing: the Picard iteration goes on from
+        # iterate 2 and converges on the Picard answer bit for bit
+        import lsvcal.fixed_point
+        monkeypatch.setattr(lsvcal.fixed_point, "_MARCH_PASSES", 1)
+        grid = make_grid(n_s=32, n_y=20, n_t=20)
+        spec = make_spec(grid, b=b_perturbed(1.0))
+        psi = make_psi(grid)
+        want, rep = iterate(spec, grid, psi)
+        got, rep_m = iterate(spec, grid, psi, march=True)
+        assert rep.iterations > 3
+        assert rep_m.converged and rep_m.march_passes == []
+        assert np.array_equal(got, want)
+        assert rep_m.residuals == rep.residuals
+        assert rep_m.contraction == rep.residuals[1] / rep.residuals[0]
+        assert rep_m.r_squared is None and rep.r_squared is not None
+
+    @pytest.mark.parametrize("fault", ["band", "nan"])
+    def test_march_stops_at_a_faulty_step_and_keeps_the_rest(self, monkeypatch, fault):
+        # a step whose guesses leave the band, or whose corrector makes a
+        # NaN, stops the march there: the steps before it are the whole
+        # march's, and the slices after it keep iterate 2's values
+        import lsvcal.fixed_point
+        grid = make_grid(n_s=32, n_y=20, n_t=20)
+        spec = make_spec(grid, b=b_perturbed(1.0))
+        psi = make_psi(grid)
+        params = IterateBounds.from_initial(psi, grid)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+        start = outcome_of(spec, grid, psi, params=params, frozen=frozen, max_iter=2)[0]
+        whole = start.copy()
+        passes = lsvcal.fixed_point._march(whole, spec, grid, frozen, params)
+        assert len(passes) == grid.n_t
+        j, made = 7, []
+        hi = params.band[1]
+
+        def spy(*args, real=lsvcal.fixed_point.step_slices, **kwargs):
+            finish = real(*args, **kwargs)
+            made.append(1)
+            if len(made) <= j:
+                return finish
+            if fault == "band":        # a settled guess above the band
+                return lambda f1: finish(f1) + hi
+            return lambda f1: finish(np.full_like(f1, np.nan))
+        monkeypatch.setattr(lsvcal.fixed_point, "step_slices", spy)
+        p = start.copy()
+        assert lsvcal.fixed_point._march(p, spec, grid, frozen, params) == passes[:j]
+        assert np.array_equal(p[:j + 1], whole[:j + 1])
+        assert np.array_equal(p[j + 1:], start[j + 1:])
+
+    def test_march_holds_no_second_trajectory(self, monkeypatch):
+        # the march writes over the iterate slice by slice: beyond the
+        # Picard run's own peak it holds one step's scratch, well under
+        # half a trajectory (a copy of the iterate would be a whole one)
+        import tracemalloc
+        from lsvcal import holder
+        grid = make_grid(n_s=32, n_y=20, n_t=160)
+        spec = make_spec(grid, b=b_perturbed(0.05))
+        psi = make_psi(grid)
+        frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
+        params = IterateBounds.from_initial(psi, grid)
+        monkeypatch.setattr(holder, "_SLAB_BYTES", 4 * psi.nbytes)
+        peaks = {}
+        for march in (False, True):
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                p, rep = iterate(spec, grid, psi, params=params, frozen=frozen,
+                                 march=march)
+                peaks[march] = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert rep.converged
+        assert rep.march_passes is not None and len(rep.march_passes) == grid.n_t
+        assert peaks[True] - peaks[False] < 0.5 * p.nbytes
 
 
 class TestTimeLagged:

@@ -116,6 +116,44 @@ class TestAssembly:
             np.testing.assert_allclose(shifted["a_ss"] - base["a_ss"],
                                        expected, atol=1e-14)
 
+    def test_y_only_coefficients_evaluate_as_rows_bit_for_bit(self):
+        # the config's y-functions evaluate as (1, n_y+2) rows; every
+        # product they meet broadcasts, so the operator, the frozen fields
+        # and a time-lagged sweep are those of the plane-spread values
+        from lsvcal import SpotAmplitude, solve_lagged
+        from lsvcal.model import eval_coeff
+        from lsvcal.pipeline import _as_txy, builtin_y_function
+        grid = make_grid(n_s=20, n_y=16, n_t=6)
+        b = b_perturbed(1.0)
+        fns = {key: builtin_y_function(text) for key, text in (
+            ("alpha2", "const:0.2"), ("beta1", "const:0.5"),
+            ("beta2", "mean_revert:4.0:0.0"), ("gamma", "sqrt1p_sin:0.5"))}
+
+        def spec_of(lift):
+            return ModelSpec(b=b, alpha1=SpotAmplitude(flat_sigma(grid), b, grid),
+                             corr=convert_correlation(-0.3), rate=0.03,
+                             **{key: lift(fn) for key, fn in fns.items()})
+        rows = spec_of(_as_txy)
+        planes = spec_of(lambda fn: lambda t, s, y: fn(y) + 0.0 * s)
+        for key in fns:
+            row = eval_coeff(getattr(rows, key), 1, grid.t_nodes[1], grid)
+            plane = eval_coeff(getattr(planes, key), 1, grid.t_nodes[1], grid)
+            assert row.shape == (1, grid.n_y + 2) and plane.shape == grid.shape[1:]
+            assert np.array_equal(np.broadcast_to(row, plane.shape), plane)
+        ratio = 1.0 + 0.3 * np.random.default_rng(4).uniform(size=grid.n_s + 2)
+        for k in (0, grid.n_t):
+            for r in (1.0, ratio):
+                got = assemble_slice(rows, grid, k, r, np.sqrt(r))
+                want = assemble_slice(planes, grid, k, r, np.sqrt(r))
+                assert all(np.array_equal(np.broadcast_to(got[key], want[key].shape),
+                                          want[key]) for key in want)
+        got, want = (assemble_frozen(spec, grid, b_ref=1.2) for spec in (rows, planes))
+        assert all(np.array_equal(getattr(got, key), getattr(want, key))
+                   for key in ("b_s", "b_y", "c", "k2", "a_sy_max"))
+        psi = make_psi(grid)
+        assert np.array_equal(solve_lagged(rows, grid, psi)[0],
+                              solve_lagged(planes, grid, psi)[0])
+
 
 class TestEllipticity:
     def test_diagonal_case(self):

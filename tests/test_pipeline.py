@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lsvcal import (DegenerateDenominator, FixedPointReport, GridSpec, IterateBounds,
-                    MembershipLost, ModelSpec, NonEllipticAssembly, StabilityFailure,
-                    assemble_frozen, dupire_forward_solve, dupire_local_vol, iterate,
-                    leverage, marginal, mixing_ratio, shrink_horizon, solve_lagged,
-                    solve_linear, verify_calibration)
+                    MembershipLost, ModelSpec, NonEllipticAssembly, NotConverged,
+                    StabilityFailure, assemble_frozen, dupire_forward_solve,
+                    dupire_local_vol, iterate, leverage, marginal, mixing_ratio,
+                    shrink_horizon, solve_lagged, solve_linear, verify_calibration)
 from lsvcal.cli import main
 from lsvcal.market import _bs_call
 from lsvcal.pipeline import (_KEYS, RunConfig, _inputs, _write_csv, builtin_y_function,
@@ -640,6 +640,84 @@ class TestExitCodes:
         assert fp["mode"] == "time-lagged" and fp["converged"] is True
         assert fp["iterations"] == 0 and fp["t_star"] == 1.0
         assert fp["denominator_min"] > 0
+        assert fp["march_passes"] is None
+
+
+DEMO_CONFIG = """\
+paths.quotes = quotes.csv
+model.b = exp_clamped:0.5:2.0
+model.alpha2 = const:0.2
+model.beta2 = mean_revert:4.0:0.0
+model.rho = -0.3
+grid.s_min = 30
+grid.s_max = 330
+grid.y_min = -0.5
+grid.y_max = 0.5
+grid.ns = 100
+grid.ny = 50
+grid.t = 1.0
+grid.nt = 100
+init.bandwidth_s = 10.0
+init.bandwidth_y = 0.075
+"""
+
+
+class TestMarch:
+    def test_demo_run_is_certified_at_iteration_three(self, tmp_path):
+        # two Picard iterates, the march over every step, one certifying
+        # application
+        write_flat_quotes(tmp_path / "quotes.csv")
+        (tmp_path / "run.cfg").write_text(DEMO_CONFIG)
+        assert run_pipeline(RunConfig.from_file(tmp_path / "run.cfg"),
+                            log=lambda m: None) == 0
+        fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
+        assert fp["converged"] is True and fp["t_star"] == 1.0
+        assert fp["iterations"] == 3 == len(fp["residuals"])
+        assert len(fp["march_passes"]) == 100
+        assert all(1 <= n <= 8 for n in fp["march_passes"])
+        assert fp["fixed_point_residual"] == fp["residuals"][-1] <= fp["tol"]
+        assert fp["contraction"] == fp["residuals"][1] / fp["residuals"][0]
+        assert fp["r_squared"] is None
+
+    def test_recovery_keeps_its_ladder_and_horizon(self, tmp_path, monkeypatch):
+        # every failed attempt leaves the band at iteration 2, before the
+        # march could start, so the march changes no rung of the ladder:
+        # the same attempts fail with the same messages, and the recovered
+        # horizon is the same; only the winner takes fewer iterations
+        import lsvcal.fixed_point
+        import lsvcal.pipeline
+        real = lsvcal.fixed_point.iterate
+
+        def run(march):
+            attempts, logged = [], []
+
+            def spy(*args, **kwargs):
+                kwargs["march"] = march and kwargs["march"]
+                try:
+                    p, rep = real(*args, **kwargs)
+                except (MembershipLost, NotConverged) as err:
+                    attempts.append((err.report.t_star, str(err)))
+                    raise
+                attempts.append((rep.t_star, rep.iterations))
+                return p, rep
+            monkeypatch.setattr(lsvcal.fixed_point, "iterate", spy)
+            monkeypatch.setattr(lsvcal.pipeline, "iterate", spy)
+            out = tmp_path / ("march" if march else "picard")
+            cfg = RunConfig.from_file(write_config(
+                tmp_path, b="sqrt1p_sin:5.0", ns=48, ny=32, nt=32,
+                extra=f"paths.output_dir = {out.name}"))
+            assert run_pipeline(cfg, log=logged.append) == 0
+            return attempts, logged, json.loads((out / "fixed_point.json").read_text())
+        (picard, logged0, fp0), (march, logged1, fp1) = run(False), run(True)
+        assert logged0 == logged1
+        assert len(march) == len(picard) > 2
+        assert march[:-2] == picard[:-2]
+        assert all(isinstance(a[1], str) for a in march[:-2])
+        assert [a[0] for a in march] == [a[0] for a in picard]
+        assert fp1["t_star"] == fp0["t_star"] < 1.0
+        assert fp1["iterations"] == 3 < fp0["iterations"]
+        assert fp0["march_passes"] is None and len(fp1["march_passes"]) == round(
+            fp1["t_star"] * 32)
 
 
 # values that each break some config key
