@@ -45,7 +45,7 @@ dens, rep = iterate(spec_for(family(0.05)), grid, psi)
 print(f"\nb^2 = 1 + 0.05 sin(y): {rep.iterations} iterations")
 for n, (r, m) in enumerate(zip(rep.residuals, rep.membership), start=1):
     print(f"  it {n}: residual {r:.3e}   norm {m['norm']:.3f} "
-          f"(cap {m['norm_cap']:.3f})")
+          f"(cap {rep.norm_cap:.3f})")
 print(f"  contraction {rep.contraction:.2e}, fit R^2 {rep.r_squared:.4f}")
 print(f"  map residual of the returned trajectory, max|M(p) - p|: "
       f"{rep.fixed_point_residual:.2e} (tol {rep.tol:.2e})")

@@ -76,9 +76,6 @@ class MembershipResult:
     min: float
     max: float
     norm: float
-    lower_bound: float
-    upper_bound: float
-    norm_cap: float
 
     @property
     def ok(self) -> bool:
@@ -97,9 +94,7 @@ def check_membership(p: np.ndarray, params: IterateBounds,
     return MembershipResult(
         lower_ok=bool(pmin >= lo), upper_ok=bool(pmax <= hi),
         norm_ok=bool(nrm <= params.holder_cap),
-        min=pmin, max=pmax, norm=nrm,
-        lower_bound=float(lo), upper_bound=float(hi),
-        norm_cap=float(params.holder_cap))
+        min=pmin, max=pmax, norm=nrm)
 
 
 @dataclass
@@ -113,7 +108,8 @@ class FixedPointReport:
     the smallest weighted marginal the time-lagged sweep divided by, is
     None in fixed-point mode, which does not measure it.  ``march_passes``
     holds the passes of each step the march finished (see ``iterate``), and
-    is None when no march ran.
+    is None when no march ran.  ``lower_bound``, ``upper_bound`` and
+    ``norm_cap`` bound every ``membership`` record (None in time-lagged mode).
     """
 
     residuals: list = field(default_factory=list)
@@ -125,6 +121,9 @@ class FixedPointReport:
     r_squared: float | None = None
     t_star: float = 0.0
     tol: float | None = None
+    lower_bound: float | None = None
+    upper_bound: float | None = None
+    norm_cap: float | None = None
     fixed_point_residual: float | None = None
     mode: str = "fixed-point"
     denominator_min: float | None = None
@@ -214,16 +213,20 @@ class _Escaped(Exception):
         self.k = k
 
 
+def _in_band(v: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether min(v) >= lo and max(v) <= hi, as ``check_membership`` tests the band."""
+    return float(v.min()) >= lo and float(v.max()) <= hi
+
+
 class _Overwrite:
     """``out`` for a map application that writes its result over its input
     ``p``: each slice's step ``max|v[k] - p[k]|`` is taken before ``v[k]``
     replaces ``p[k]``, and ``residual`` is the largest step so far,
     ``max|M(p) - p|`` once every slice is written.
 
-    A slice whose extremes leave the band ``(lo, hi)``, compared as
-    ``check_membership`` compares a trajectory's, is written and then
-    raises ``_Escaped``, which stops the solve: the bounds hold slice by
-    slice and a solve is causal, so no later slice can change the verdict.
+    A slice outside the band ``(lo, hi)`` is written and then raises
+    ``_Escaped``, which stops the solve: the bounds hold slice by slice
+    and a solve is causal, so no later slice can change the verdict.
     """
 
     def __init__(self, p: np.ndarray, lo: float, hi: float):
@@ -234,8 +237,7 @@ class _Overwrite:
     def __setitem__(self, k: int, v: np.ndarray):
         self.steps.append(np.max(np.abs(v - self.p[k])))
         self.p[k] = v
-        lo, hi = self.band
-        if not (float(v.min()) >= lo and float(v.max()) <= hi):
+        if not _in_band(v, *self.band):
             raise _Escaped(k)
 
     @property
@@ -259,14 +261,13 @@ def _march(p: np.ndarray, spec: ModelSpec, grid: GridSpec,
     ``finish(f(guess))`` is repeated from the guess ``p[k+1]`` (the Picard
     iterate's slice) until two guesses differ by at most ``tol/10``, and
     the last guess replaces ``p[k+1]``.  Every guess must lie in the
-    pointwise band, compared as ``_Overwrite`` compares a slice.
+    pointwise band.
 
     A step that needs more than ``_MARCH_PASSES`` passes, a guess outside
     the band, a NaN (``StabilityFailure``) or a ``DegenerateDenominator``
     stops the march: the slices after the last finished step keep their
     values.  Returns the passes of each finished step.
     """
-    lo, hi = params.band
     hs = (grid.ds, grid.dy)
 
     def source(u, sl):
@@ -283,7 +284,7 @@ def _march(p: np.ndarray, spec: ModelSpec, grid: GridSpec,
             guess = p[k + 1]
             for n in range(1, _MARCH_PASSES + 1):
                 new = finish(source(guess, sl))
-                if not (float(new.min()) >= lo and float(new.max()) <= hi):
+                if not _in_band(new, *params.band):
                     return passes
                 if np.max(np.abs(new - guess)) <= 0.1 * params.tol:
                     break
@@ -298,12 +299,12 @@ def _march(p: np.ndarray, spec: ModelSpec, grid: GridSpec,
     return passes
 
 
-def _failed_bounds(mem: MembershipResult) -> str:
+def _failed_bounds(mem: MembershipResult, params: IterateBounds) -> str:
     """The bounds a membership record breaks, with the values that break them."""
     return ", ".join(text for ok, text in (
-        (mem.lower_ok, f"min {mem.min:.6g} < lower bound {mem.lower_bound:.6g}"),
-        (mem.upper_ok, f"max {mem.max:.6g} > upper bound {mem.upper_bound:.6g}"),
-        (mem.norm_ok, f"Hoelder norm {mem.norm:.6g} > cap {mem.norm_cap:.6g}"))
+        (mem.lower_ok, f"min {mem.min:.6g} < lower bound {params.band[0]:.6g}"),
+        (mem.upper_ok, f"max {mem.max:.6g} > upper bound {params.band[1]:.6g}"),
+        (mem.norm_ok, f"Hoelder norm {mem.norm:.6g} > cap {params.holder_cap:.6g}"))
         if not ok)
 
 
@@ -367,11 +368,13 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
     k_star = _horizon_steps(params.t_star, grid)
     bsq_slope = measured_bsq_slope(spec.b, grid)
 
-    report = FixedPointReport(t_star=k_star * grid.dt, tol=params.tol)
+    lo, hi = params.band
+    report = FixedPointReport(t_star=k_star * grid.dt, tol=params.tol, lower_bound=lo,
+                              upper_bound=hi, norm_cap=params.holder_cap)
     p = np.broadcast_to(psi, (k_star + 1,) + psi.shape).copy()
 
     for n in range(1, max_iter + 1):
-        step = _Overwrite(p, *params.band)
+        step = _Overwrite(p, lo, hi)
         try:
             apply_map(p, spec, grid, frozen=frozen, out=step)
             made, where = p, ""
@@ -393,7 +396,7 @@ def iterate(spec: ModelSpec, grid: GridSpec, psi: np.ndarray,
         if not mem.ok:
             report.fit_contraction()
             raise MembershipLost(n, report=report, density=made,
-                                 detail=f"{where}: {_failed_bounds(mem)}")
+                                 detail=f"{where}: {_failed_bounds(mem, params)}")
         if resid <= params.tol:
             report.converged = True
             report.fixed_point_residual = resid

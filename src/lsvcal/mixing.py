@@ -122,8 +122,6 @@ class GapRecord:
     lhs: float
     lhs_ratio_part: float
     lhs_root_part: float
-    p_norm: float
-    bsq_slope: float
     scaled: float | None
 
 
@@ -150,8 +148,6 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
         raise ValueError("gap norm is not finite")
     if p_norm is None:
         p_norm = holder_norm(p, 2, grid).value
-    scaled = None
-    if bsq_slope > 0:
-        scaled = lhs / (bsq_slope * (1.0 + p_norm) ** 6)
-    return GapRecord(lhs, n1.value, n2.value, p_norm, bsq_slope, scaled)
+    scaled = lhs / (bsq_slope * (1.0 + p_norm) ** 6) if bsq_slope > 0 else None
+    return GapRecord(lhs, n1.value, n2.value, scaled)
 

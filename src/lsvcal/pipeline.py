@@ -134,9 +134,9 @@ _KEYS = {
     "model.beta1": (str, "", None), "model.beta2": (str, "mean_revert:1.0:0.0", None),
     "model.gamma": (str, "", None), "model.b_ref": (B_REF_MODES, "center", None),
     "model.rho": (float, "0.0", None), "model.rate": (float, "0.0", None),
-    "model.spot0": (float, "100.0", None), "model.y0": (float, "0.0", None),
-    "model.alpha_floor": (float, "1e-4", None),
-    "grid.s_min": (float, None, None), "grid.s_max": (float, None, None),
+    "model.spot0": (float, "100.0", _POSITIVE), "model.y0": (float, "0.0", None),
+    "model.alpha_floor": (float, "1e-4", _POSITIVE),
+    "grid.s_min": (float, None, _POSITIVE), "grid.s_max": (float, None, None),
     "grid.y_min": (float, None, None), "grid.y_max": (float, None, None),
     "grid.ns": (int, None, None), "grid.ny": (int, None, None),
     "grid.t": (float, None, None), "grid.nt": (int, None, None),
@@ -145,8 +145,8 @@ _KEYS = {
     "init.bandwidth_y": (float, None, _POSITIVE),
     "init.floor_rel": (float, "1e-6", None),
     "fp.mode": (("fixed-point", "time-lagged"), "fixed-point", None),
-    "fp.max_iter": (int, "50", 1), "fp.tol_factor": (float, "1e-8", None),
-    "fp.cap_factor": (float, "1.5", None),
+    "fp.max_iter": (int, "50", 1), "fp.tol_factor": (float, "1e-8", _POSITIVE),
+    "fp.cap_factor": (float, "1.5", _POSITIVE),
     "fp.max_halvings": (int, "6", 0),
     "run.verify": (bool, "true", None),
     "run.snapshot_every": (int, "0", 0),
@@ -511,8 +511,7 @@ def _inputs(config: RunConfig, log) -> SimpleNamespace:
                      "tol_factor": config.get("fp.tol_factor")}
     run = SimpleNamespace(
         grid=grid, quotes=quotes, sigma_d=sigma_d, spec=spec, psi=psi,
-        report={"validation": asdict(validation), "mode": mode,
-                "corner_residual": corner_residual},
+        report={"validation": asdict(validation), "corner_residual": corner_residual},
         mode=mode,
         params=(IterateBounds.from_initial(psi, grid, **bound_factors)
                 if mode == "fixed-point" else None),

@@ -360,17 +360,18 @@ def test_criterion_08_positivity_and_bounds(local_vol_degenerate_run,
                                             contraction_run):
     runs = []
     fp1 = local_vol_degenerate_run["fp"]
-    runs.append(("local-vol", fp1["membership"][-1]))
+    runs.append(("local-vol", fp1["membership"][-1],
+                 fp1["lower_bound"], fp1["upper_bound"]))
     rep2 = exp_b_calibration["fine_report"]
-    runs.append(("calibration", rep2.membership[-1]))
+    runs.append(("calibration", rep2.membership[-1], rep2.lower_bound, rep2.upper_bound))
     rep3 = contraction_run["report"]
-    runs.append(("contraction", rep3.membership[-1]))
-    for name, mem in runs:
-        assert mem["min"] >= mem["lower_bound"], name
-        assert mem["max"] <= mem["upper_bound"], name
+    runs.append(("contraction", rep3.membership[-1], rep3.lower_bound, rep3.upper_bound))
+    for name, mem, lo, hi in runs:
+        assert mem["min"] >= lo, name
+        assert mem["max"] <= hi, name
     criterion(8, "all converged runs inside the pointwise band "
-                 + str({n: (f"{m['min']:.2e}>={m['lower_bound']:.2e}")
-                        for n, m in runs}))
+                 + str({n: (f"{m['min']:.2e}>={lo:.2e}")
+                        for n, m, lo, _ in runs}))
 
 
 def test_criterion_09_ratio_quadrature():

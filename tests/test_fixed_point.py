@@ -14,7 +14,7 @@ from lsvcal import (FixedPointReport, HorizonExhausted, IterateBounds,
 from lsvcal import fd
 from lsvcal.linpde import assemble_slice, stencil, step_slices
 from lsvcal.mixing import mixing_ratio
-from lsvcal.model import operator_coefficients
+from lsvcal.model import measured_bsq_slope, operator_coefficients
 
 from conftest import b_const, b_perturbed, make_grid, make_psi, make_spec
 
@@ -483,8 +483,9 @@ class TestIterate:
         spec = make_spec(grid, b=b_perturbed(0.05))
         _, rep = iterate(spec, grid, make_psi(grid))
         assert len(rep.gap_monitor) == rep.iterations >= 3
+        bsq_slope = measured_bsq_slope(spec.b, grid)
         for mem, rec in zip(rep.membership, rep.gap_monitor):
-            assert mem["norm"] == rec["p_norm"]
+            assert rec["scaled"] == rec["lhs"] / (bsq_slope * (1.0 + mem["norm"]) ** 6)
 
     def test_fixed_point_consistency(self):
         grid = make_grid(n_s=32, n_y=20, n_t=20)
@@ -835,6 +836,10 @@ class TestMarch:
             assert rep_m.march_passes is not None
             assert rep_m.contraction == rep.residuals[1] / rep.residuals[0]
             assert rep_m.r_squared is None
+        if rep_m.march_passes is not None and len(rep_m.march_passes) == len(got) - 1:
+            # a march that reached the horizon is certified by the next
+            # application, iteration 3
+            assert rep_m.iterations == 3 and rep_m.residuals[2] <= params.tol
 
     def test_march_leaves_the_map_checks_one_per_iteration(self, monkeypatch):
         # the march makes time steps only: every linear solve, membership

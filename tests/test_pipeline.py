@@ -387,7 +387,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra,message", [
         ("model.b = cir:1:0", "b-positivity"),
-        ("model.alpha_floor = 0", "alpha-floor"),
+        ("model.alpha_floor = 0", "model.alpha_floor"),
         ("model.b = const:1e308", "model.b too large"),
         ("model.b = const:1e200", "model.b too large"),
         ("model.b = const:1e154", "model.b too large"),
@@ -1043,37 +1043,78 @@ def readme_keys(after: str, until: str) -> set:
 FIXED_POINT_KEYS = readme_keys("`fixed_point.json`: keys", ".")
 
 
-def readme_config_defaults() -> dict:
-    """The keys the README's configuration table names in its first column,
-    each with the default its third column gives it (None if required).
+def readme_config_rows() -> list:
+    """The rows of the README's configuration table, each as (keys, meaning
+    cell, default cell).
 
-    A cell lists keys as backquoted names; ``grid.s_min/s_max`` names
+    A key cell lists keys as backquoted names; ``grid.s_min/s_max`` names
     ``grid.s_min`` and ``grid.s_max``, ``init.bandwidth_s/_y`` names
-    ``init.bandwidth_s`` and ``init.bandwidth_y``.  A default cell is
-    ``required``, ``none`` (the empty default) or one backquoted default per
-    key, in the order of the keys."""
+    ``init.bandwidth_s`` and ``init.bandwidth_y``."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
     start = text.index("| key | meaning | default |")
-    defaults = {}
+    rows = []
     for row in text[start:text.index("\n\n", start)].splitlines()[2:]:
+        cells = [c.strip() for c in row.split("|")[1:4]]
         keys = []
-        for name in re.findall(r"`([\w./]+)`", row.split("|")[1]):
+        for name in re.findall(r"`([\w./]+)`", cells[0]):
             head, *rest = name.split("/")
             section, stem = head.split(".")[0], head.rsplit("_", 1)[0]
             keys += [head] + [stem + p if p.startswith("_") else f"{section}.{p}"
                               for p in rest]
-        cell = row.split("|")[3].strip()
+        rows.append((keys, cells[1], cells[2]))
+    return rows
+
+
+def readme_config_defaults() -> dict:
+    """The keys the README's configuration table names in its first column,
+    each with the default its third column gives it (None if required).
+
+    A default cell is ``required``, ``none`` (the empty default) or one
+    backquoted default per key, in the order of the keys."""
+    defaults = {}
+    for keys, _, cell in readme_config_rows():
         values = ([None] * len(keys) if cell == "required" else
                   [""] * len(keys) if cell == "none" else re.findall(r"`([^`]*)`", cell))
         defaults.update(zip(keys, values, strict=True))
     return defaults
 
 
+def readme_lower_bounds() -> dict:
+    """The lower bound that the README's configuration table notes for each
+    key: ``> n`` is the least float above n, ``>= n`` is n and ``not empty``
+    is the length 1.
+
+    A note names its key (```grid.s_min` > 0``) or sits in brackets in the
+    part of the meaning cell that describes the key.  The meaning cell of a
+    row of several keys has one part per key, split at ``" / "`` or after
+    ``"), "``; a cell that does not split so describes each of its keys."""
+    bounds = {}
+
+    def note(key, op, n):
+        bounds[key] = (1 if op == "not empty" else
+                       int(n) if op == ">=" else math.nextafter(float(n), math.inf))
+    for keys, meaning, _ in readme_config_rows():
+        for key, op, n in re.findall(r"`([\w.]+)` (>=?) (\d+)", meaning):
+            note(key, op, n)
+        parts = re.split(r" / |(?<=\)), ", meaning)
+        for key, part in zip(keys, parts if len(parts) == len(keys) else
+                             [meaning] * len(keys)):
+            found = re.search(r"\((>=?) (\d+)|\((not empty)\)", part)
+            if found:
+                note(key, found[1] or found[3], found[2])
+    return bounds
+
+
 class TestArtifactKeys:
     def test_config_table_lists_every_key(self):
         # and each key's default, which the table carries
         assert readme_config_defaults() == {key: d for key, (_, d, _) in _KEYS.items()}
+
+    def test_config_table_notes_each_lower_bound(self):
+        # every bounded key has its note in the table, at the table's bound
+        assert readme_lower_bounds() == {
+            key: low for key, (_, _, low) in _KEYS.items() if low is not None}
 
     def test_json_keys_are_the_documented_ones(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path))
@@ -1085,6 +1126,47 @@ class TestArtifactKeys:
         assert fp["mode"] == "fixed-point" and fp["denominator_min"] is None
         assert set(report["verification"]) == readme_keys("verification\n  block (", ")")
         assert set(report["validation"]) == readme_keys("`validation` block (", ")")
+
+    @pytest.mark.parametrize("b,extra,status,admissible", [
+        ("sqrt1p_sin:0.05", "", 0, True),
+        ("sqrt1p_sin:5.0", "", 0, True),                     # recovered at t* < 1
+        ("sqrt1p_sin:5.0", "fp.max_halvings = 0", 2, False),  # left the band
+        ("sqrt1p_sin:0.05", "fp.cap_factor = 0.5\nfp.max_halvings = 0", 2, False),
+        ("sqrt1p_sin:0.05", "fp.max_iter = 1\nfp.max_halvings = 0", 2, True),
+        ("sqrt1p_sin:0.05", "fp.mode = time-lagged", 0, None)],
+        ids=["converged", "recovered", "escaped", "over-cap", "budget", "time-lagged"])
+    def test_records_agree_with_the_run_constants(self, tmp_path, b, extra, status,
+                                                  admissible):
+        # the admissible set and bsq_slope are written once per run, and every
+        # per-iteration record of fixed_point.json follows from them
+        cfg = RunConfig.from_file(write_config(tmp_path, b=b, ns=48, ny=32, nt=32,
+                                               extra=extra))
+        logged = []
+        assert run_pipeline(cfg, log=logged.append) == status
+        fp = json.loads((tmp_path / "out" / "fixed_point.json").read_text())
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "mode" not in report
+        bounds = [fp["lower_bound"], fp["upper_bound"], fp["norm_cap"]]
+        if fp["mode"] == "time-lagged":
+            assert bounds == [None] * 3 and fp["membership"] == fp["gap_monitor"] == []
+            return
+        assert len(fp["membership"]) == len(fp["gap_monitor"]) == fp["iterations"] > 0
+        slope = report["validation"]["bsq_slope"]
+        assert slope > 0
+        for mem, gap in zip(fp["membership"], fp["gap_monitor"]):
+            assert mem["lower_ok"] == (mem["min"] >= fp["lower_bound"])
+            assert mem["upper_ok"] == (mem["max"] <= fp["upper_bound"])
+            assert mem["norm_ok"] == (mem["norm"] <= fp["norm_cap"])
+            assert gap["scaled"] == gap["lhs"] / (slope * (1.0 + mem["norm"]) ** 6)
+        last = fp["membership"][-1]
+        assert (last["lower_ok"] and last["upper_ok"] and last["norm_ok"]) is admissible
+        # the bounds that a failed check names (of any attempt, as every
+        # horizon shares the set) are the ones written
+        named = re.findall(r"(lower bound|upper bound|cap) ([^\s,]+)", "\n".join(logged))
+        assert named or admissible
+        for name, value in named:
+            key = "norm_cap" if name == "cap" else name.replace(" ", "_")
+            assert value == f"{fp[key]:.6g}"
 
 
 class TestVerification:
