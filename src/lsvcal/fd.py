@@ -3,6 +3,11 @@
 All operators are second-order accurate, centered in the interior with
 one-sided three/four-point formulas at the edges, so coefficient products
 can be differentiated on the whole node set including the boundary ring.
+
+Inputs must be finite.  The flat passes of `d1`, `d2` and
+`cross_diff_interior` also difference the end nodes of two neighbouring
+lines before overwriting those entries, so an infinity makes numpy warn
+(``inf - inf``) even where the values returned do not depend on it.
 """
 from __future__ import annotations
 

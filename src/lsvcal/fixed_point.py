@@ -52,11 +52,21 @@ class IterateBounds:
                      cap_factor: float = 1.5, tol_factor: float = 1e-8) -> "IterateBounds":
         """Defaults anchored to the initial density: the norm cap is
         ``cap_factor`` times the initial norm, the tolerance ``tol_factor``
-        times the initial supremum."""
+        times the initial supremum.
+
+        Raises:
+            ValueError: a factor's product is not above 0, as when a
+                positive factor underflows; the message names its config key.
+        """
         p_lo = float(psi.min())
         p_hi = float(psi.max())
-        cap = cap_factor * holder_norm(psi[None], 2, grid).value
-        return cls(holder_cap=cap, p_lo=p_lo, p_hi=p_hi,
+        norm = holder_norm(psi[None], grid).value
+        for key, factor, name, base in (("fp.tol_factor", tol_factor, "maximum", p_hi),
+                                        ("fp.cap_factor", cap_factor, "norm", norm)):
+            if base > 0 and not factor * base > 0:
+                raise ValueError(f"{key} = {factor!r} times the initial {name} "
+                                 f"{base:.6g} is not above 0")
+        return cls(holder_cap=cap_factor * norm, p_lo=p_lo, p_hi=p_hi,
                    t_star=grid.horizon, tol=tol_factor * p_hi)
 
     @property
@@ -90,7 +100,7 @@ def check_membership(p: np.ndarray, params: IterateBounds,
     lo, hi = params.band
     pmin = float(p.min())
     pmax = float(p.max())
-    nrm = float(holder_norm(p, 2, grid).value)
+    nrm = float(holder_norm(p, grid).value)
     return MembershipResult(
         lower_ok=bool(pmin >= lo), upper_ok=bool(pmax <= hi),
         norm_ok=bool(nrm <= params.holder_cap),
@@ -152,29 +162,24 @@ class FixedPointReport:
         self.r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
-def _source(u: np.ndarray, spec: ModelSpec, b_ref: float, grid: GridSpec):
+def _source(u: np.ndarray, gap_ratio: np.ndarray, gap_root: np.ndarray, sl: dict,
+            grid: GridSpec) -> np.ndarray:
     """The source ``d2_S[a_s (ratio - 1/b_ref^2) u]
-    + d2_Sy[a_x (sqrt(ratio) - 1/b_ref) u]`` as a function ``(k, sl)`` of
-    the time index and the frozen operator's slice k.
+    + d2_Sy[a_x (sqrt(ratio) - 1/b_ref) u]`` of one density slice ``u``,
+    given its gap rows ``MixingField.gaps(b_ref)``.
 
     ``b_ref`` is the frozen operator's anchor, and ``a_s`` and ``a_x`` are
     the unit products ``sl["a_s"]`` and ``sl["a_x"]`` that the solve has
-    evaluated for slice k's stencil.  The centered differences cover
-    interior nodes, and b constant gives exact zeros.  The mixing ratio is
-    taken once, on the whole trajectory; each call builds one source slice.
-    The ratio is ``num / den`` node by node, so slice k's source reads slice
-    k alone: the trajectory-wide maximum marginal only sets the threshold of
-    ``ratio_of_marginals``' ``DegenerateDenominator`` check.
+    evaluated for the slice's stencil.  The centered differences cover
+    interior nodes, and b constant gives exact zeros.  The ratio is
+    ``num / den`` node by node, so the gap rows of a slice read that slice
+    alone: where they come from a whole trajectory's ratio, its maximum
+    marginal only sets the threshold of ``ratio_of_marginals``'
+    ``DegenerateDenominator`` check.
     """
-    mix = mixing_ratio(u, spec.b, grid)
-    gap_ratio = (mix.ratio - 1.0 / (b_ref * b_ref))[..., None]
-    gap_root = (mix.sqrt_ratio - 1.0 / b_ref)[..., None]
-
-    def source_slice(k: int, sl: dict) -> np.ndarray:
-        f = fd.second_diff_interior(sl["a_s"] * gap_ratio[k] * u[k], grid.ds, axis=-2)
-        f += fd.cross_diff_interior(sl["a_x"] * gap_root[k] * u[k], grid.ds, grid.dy)
-        return f
-    return source_slice
+    f = fd.second_diff_interior(sl["a_s"] * gap_ratio * u, grid.ds, axis=-2)
+    f += fd.cross_diff_interior(sl["a_x"] * gap_root * u, grid.ds, grid.dy)
+    return f
 
 
 def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
@@ -201,8 +206,11 @@ def apply_map(u: np.ndarray, spec: ModelSpec, grid: GridSpec,
     u = np.asarray(u, dtype=float)
     if frozen is None:
         frozen = assemble_frozen(spec, grid, b_ref=spec.b_ref(grid))
-    return solve_linear(frozen, u[0], grid, f=_source(u, spec, frozen.b_ref, grid),
-                        n_steps=u.shape[0] - 1, out=out)
+    gap_ratio, gap_root = mixing_ratio(u, spec.b, grid).gaps(frozen.b_ref)
+
+    def source(k, sl):
+        return _source(u[k], gap_ratio[k], gap_root[k], sl, grid)
+    return solve_linear(frozen, u[0], grid, f=source, n_steps=u.shape[0] - 1, out=out)
 
 
 class _Escaped(Exception):
@@ -268,22 +276,19 @@ def _march(p: np.ndarray, spec: ModelSpec, grid: GridSpec,
     stops the march: the slices after the last finished step keep their
     values.  Returns the passes of each finished step.
     """
-    hs = (grid.ds, grid.dy)
-
-    def source(u, sl):
-        return _source(u[None], spec, frozen.b_ref, grid)(0, sl)
-
+    hs, b, b_ref = (grid.ds, grid.dy), spec.b, frozen.b_ref
     passes = []
     try:
         sl = frozen.slice(0)
-        st1, f1 = stencil(sl, hs), source(p[0], sl)
+        st1 = stencil(sl, hs)
+        f1 = _source(p[0], *mixing_ratio(p[0], b, grid).gaps(b_ref), sl, grid)
         for k in range(len(p) - 1):
             sl = frozen.slice(k + 1)
             st0, st1 = st1, stencil(sl, hs)
             finish = step_slices(st0, st1, p[k], grid, f0=f1)
             guess = p[k + 1]
             for n in range(1, _MARCH_PASSES + 1):
-                new = finish(source(guess, sl))
+                new = finish(_source(guess, *mixing_ratio(guess, b, grid).gaps(b_ref), sl, grid))
                 if not _in_band(new, *params.band):
                     return passes
                 if np.max(np.abs(new - guess)) <= 0.1 * params.tol:
@@ -292,7 +297,7 @@ def _march(p: np.ndarray, spec: ModelSpec, grid: GridSpec,
             else:
                 return passes
             p[k + 1] = new
-            f1 = source(new, sl)
+            f1 = _source(new, *mixing_ratio(new, b, grid).gaps(b_ref), sl, grid)
             passes.append(n)
     except (StabilityFailure, DegenerateDenominator):
         pass            # a NaN step or a degenerate ratio stops it too

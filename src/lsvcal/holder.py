@@ -1,10 +1,10 @@
 """Discrete Hoelder-norm estimation under the parabolic distance.
 
 The distance between grid points P = (t, x) and Q = (t', x') is
-``sqrt(|x - x'|^2 + |t - t'|)``; a field's order-(k+h) norm adds the plain
+``sqrt(|x - x'|^2 + |t - t'|)``; a field's order-(2+h) norm adds the plain
 sup norm, the Hoelder quotient, the same quotient applied to every spatial
-derivative up to order k, and (for k >= 1) the time derivative's
-contribution.  Every field is laid out over (t, S, y).
+derivative up to order 2, and the time derivative's contribution.  Every
+field is laid out over (t, S, y).
 
 Quotients are estimated over nearest and next-nearest neighbor pairs; for
 smooth fields the supremum is attained in the small-separation limit, so
@@ -64,7 +64,6 @@ class HolderNormEstimate:
     sup_norm: float
     quotient: float
     derivative_parts: dict = field(default_factory=dict)
-    k: int = 0
     h: float = 0.5
 
     def __post_init__(self):
@@ -205,12 +204,12 @@ def _base_norm(u, dt, hs, h_exp, fns=(), halo=0, prune=True):
     return results
 
 
-# the derivative parts of an order-(k+h) norm, in the order it adds them
+# the derivative parts of the norm, in the order it adds them
 _PART_NAMES = ("dS", "dy", "dSS", "dyy", "dSy", "dt")
 
 
-def _derivatives(dt, hs, k, shape):
-    """Yield (names, fns, halo) for spatial derivatives up to order k plus d/dt.
+def _derivatives(dt, hs, shape):
+    """Yield (names, fns, halo) for spatial derivatives up to order 2 plus d/dt.
 
     Each ``fns`` is a chain for `_base_norm`: ``fns[0]`` differentiates a
     window of consecutive time slices, and each later link the window the
@@ -227,46 +226,42 @@ def _derivatives(dt, hs, k, shape):
     """
     n_s, n_y = shape[1:]
     d_s, d_y = (partial(fd.d1, h=h, axis=ax) for h, ax in zip(hs, (1, 2)))
-    if k >= 1:
-        names = ("dS", "dSy") if k >= 2 else ("dS",)
-        chain = (d_s, d_y) if n_s >= 2 and n_y >= 2 else (d_s,) if n_s >= 2 else ()
-        yield names, chain[:len(names)], 0
-        yield ("dy",), (d_y,) if n_y >= 2 else (), 0
-    if k >= 2:
-        for name, h, ax, m in (("dSS", hs[0], 1, n_s), ("dyy", hs[1], 2, n_y)):
-            yield (name,), (partial(fd.d2, h=h, axis=ax),) if m >= 3 else (), 0
-    if k >= 1:
-        yield ("dt",), (partial(fd.d1, h=dt, axis=0),) if shape[0] >= 2 else (), 2
+    chain = (d_s, d_y) if n_s >= 2 and n_y >= 2 else (d_s,) if n_s >= 2 else ()
+    yield ("dS", "dSy"), chain, 0
+    yield ("dy",), (d_y,) if n_y >= 2 else (), 0
+    for name, h, ax, m in (("dSS", hs[0], 1, n_s), ("dyy", hs[1], 2, n_y)):
+        yield (name,), (partial(fd.d2, h=h, axis=ax),) if m >= 3 else (), 0
+    yield ("dt",), (partial(fd.d1, h=dt, axis=0),) if shape[0] >= 2 else (), 2
 
 
-def holder_norm(u: np.ndarray, k: int, grid) -> HolderNormEstimate:
-    """Estimate the order-(k+h) Hoelder norm of a (t, S, y) grid field.
+def holder_norm(u: np.ndarray, grid) -> HolderNormEstimate:
+    """Estimate the order-(2+h) Hoelder norm of a (t, S, y) grid field.
+
+    Its sup norm plus its quotient are the order-h norm, ``est.sup_norm +
+    est.quotient``.
 
     Args:
         u: field over (t, S, y) nodes.  Pass one slice as ``u[None]`` and a
             (t, S) field as ``u[..., None]``; a length-1 axis adds no pairs,
             and the derivative parts along it are 0.0 without a scan.
-        k: number of spatial derivative orders to include (0, 1 or 2).
         grid: GridSpec supplying the spacings and the exponent
             ``grid.holder_exp``.
 
     Raises:
-        ValueError: ``k`` is not 0, 1 or 2, or ``u`` does not have 3 axes.
+        ValueError: ``u`` does not have 3 axes.
     """
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
     u = np.asarray(u, dtype=float)
     if u.ndim != 3:
         raise ValueError(f"expected a (t, S, y) field, got {u.ndim} axes")
     h, dt, hs = grid.holder_exp, grid.dt, (grid.ds, grid.dy)
     (sup, quot), = _base_norm(u, dt, hs, h)
     parts = {}
-    for names, fns, halo in _derivatives(dt, hs, k, u.shape):
+    for names, fns, halo in _derivatives(dt, hs, u.shape):
         norms = _base_norm(u, dt, hs, h, fns, halo) if fns else []
         parts.update(zip(names, (float(s + q) for s, q in norms)))
         parts.update(dict.fromkeys(names[len(norms):], 0.0))
-    parts = {name: parts[name] for name in _PART_NAMES if name in parts}
+    parts = {name: parts[name] for name in _PART_NAMES}
     value = sup + quot
     for part in parts.values():
         value += part
-    return HolderNormEstimate(float(value), float(sup), float(quot), parts, k, h)
+    return HolderNormEstimate(float(value), float(sup), float(quot), parts, h)

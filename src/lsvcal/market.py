@@ -255,20 +255,6 @@ class ImpliedSurface:
         x = np.log(np.asarray(strike, dtype=float) / self.spot)
         return np.sqrt(np.maximum(self.w(t, x), 1e-14) / t)
 
-    @classmethod
-    def from_function(cls, spot: float, w_fn) -> "ImpliedSurface":
-        """Wrap an explicit w(T, x) function of a scalar T (test and
-        experiment hook); an array of T evaluates it once per maturity."""
-        def w(t, x):
-            x = np.asarray(x, dtype=float)
-            if np.ndim(t) == 0:
-                return np.asarray(w_fn(t, x))
-            return np.array([np.broadcast_to(w_fn(ti, x), x.shape) for ti in t])
-
-        surf = cls(spot=spot, maturities=np.array([1.0]), slices=[], x_ranges=[])
-        surf.w = w
-        return surf
-
 
 def build_implied_surface(quotes, spot: float,
                           t_max: float | None = None) -> ImpliedSurface:

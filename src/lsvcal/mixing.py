@@ -51,6 +51,13 @@ class MixingField:
         if np.any(self.ratio <= 0):
             raise ValueError("mixing ratio must be strictly positive")
 
+    def gaps(self, b_ref: float) -> tuple:
+        """The gaps ``ratio - 1/b_ref^2`` and ``sqrt(ratio) - 1/b_ref`` from
+        the constant-b anchor, each with a trailing length-1 y axis: they
+        broadcast against a density, and a (t, S) gap is a (t, S, y) field."""
+        return ((self.ratio - 1.0 / (b_ref * b_ref))[..., None],
+                (self.sqrt_ratio - 1.0 / b_ref)[..., None])
+
 
 def mixing_ratio(p: np.ndarray, b, grid: GridSpec) -> MixingField:
     """Mixing ratio of a density slice (n_s+2, n_y+2) or trajectory (..., n_s+2, n_y+2).
@@ -126,7 +133,7 @@ class GapRecord:
 
 
 def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
-                      bsq_slope: float, p_norm: float | None = None) -> GapRecord:
+                      bsq_slope: float, p_norm: float) -> GapRecord:
     """Measure how far the mixing ratio sits from its constant-b anchor.
 
     Args:
@@ -134,20 +141,14 @@ def ratio_gap_monitor(p: np.ndarray, b, b_ref: float, grid: GridSpec,
             ``p[None]``.
         b_ref: anchor value of b (the freeze used by the linear solves).
         bsq_slope: measured sup |d(b^2)/dy| on the grid.
-        p_norm: the Hoelder-2 norm of p at ``grid.holder_exp``, when the
-            caller has it already (the membership check computes it).
+        p_norm: the Hoelder-2 norm of p at ``grid.holder_exp``, which the
+            membership check computes.
     """
-    p = np.asarray(p, dtype=float)
-    mix = mixing_ratio(p, b, grid)
-    gap_ratio = mix.ratio - 1.0 / (b_ref * b_ref)
-    gap_root = mix.sqrt_ratio - 1.0 / b_ref
-    n1 = holder_norm(gap_ratio[..., None], 2, grid)
-    n2 = holder_norm(gap_root[..., None], 2, grid)
+    gap_ratio, gap_root = mixing_ratio(p, b, grid).gaps(b_ref)
+    n1 = holder_norm(gap_ratio, grid)
+    n2 = holder_norm(gap_root, grid)
     lhs = n1.value + n2.value
     if not np.isfinite(lhs):
         raise ValueError("gap norm is not finite")
-    if p_norm is None:
-        p_norm = holder_norm(p, 2, grid).value
     scaled = lhs / (bsq_slope * (1.0 + p_norm) ** 6) if bsq_slope > 0 else None
     return GapRecord(lhs, n1.value, n2.value, scaled)
-

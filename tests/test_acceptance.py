@@ -290,10 +290,12 @@ def test_criterion_05_gap_monitor(contraction_run):
     # linearity of the gap norm in the perturbation size at the converged p
     grid = contraction_run["grid"]
     p = contraction_run["density"]
+    p_norm = rep.membership[-1]["norm"]        # the membership check's, of p
     lhs = {}
     for s in (1e-3, 1e-2):
         b = lambda y, s=s: np.sqrt(1.0 + s * np.sin(np.asarray(y, dtype=float)))
-        rec = ratio_gap_monitor(p, b, b_ref=1.0, grid=grid, bsq_slope=s)
+        rec = ratio_gap_monitor(p, b, b_ref=1.0, grid=grid, bsq_slope=s,
+                                p_norm=p_norm)
         lhs[s] = rec.lhs
     lin = (lhs[1e-2] / 1e-2) / (lhs[1e-3] / 1e-3)
     assert abs(lin - 1.0) <= 0.2

@@ -89,8 +89,8 @@ class TestBaseNorm:
     def test_constant_field(self):
         grid = make_grid(n_s=16, n_y=12, n_t=8)
         u = np.full((1, grid.n_s + 2, grid.n_y + 2), -4.2)
-        est = holder_norm(u, 0, grid)
-        assert est.value == 4.2
+        est = holder_norm(u, grid)
+        assert est.sup_norm + est.quotient == 4.2
         assert est.quotient == 0.0
 
     def test_linear_1d_neighbor_quotient(self):
@@ -98,11 +98,12 @@ class TestBaseNorm:
         # largest for the next-nearest offset
         grid = make_grid(n_s=98, n_y=12, n_t=8, s_span=(0.0, 1.0))
         u = grid.s_nodes[None, :, None].copy()
-        est = holder_norm(u, 0, grid)
+        est = holder_norm(u, grid)
         dx = grid.ds
         assert est.sup_norm == pytest.approx(1.0)
         assert est.quotient == pytest.approx(math.sqrt(2 * dx), rel=1e-12)
-        assert est.value == pytest.approx(1.0 + math.sqrt(2 * dx), rel=1e-12)
+        assert est.sup_norm + est.quotient == pytest.approx(1.0 + math.sqrt(2 * dx),
+                                                            rel=1e-12)
 
     def test_linear_1d_all_pairs_matches_brute_force(self):
         grid = make_grid(n_s=30, n_y=12, n_t=8, s_span=(0.0, 1.0))
@@ -125,7 +126,7 @@ class TestBaseNorm:
         grid = make_grid(n_s=14, n_y=10, n_t=6)
         rng = np.random.default_rng(11)
         u = smooth_random_field(rng, grid)
-        near = holder_norm(u, 0, grid).quotient
+        near = holder_norm(u, grid).quotient
         full = all_pairs_quotient(u, grid, 0.5)
         assert near <= full + 1e-12
 
@@ -138,27 +139,15 @@ class TestAlgebraAndMonotonicity:
         for _ in range(20):
             u = smooth_random_field(rng, grid)
             v = smooth_random_field(rng, grid)
-            nu = holder_norm(u, 0, grid).value
-            nv = holder_norm(v, 0, grid).value
-            nuv = holder_norm(u * v, 0, grid).value
+            ests = [holder_norm(w, grid) for w in (u, v, u * v)]
+            nu, nv, nuv = (est.sup_norm + est.quotient for est in ests)
             assert nuv <= nu * nv + 1e-12
-
-    @pytest.mark.parametrize("kind", ["Sy", "tSy"])
-    def test_monotone_in_k(self, kind):
-        grid = make_grid(n_s=20, n_y=16, n_t=8)
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            u = smooth_random_field(rng, grid, kind=kind)
-            n0 = holder_norm(u, 0, grid).value
-            n1 = holder_norm(u, 1, grid).value
-            n2 = holder_norm(u, 2, grid).value
-            assert n0 <= n1 <= n2
 
     def test_value_at_least_sup(self):
         grid = make_grid(n_s=20, n_y=16, n_t=8)
         rng = np.random.default_rng(9)
         u = smooth_random_field(rng, grid)
-        est = holder_norm(u, 2, grid)
+        est = holder_norm(u, grid)
         assert est.value >= est.sup_norm
         assert all(v >= 0 for v in est.derivative_parts.values())
 
@@ -170,7 +159,7 @@ class TestAlgebraAndMonotonicity:
     def test_field_without_three_axes_rejected(self, shape):
         grid = make_grid(n_s=20, n_y=16, n_t=8)
         with pytest.raises(ValueError, match="expected a"):
-            holder_norm(np.ones(shape), 2, grid)
+            holder_norm(np.ones(shape), grid)
 
     def test_constant_in_time_extension_equals_slice_norm(self):
         # a field constant in time has no time contributions, so its
@@ -181,8 +170,8 @@ class TestAlgebraAndMonotonicity:
         rng = np.random.default_rng(13)
         u2 = smooth_random_field(rng, grid)[0]
         u3 = np.broadcast_to(u2, (grid.n_t + 1,) + u2.shape)
-        n2 = holder_norm(u2[None], 2, grid)
-        n3 = holder_norm(u3, 2, grid)
+        n2 = holder_norm(u2[None], grid)
+        n3 = holder_norm(u3, grid)
         assert (n3.sup_norm, n3.quotient) == (n2.sup_norm, n2.quotient)
         dt2, dt3 = n2.derivative_parts.pop("dt"), n3.derivative_parts.pop("dt")
         assert n3.derivative_parts == n2.derivative_parts
@@ -360,7 +349,7 @@ class TestPrunedScan:
                 return pair_views(v, off)
             with mock.patch.object(holder, "_PARTS", parts), \
                     mock.patch.object(holder, "_pair_views", spy):
-                return holder_norm(u, 2, grid), counts
+                return holder_norm(u, grid), counts
         est, pruned = scan(holder._PARTS)
         # no bounds: every offset, every slab
         with mock.patch.object(holder, "_base_norm",
@@ -373,19 +362,15 @@ class TestPrunedScan:
         assert sum(pruned.values()) < 0.45 * sum(full.values())
 
 
-def whole_field_holder_norm(u, k, grid):
-    """(value, derivative parts) of the order-(k+h) norm of a (t, S, y)
+def whole_field_holder_norm(u, grid):
+    """(value, derivative parts) of the order-(2+h) norm of a (t, S, y)
     field with every derivative built over the whole field (oracle)."""
     dt, hs, h_exp = grid.dt, (grid.ds, grid.dy), grid.holder_exp
     named = list(zip("Sy", hs, (1, 2)))
-    derivs = []
-    if k >= 1:
-        derivs += [(f"d{n}", fd.d1(u, h, axis=ax)) for n, h, ax in named]
-    if k >= 2:
-        derivs += [(f"d{n}{n}", fd.d2(u, h, axis=ax)) for n, h, ax in named]
-        derivs.append(("dSy", fd.d2_cross(u, *hs)))
-    if k >= 1:
-        derivs.append(("dt", fd.d1(u, dt, axis=0)))
+    derivs = [(f"d{n}", fd.d1(u, h, axis=ax)) for n, h, ax in named]
+    derivs += [(f"d{n}{n}", fd.d2(u, h, axis=ax)) for n, h, ax in named]
+    derivs.append(("dSy", fd.d2_cross(u, *hs)))
+    derivs.append(("dt", fd.d1(u, dt, axis=0)))
     sup, quot = unblocked_base_norm(u, dt, hs, h_exp)
     value = sup + quot
     parts = {}
@@ -410,14 +395,12 @@ class TestSlabDerivatives:
         shape = (n_times, data.draw(st.integers(0, 6)),
                  data.draw(st.integers(0, 6)) if has_y else 1)
         u = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
-        k = data.draw(st.sampled_from([0, 1, 2]))
         h_exp = data.draw(st.sampled_from([0.3, 0.5, 0.9]))
         grid = make_grid(n_s=20, n_y=10, n_t=8, h=h_exp)
         slab = 1 if one_slice_slabs else holder._SLAB_BYTES
         with mock.patch.object(holder, "_SLAB_BYTES", slab):
-            est = holder_norm(u, k, grid)
-        assert (est.value, est.derivative_parts) == \
-            whole_field_holder_norm(u, k, grid)
+            est = holder_norm(u, grid)
+        assert (est.value, est.derivative_parts) == whole_field_holder_norm(u, grid)
 
 
 class TestShortAxisDerivatives:
@@ -432,7 +415,7 @@ class TestShortAxisDerivatives:
         grid = make_grid(n_s=20, n_y=10, n_t=8)
         with mock.patch.object(holder, "_base_norm",
                                wraps=holder._base_norm) as base:
-            est = holder_norm(u, 2, grid)
+            est = holder_norm(u, grid)
         # u, then each link of each derivative chain (dSy extends dS's)
         walked = [len(call.args[4]) if len(call.args) > 4 else 1
                   for call in base.call_args_list]
@@ -441,5 +424,4 @@ class TestShortAxisDerivatives:
                    if n in scanned)
         assert all(p == 0.0 for n, p in est.derivative_parts.items()
                    if n not in scanned)
-        assert (est.value, est.derivative_parts) == \
-            whole_field_holder_norm(u, 2, grid)
+        assert (est.value, est.derivative_parts) == whole_field_holder_norm(u, grid)

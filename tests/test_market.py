@@ -10,9 +10,8 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from lsvcal import (ArbitrageWarning, CalendarArbitrage, DegenerateSurface,
-                    DuplicateQuote, ImpliedSurface, InsufficientData,
-                    OptionQuote, ParseError, StabilityFailure,
-                    build_implied_surface, dupire_forward_solve,
+                    DuplicateQuote, InsufficientData, OptionQuote, ParseError,
+                    StabilityFailure, build_implied_surface, dupire_forward_solve,
                     dupire_local_vol, fv_mass, load_quotes, reprice_calls)
 from lsvcal.market import _bs_call, _ndtr, _Spline, implied_vol_from_price
 
@@ -281,6 +280,21 @@ def dupire_per_node(surface, rate, grid, floor=1e-2, cap=3.0):
     return out, n_bad
 
 
+class FunctionSurface:
+    """A stand-in for ``ImpliedSurface`` with an explicit w(T, x) of a scalar
+    T: the ``spot`` and ``w`` that the Dupire extraction reads; an array of
+    T evaluates ``w_fn`` once per maturity."""
+
+    def __init__(self, spot: float, w_fn):
+        self.spot, self.w_fn = spot, w_fn
+
+    def w(self, t, x):
+        x = np.asarray(x, dtype=float)
+        if np.ndim(t) == 0:
+            return np.asarray(self.w_fn(t, x))
+        return np.array([np.broadcast_to(self.w_fn(ti, x), x.shape) for ti in t])
+
+
 # the two explicit surfaces of the guard and clamp tests below
 def degenerate_w(t, x):
     return 0.04 * t * (1.0 + 40.0 * x)
@@ -312,15 +326,13 @@ class TestDupireLocalVol:
 
     def test_degenerate_surface_guard(self):
         # a skew slope engineered to sink the denominator everywhere
-        surf = ImpliedSurface.from_function(
-            100.0, lambda t, x: 0.04 * t * (1.0 + 40.0 * x))
+        surf = FunctionSurface(100.0, lambda t, x: 0.04 * t * (1.0 + 40.0 * x))
         grid = make_grid(n_s=60, n_y=24, n_t=20)
         with pytest.raises(DegenerateSurface):
             dupire_local_vol(surf, 0.0, grid)
 
     def test_clamped_into_band(self):
-        surf = ImpliedSurface.from_function(
-            100.0, lambda t, x: 0.04 * t * (1.0 + 0.8 * np.tanh(4 * x)))
+        surf = FunctionSurface(100.0, lambda t, x: 0.04 * t * (1.0 + 0.8 * np.tanh(4 * x)))
         grid = make_grid(n_s=60, n_y=24, n_t=20)
         lv = dupire_local_vol(surf, 0.0, grid, floor=0.05, cap=0.5)
         assert lv.min() >= 0.05 - 1e-12
@@ -345,12 +357,12 @@ class TestDupireLocalVol:
                   for k in (60, 80, 100, 120, 160)]
         quoted = build_implied_surface(quotes, spot=100.0)
         for surf, rate, band in ((quoted, 0.03, {}),
-                                 (ImpliedSurface.from_function(100.0, tanh_w),
+                                 (FunctionSurface(100.0, tanh_w),
                                   0.0, {"floor": 0.05, "cap": 0.5})):
             ref, n_bad = dupire_per_node(surf, rate, grid, **band)
             assert n_bad <= 0.05 * ref.size
             assert np.array_equal(dupire_local_vol(surf, rate, grid, **band), ref)
-        degenerate = ImpliedSurface.from_function(100.0, degenerate_w)
+        degenerate = FunctionSurface(100.0, degenerate_w)
         ref, n_bad = dupire_per_node(degenerate, 0.0, grid)
         with pytest.raises(DegenerateSurface) as err:
             dupire_local_vol(degenerate, 0.0, grid)

@@ -154,7 +154,8 @@ class TestGapMonitor:
         psi = make_psi(grid, bw_s=25.0, bw_y=0.25)
         p = np.broadcast_to(psi, (grid.n_t + 1,) + psi.shape).copy()
         rec = ratio_gap_monitor(p, lambda y: np.full_like(np.asarray(y, float), 0.8),
-                                b_ref=0.8, grid=grid, bsq_slope=0.0)
+                                b_ref=0.8, grid=grid, bsq_slope=0.0,
+                                p_norm=holder_norm(p, grid).value)
         assert rec.lhs == 0.0
         assert rec.scaled is None
 
@@ -168,24 +169,12 @@ class TestGapMonitor:
         y_mod = np.tanh(grid.y_nodes[None, :])
         p2 = psi * (1.0 + 0.3 * y_mod * s_mod)
         p = np.broadcast_to(p2, (grid.n_t + 1,) + p2.shape).copy()
+        p_norm = holder_norm(p, grid).value
         lhs = {}
         for s in (1e-3, 1e-2):
             b = lambda y, s=s: np.sqrt(1.0 + s * np.sin(np.asarray(y, dtype=float)))
-            rec = ratio_gap_monitor(p, b, b_ref=1.0, grid=grid, bsq_slope=s)
+            rec = ratio_gap_monitor(p, b, b_ref=1.0, grid=grid, bsq_slope=s,
+                                    p_norm=p_norm)
             lhs[s] = rec.lhs
         ratio = (lhs[1e-2] / 1e-2) / (lhs[1e-3] / 1e-3)
         assert abs(ratio - 1.0) < 0.2
-
-    def test_precomputed_p_norm_gives_same_record(self):
-        grid = make_grid(n_s=16, n_y=24, n_t=8)
-        psi = make_psi(grid, bw_s=25.0, bw_y=0.25)
-        y_mod = np.tanh(grid.y_nodes[None, :])
-        t_mod = 1.0 + 0.1 * grid.t_nodes[:, None, None]
-        p = psi[None] * (1.0 + 0.3 * y_mod) * t_mod
-        b = lambda y: np.sqrt(1.0 + 0.05 * np.sin(np.asarray(y, dtype=float)))
-        args = (p, b, 1.0, grid, 0.05)
-        fresh = ratio_gap_monitor(*args)
-        p_norm = holder_norm(p, 2, grid).value
-        reused = ratio_gap_monitor(*args, p_norm=p_norm)
-        assert reused == fresh
-        assert fresh.scaled is not None and fresh.lhs > 0.0

@@ -210,6 +210,16 @@ def edge_values(kind, low) -> tuple:
     return ("x" * low, "x" * (low - 1)) if kind is str else (str(low), str(low - 1))
 
 
+# (key, value at its bound, value outside, extra config): each bounded or
+# word-list key of the table, then each fp factor at its bound on a config
+# where its product, with the initial density's maximum or its norm,
+# underflows to 0 (a wider bump has a norm of 0.012)
+RANGE_CASES = [(key, *edge_values(kind, low), "") for key, (kind, _, low) in _KEYS.items()
+               if low is not None or kind is bool or isinstance(kind, tuple)] + [
+    ("fp.tol_factor", "5e-324", "5e-324", ""),
+    ("fp.cap_factor", "5e-324", "5e-324", "init.bandwidth_s = 100\ninit.bandwidth_y = 1")]
+
+
 class TestExitCodes:
     def test_missing_quotes_no_artifacts(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -409,14 +419,14 @@ class TestExitCodes:
         assert len(logged) == 1 and logged[0].startswith("input error: ")
         assert message in logged[0]
 
-    @pytest.mark.parametrize("key,at,below", [
-        (key, *edge_values(kind, low)) for key, (kind, _, low) in _KEYS.items()
-        if low is not None or kind is bool or isinstance(kind, tuple)])
+    @pytest.mark.parametrize("key,at,below,extra", RANGE_CASES,
+                             ids=["-".join(case[:3]) for case in RANGE_CASES])
     def test_value_outside_its_table_range_exits_one_naming_the_key(
-            self, tmp_path, key, at, below, recwarn):
+            self, tmp_path, key, at, below, extra, recwarn):
         # the table's bound is taken and the value just below it is not; a
-        # word-list key takes none of the words outside its list
-        cfg = RunConfig.from_file(write_config(tmp_path))
+        # word-list key takes none of the words outside its list; a factor
+        # whose product underflows is refused, though the table takes it
+        cfg = RunConfig.from_file(write_config(tmp_path, extra=extra))
         cfg.values[key] = at
         cfg.get(key)
         cfg.values[key] = below
