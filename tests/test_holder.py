@@ -143,6 +143,20 @@ class TestAlgebraAndMonotonicity:
             nu, nv, nuv = (est.sup_norm + est.quotient for est in ests)
             assert nuv <= nu * nv + 1e-12
 
+    @pytest.mark.parametrize("kind", ["Sy", "tSy"])
+    def test_monotone_in_k(self, kind):
+        # the order-h, order-(1+h) and order-(2+h) norms, each the one
+        # before plus its derivative parts
+        grid = make_grid(n_s=20, n_y=16, n_t=8)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            est = holder_norm(smooth_random_field(rng, grid, kind=kind), grid)
+            parts = est.derivative_parts
+            n0 = est.sup_norm + est.quotient
+            n1 = n0 + parts["dS"] + parts["dy"] + parts["dt"]
+            n2 = est.value
+            assert n0 <= n1 <= n2
+
     def test_value_at_least_sup(self):
         grid = make_grid(n_s=20, n_y=16, n_t=8)
         rng = np.random.default_rng(9)
